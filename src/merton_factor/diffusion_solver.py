@@ -90,8 +90,7 @@ class ConvergenceTable:
     note: str = ""
 
 
-def _discrete_illposed_report(A_h, eta):
-    certificate = check_nonsingular_m_matrix(A_h)
+def _discrete_illposed_report(A_h, eta, certificate):
     nonpos = np.flatnonzero(A_h.main <= 0.0)
     quick = QuickChecks(
         all_eta_positive=bool(np.all(eta > 0.0)),
@@ -116,7 +115,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
     eta = np.asarray(frozen_rate(model, grid), dtype=float)
     certificate = check_nonsingular_m_matrix(A_h)
     if not certificate.verdict:
-        report = _discrete_illposed_report(A_h, eta)
+        report = _discrete_illposed_report(A_h, eta, certificate)
         raise IllPosedError(
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
             report=report,

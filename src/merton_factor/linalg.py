@@ -3,7 +3,7 @@
 A Z-matrix has nonpositive off-diagonal entries.  A nonsingular Z-matrix is
 an M-matrix exactly when all leading principal minors are positive, or
 equivalently when some x > 0 has Ax > 0, or when A^-1 exists and is
-entrywise nonnegative.  Certification here uses the minor-ratio recursion
+entrywise nonnegative.  Certification here uses the leading-minor ratios
 (the pivots of Gaussian elimination without row exchanges)
 
     r_1 = A_11,    r_n = A_nn - A_{n,n-1} A_{n-1,n} / r_{n-1},
@@ -11,13 +11,19 @@ entrywise nonnegative.  Certification here uses the minor-ratio recursion
 so the n-th leading minor is r_1 * ... * r_n; positivity of all ratios is
 the M-matrix verdict.  The positive-image route (solve Ax = 1, check x > 0
 and Ax > 0) is available as an alternative certificate.
+
+A tridiagonal operator is factored once (LAPACK banded LU with partial
+pivoting) and that factor serves both its solves and its certificate: when
+no rows were exchanged, the diagonal of U is the ratio sequence above.  An
+M-matrix need not be diagonally dominant, so rows can still be exchanged;
+the recursion then recomputes the ratios.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -41,7 +47,7 @@ class TridiagonalOperator:
     length n-1 (entries (i, i+1)).
     """
 
-    __slots__ = ("sub", "main", "sup", "n")
+    __slots__ = ("sub", "main", "sup", "n", "_lu")
 
     def __init__(self, sub, main, sup):
         main = np.asarray(main, dtype=float)
@@ -60,6 +66,7 @@ class TridiagonalOperator:
         self.main = main
         self.sup = sup
         self.n = n
+        self._lu = None
 
     @property
     def is_z_matrix(self):
@@ -87,34 +94,30 @@ class TridiagonalOperator:
             row[1:] += np.abs(self.sub)
         return float(row.max())
 
-    def _banded(self):
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.sup
-        ab[1] = self.main
-        ab[2, :-1] = self.sub
-        return ab
+    def _factor(self):
+        # (lu, ipiv, info) of LAPACK's banded LU, cached: no code changes the
+        # bands after construction.  U's diagonal is lu[2]; ipiv is 0-based.
+        if self._lu is None:
+            ab = np.zeros((4, self.n))
+            ab[1, 1:] = self.sup
+            ab[2] = self.main
+            ab[3, :-1] = self.sub
+            self._lu = dgbtrf(ab, 1, 1, overwrite_ab=1)
+        return self._lu
 
     def solve(self, rhs):
         return tridiag_solve(self, rhs)
 
     def factorized(self):
-        """Return a solve closure that reuses one factorization."""
-        if self.n == 1:
-            pivot = self.main[0]
-            if pivot == 0.0:
-                raise SingularMatrixError("1x1 system with zero entry")
-            return lambda rhs: np.asarray(rhs, dtype=float) / pivot
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import splu
+        """Return a solve closure on the operator's one LU factorization.
 
-        matrix = diags(
-            [self.sub, self.main, self.sup], offsets=[-1, 0, 1], format="csc"
-        )
-        try:
-            lu = splu(matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"factorization failed: {exc}") from exc
-        return lambda rhs: lu.solve(np.asarray(rhs, dtype=float))
+        That LU is computed on first use and shared by every later solve and
+        certificate of this operator; a zero pivot raises SingularMatrixError.
+        """
+        lu, ipiv, info = self._factor()
+        if info > 0:
+            raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
+        return lambda rhs: dgbtrs(lu, 1, 1, np.asarray(rhs, dtype=float), ipiv)[0]
 
 
 @dataclass
@@ -153,23 +156,21 @@ def _minor_products(ratios):
 
 def _certificate_from_ratios(ratios):
     ratios = np.asarray(ratios)
-    for i, r in enumerate(ratios):
+    failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
+    if failed.size:
+        i = int(failed[0])
+        r = ratios[i]
         if not r > 0.0:
-            return MCertificate(
-                verdict=False,
-                method="minor_ratios",
-                ratios=ratios[: i + 1],
-                failure_index=i,
-                note=f"pivot ratio {r:.6g} at index {i} is not positive",
-            )
-        if r <= _SINGULAR_RATIO:
-            return MCertificate(
-                verdict=False,
-                method="minor_ratios",
-                ratios=ratios[: i + 1],
-                failure_index=i,
-                note=f"numerically singular: pivot ratio {r:.6g} at index {i}",
-            )
+            note = f"pivot ratio {r:.6g} at index {i} is not positive"
+        else:
+            note = f"numerically singular: pivot ratio {r:.6g} at index {i}"
+        return MCertificate(
+            verdict=False,
+            method="minor_ratios",
+            ratios=ratios[: i + 1],
+            failure_index=i,
+            note=note,
+        )
     minors, note = _minor_products(ratios)
     return MCertificate(
         verdict=True, method="minor_ratios", ratios=ratios, minors=minors, note=note
@@ -177,8 +178,8 @@ def _certificate_from_ratios(ratios):
 
 
 def _tridiagonal_ratios(A):
-    # Plain-float loop: the recursion is sequential, and Python floats beat
-    # numpy scalars by ~5x here, which matters at 10^6 nodes.
+    # Only runs when the banded LU exchanged rows.  Plain-float loop: the
+    # recursion is sequential, and Python floats beat numpy scalars by ~5x.
     main = A.main.tolist()
     sub = A.sub.tolist()
     sup = A.sup.tolist()
@@ -236,6 +237,10 @@ def check_nonsingular_m_matrix(A, method="minor_ratios"):
     positive off-diagonal entry raises :class:`NotZMatrixError` (the check
     does not apply).  Pivot ratios at or below 1e-300 yield verdict False
     with a "numerically singular" note rather than a sign claim.
+
+    A tridiagonal operator's ratios are the diagonal of U in its cached LU
+    (see ``TridiagonalOperator.factorized``), so it is factored once however
+    often it is certified; the recursion runs only if that LU exchanged rows.
     """
     if isinstance(A, TridiagonalOperator):
         if not A.is_z_matrix:
@@ -250,6 +255,9 @@ def check_nonsingular_m_matrix(A, method="minor_ratios"):
             return _positive_image_certificate(A, A.matvec, A.solve)
         if method != "minor_ratios":
             raise ValueError(f"unknown method {method!r}")
+        lu, ipiv, _ = A._factor()
+        if np.array_equal(ipiv, np.arange(A.n)):
+            return _certificate_from_ratios(lu[2].copy())  # never alias the cached LU
         return _certificate_from_ratios(_tridiagonal_ratios(A))
 
     dense = np.asarray(A, dtype=float)
@@ -274,7 +282,7 @@ def check_nonsingular_m_matrix(A, method="minor_ratios"):
 
 
 def tridiag_solve(A, rhs):
-    """Solve A x = rhs for a tridiagonal operator via a banded LAPACK solve.
+    """Solve A x = rhs for a tridiagonal operator with its banded LU factor.
 
     Raises :class:`SingularMatrixError` on an exactly singular system.  The
     result satisfies the backward-stable residual bound
@@ -285,14 +293,7 @@ def tridiag_solve(A, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.n,):
         raise ValueError(f"rhs must have shape ({A.n},), got {rhs.shape}")
-    if A.n == 1:
-        if A.main[0] == 0.0:
-            raise SingularMatrixError("zero pivot in 1x1 system")
-        return rhs / A.main[0]
-    try:
-        return scipy.linalg.solve_banded((1, 1), A._banded(), rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularMatrixError(f"singular tridiagonal system: {exc}") from exc
+    return A.factorized()(rhs)
 
 
 def inverse_norm_bound(A, x):

@@ -391,7 +391,7 @@ def cyclic_wellposed(eta, q, R):
 
 
 def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
-    """Well-posedness of a birth-death chain via the minor-ratio recursion.
+    """Well-posedness of a birth-death chain via the minor-ratio certificate.
 
     ``q_minus[i]``/``q_plus[i]`` are the down/up jump rates of state i, with
     the boundary convention q_minus[0] = 0 and q_plus[-1] = 0.  Returns
@@ -412,16 +412,9 @@ def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
     if R <= 0.0:
         raise ValueError("R must be positive")
 
-    ratios = []
-    r = eta[0] + q_plus[0] / R
-    ratios.append(r)
-    for i in range(1, n):
-        if not r > _TINY:
-            break
-        r = eta[i] + (q_minus[i] + q_plus[i]) / R - q_plus[i - 1] * q_minus[i] / (R * R * r)
-        ratios.append(r)
-    ratios = np.array(ratios)
-    return bool(ratios.size == n and np.all(ratios > 0.0)), ratios
+    A = TridiagonalOperator(-q_minus[1:] / R, eta + (q_minus + q_plus) / R, -q_plus[:-1] / R)
+    certificate = check_nonsingular_m_matrix(A)
+    return certificate.verdict, certificate.ratios
 
 
 def value_and_policies(model, f):

@@ -40,13 +40,16 @@ def test_operator_dense_matvec_norm_consistency():
 
 def test_certificate_minors_match_determinant_oracle():
     rng = np.random.default_rng(11)
-    op = random_tridiagonal(rng, 7)
-    cert = check_nonsingular_m_matrix(op)
-    assert cert.verdict is True
-    assert cert.method == "minor_ratios"
-    expected = oracles.leading_minors(op.to_dense())
-    assert cert.minors == pytest.approx(expected, rel=1e-12, abs=1e-300)
-    assert np.cumprod(cert.ratios) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    # An M-matrix that is not diagonally dominant: partial pivoting exchanges
+    # rows on it (minors 1, 1.25, 1.75), so its ratios cannot be read off U.
+    swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
+    for op in (random_tridiagonal(rng, 7), swapping):
+        cert = check_nonsingular_m_matrix(op)
+        assert cert.verdict is True
+        assert cert.method == "minor_ratios"
+        expected = oracles.leading_minors(op.to_dense())
+        assert cert.minors == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        assert np.cumprod(cert.ratios) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("method", ["minor_ratios", "positive_image"])
