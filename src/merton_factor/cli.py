@@ -25,14 +25,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analysis import asymptotic_report, proportional_bounds
 from .diffusion_solver import (
-    CSV_COLUMNS,
     domain_expansion_study,
     grid_refinement_study,
     solve,
@@ -45,7 +44,6 @@ from .model import (
     DiffusionModel,
     RegimeModel,
     load_model,
-    model_to_dict,
     to_zero_correlation,
 )
 from .montecarlo import estimate_value
@@ -207,49 +205,13 @@ def _cmd_wellposed(args):
     return 0 if cert.verdict else 2
 
 
-def _write_regime_csv(path, model, solution, tolerance):
-    n = model.n_states
-    eta = np.asarray(model.eta(), dtype=float)
-    nan_column = np.full(n, np.nan)
-    meta = {
-        "model_type": "regime",
-        "n_states": n,
-        "tolerance": tolerance,
-        "p": solution.p,
-        "method": solution.method,
-        "iterations": solution.iterations,
-        "residual": solution.residual,
-    }
-    lines = [
-        "# merton-factor solution v1",
-        f"# model: {json.dumps(model_to_dict(model))}",
-        f"# solve: {json.dumps(meta)}",
-        ",".join(CSV_COLUMNS),
-    ]
-    body = np.column_stack(
-        [
-            np.arange(n, dtype=float),
-            solution.u,
-            solution.f,
-            solution.u,
-            solution.pi_hat,
-            eta,
-            nan_column,
-            nan_column,
-        ]
-    )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-        np.savetxt(handle, body, fmt="%.17g", delimiter=",")
-
-
 def _cmd_solve(args):
     config = _config_from_args(args)
     model = config.model
     if isinstance(model, RegimeModel):
         solution = solve_regime(model, tol=config.tolerance)
         if args.out:
-            _write_regime_csv(args.out, model, solution, config.tolerance)
+            write_solution_csv(args.out, solution, model, config.tolerance)
         document = {
             "model_type": "regime",
             "verdict": True,
@@ -304,16 +266,7 @@ def _cmd_refine(args):
     table = grid_refinement_study(
         config.model, lo, hi, n_list, scheme=config.scheme, tol=config.tolerance
     )
-    document = {
-        "kind": table.kind,
-        "scheme": table.scheme,
-        "tolerance": table.tolerance,
-        "rows": table.rows,
-        "fit": table.fit,
-        "fit_kind": table.fit_kind,
-        "note": table.note,
-    }
-    _emit(document, args.out)
+    _emit(asdict(table), args.out)
     return 0
 
 
@@ -328,16 +281,7 @@ def _cmd_expand(args):
     table = domain_expansion_study(
         config.model, m_list, args.h, window, scheme=config.scheme, tol=config.tolerance
     )
-    document = {
-        "kind": table.kind,
-        "scheme": table.scheme,
-        "tolerance": table.tolerance,
-        "rows": table.rows,
-        "fit": table.fit,
-        "fit_kind": table.fit_kind,
-        "note": table.note,
-    }
-    _emit(document, args.out)
+    _emit(asdict(table), args.out)
     return 0
 
 

@@ -307,30 +307,47 @@ def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12)
 # -- CSV I/O -------------------------------------------------------------------
 
 
-def write_solution_csv(path, solution, model):
+def write_solution_csv(path, solution, model, tolerance=None):
     """Write the solution table with machine-precision (17 digit) values.
 
     Comment lines carry the model JSON and solve parameters, so the file is
     self-contained: a reader can rebuild the discrete operator and reproduce
-    the logged residual exactly from the stored u column.
+    the logged residual exactly from the stored u column.  For a regime
+    model, ``solution`` is the :class:`HjbSolution` of ``solve_regime``
+    solved with ``tolerance``; its table has one row per state, ``y`` holds
+    the state index and the diffusion-only columns are NaN.
     """
     from .analysis import psi_eta_profile
 
-    grid = solution.grid
-    eta = np.asarray(frozen_rate(model, grid), dtype=float)
-    psi_eta = psi_eta_profile(model, grid)
-    columns = {
-        "y": grid,
-        "u": solution.u,
-        "f": solution.f,
-        "xi": solution.u,
-        "pi": solution.pi_hat,
-        "eta": eta,
-        "psi_eta": psi_eta,
-        "du_over_u": solution.du_over_u,
-    }
-    meta = dict(solution.metadata)
-    meta["domain"] = list(meta["domain"])
+    if isinstance(model, RegimeModel):
+        n = model.n_states
+        nan_column = np.full(n, np.nan)
+        columns = {
+            "y": np.arange(n, dtype=float),
+            "eta": np.asarray(model.eta(), dtype=float),
+            "psi_eta": nan_column,
+            "du_over_u": nan_column,
+        }
+        meta = {
+            "model_type": "regime",
+            "n_states": n,
+            "tolerance": tolerance,
+            "p": solution.p,
+            "method": solution.method,
+            "iterations": solution.iterations,
+            "residual": solution.residual,
+        }
+    else:
+        grid = solution.grid
+        columns = {
+            "y": grid,
+            "eta": np.asarray(frozen_rate(model, grid), dtype=float),
+            "psi_eta": psi_eta_profile(model, grid),
+            "du_over_u": solution.du_over_u,
+        }
+        meta = dict(solution.metadata)
+        meta["domain"] = list(meta["domain"])
+    columns.update(u=solution.u, f=solution.f, xi=solution.u, pi=solution.pi_hat)
     lines = [
         "# merton-factor solution v1",
         f"# model: {json.dumps(model_to_dict(model))}",

@@ -8,19 +8,27 @@ and the realized objective of one path is the discounted utility integral
 
     J = int_0^T exp(-int_0^t delta ds) (xi_t X_t)^(1-R) / (1-R) dt,
 
-accumulated with the left-endpoint rule.  Factor paths are exact jump
-simulations for chains and Euler for diffusions (full truncation at the
-boundary of the state space); correlated asset/factor increments use
-dW = rho dW~ + sqrt(1-rho^2) dW_perp.
+accumulated with the left-endpoint rule.
+
+The factor never depends on wealth, so each path is simulated in two
+stages.  A sampler draws the factor at the step starts and the asset
+increments: chains by exact jump simulation, diffusions by Euler (full
+truncation at the boundary of the state space) with correlated increments
+dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no factor path for
+black_scholes.  Then one wealth kernel, shared by ``estimate_value`` and
+``simulate_wealth``, looks up the coefficients and the policy on those
+arrays and returns each step's utility flow.  Paths are sampled in blocks
+of about 10^6 path-steps; the kernel runs on row slices of at most
+``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
 
 Reproducibility: each path owns a counter-indexed block of one Philox
-stream, paths are simulated in index-addressed blocks and reduced in a
-fixed order, so results are bitwise identical for any worker count
+stream, blocks are index-addressed and reduced in a fixed order, so
+results are bitwise identical for any worker count
 (``MERTON_FACTOR_THREADS``).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,17 +86,7 @@ class ValueEstimate:
     antithetic: bool = False
 
     def to_dict(self):
-        return {
-            "mean": self.mean,
-            "se": self.se,
-            "paths": self.paths,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "truncation_note": self.truncation_note,
-            "tail_mean": self.tail_mean,
-            "tail_share": self.tail_share,
-            "antithetic": self.antithetic,
-        }
+        return asdict(self)
 
 
 def _path_rng(seed, index):
@@ -168,17 +166,20 @@ def _normalize_policy(model, policy):
         if callable(spec):
             return spec
         arr = np.asarray(spec, dtype=float)
-        if isinstance(model, RegimeModel):
-            if arr.ndim == 0:
-                return lambda s: np.full(np.shape(s), float(arr))
-            if arr.shape != (model.n_states,):
-                raise ValueError(f"{name} must be scalar or one value per state")
-            return lambda s: arr[np.asarray(s, dtype=np.int64)]
         if arr.ndim == 0:
             return lambda y: np.full(np.shape(y), float(arr))
-        raise ValueError(f"{name} must be scalar or callable for diffusion models")
+        if not isinstance(model, RegimeModel):
+            raise ValueError(f"{name} must be scalar or callable for diffusion models")
+        if arr.shape != (model.n_states,):
+            raise ValueError(f"{name} must be scalar or one value per state")
+        return lambda s: arr[np.asarray(s, dtype=np.int64)]
 
     return as_fn(pi_spec, "pi"), as_fn(xi_spec, "xi")
+
+
+# Path-steps per kernel call.  The kernel's temporaries then stay near 128 KB
+# each; on whole blocks of 10^6 path-steps they dominated peak memory.
+_SLICE_ELEMENTS = 16_384
 
 
 def _utility_flow(log_c, discount, R):
@@ -190,141 +191,93 @@ def _utility_flow(log_c, discount, R):
     return flow
 
 
-def _regime_block(model, pi, xi, x0, y0, T, dt, n_steps, seed, indices, antithetic):
-    """Per-path utility and tail contribution for a block of regime paths."""
-    B = indices.shape[0]
-    states = np.empty((B, n_steps), dtype=np.int64)
-    z = np.empty((B, n_steps))
-    t_left = np.arange(n_steps) * dt
-    for row, idx in enumerate(indices):
-        stream = idx // 2 if antithetic else idx
-        rng = _path_rng(seed, stream)
-        seg_times, seg_states = _ctmc_segments(rng, model.Q, y0, T)
-        states[row] = seg_states[np.searchsorted(seg_times[1:-1], t_left, side="right")]
-        draws = rng.standard_normal(n_steps)
-        z[row] = -draws if (antithetic and idx % 2 == 1) else draws
-
-    r = model.r[states]
-    lam = model.lam[states]
-    sig = model.sigma[states]
-    delta = model.delta[states]
-    pi_s = pi(states)
-    xi_s = xi(states)
-    R = model.R
-
-    drift = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt
-    vol = pi_s * sig * math.sqrt(dt)
-    dlog = drift + vol * z
-    log_x = np.cumsum(dlog, axis=1)
-    log_x[:, 1:] = log_x[:, :-1]
-    log_x[:, 0] = 0.0
-    log_x += math.log(x0)
-    disc = np.cumsum(delta * dt, axis=1)
-    disc[:, 1:] = disc[:, :-1]
-    disc[:, 0] = 0.0
-
-    with np.errstate(divide="ignore"):
-        log_c = np.log(xi_s) + log_x
-    flow = _utility_flow(log_c, -disc, R) * dt
-    k_tail = int(round(0.9 * n_steps))
-    return flow.sum(axis=1), flow[:, k_tail:].sum(axis=1)
+def _states_on_grid(seg_times, seg_states, n_steps, dt):
+    """Chain state at each step start from its segments."""
+    return seg_states[np.searchsorted(seg_times[1:-1], np.arange(n_steps) * dt, side="right")]
 
 
-def _diffusion_block(model, pi, xi, x0, y0, T, dt, n_steps, seed, indices, antithetic):
-    """Per-path utility and tail for diffusion-factor paths (Euler factor)."""
-    B = indices.shape[0]
-    dw_asset = np.empty((B, n_steps))
-    dw_factor = np.empty((B, n_steps))
-    for row, idx in enumerate(indices):
-        stream = idx // 2 if antithetic else idx
-        rng = _path_rng(seed, stream)
-        da, df = correlated_increments(rng, model.rho, n_steps, dt)
-        if antithetic and idx % 2 == 1:
-            da, df = -da, -df
-        dw_asset[row] = da
-        dw_factor[row] = df
-
-    R = model.R
+def _clipped(model, y):
     lo, hi = model.interval
-    y = np.full(B, float(y0))
-    log_x = np.full(B, math.log(x0))
-    disc = np.zeros(B)
-    values = np.zeros(B)
-    tail = np.zeros(B)
-    k_tail = int(round(0.9 * n_steps))
-    for k in range(n_steps):
-        yc = np.clip(y, lo, hi) if (np.isfinite(lo) or np.isfinite(hi)) else y
-        r = model.r(yc)
-        lam = model.lam(yc)
-        sig = model.sigma(yc)
-        delta = model.delta(yc)
-        a = model.a(yc)
-        b = model.b(yc)
-        pi_k = pi(yc)
-        xi_k = xi(yc)
-        with np.errstate(divide="ignore"):
-            log_c = np.log(xi_k) + log_x
-        flow = _utility_flow(log_c, -disc, R) * dt
-        values += flow
-        if k >= k_tail:
-            tail += flow
-        log_x = log_x + (r + pi_k * lam * sig - xi_k - 0.5 * pi_k**2 * sig**2) * dt + pi_k * sig * dw_asset[:, k]
-        disc = disc + delta * dt
-        y = y + a * dt + b * dw_factor[:, k]
-    return values, tail
+    return np.clip(y, lo, hi) if (np.isfinite(lo) or np.isfinite(hi)) else y
 
 
-def _constant_block(model, pi, xi, x0, y0, T, dt, n_steps, seed, indices, antithetic):
-    """Fast path for constant coefficients: no factor state needed."""
+def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
+    """(factor at the step starts, asset increments dW) of a block of paths.
+
+    Path ``idx`` draws from its own Philox stream: the chain and then the
+    asset normals for regime models, the asset normals only for
+    black_scholes (whose factor is one column holding ``y0``), the factor
+    and then the perpendicular normals for the other diffusions.  With
+    ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
+    """
     B = indices.shape[0]
-    z = np.empty((B, n_steps))
-    for row, idx in enumerate(indices):
-        stream = idx // 2 if antithetic else idx
-        rng = _path_rng(seed, stream)
-        draws = rng.standard_normal(n_steps)
-        z[row] = -draws if (antithetic and idx % 2 == 1) else draws
-
-    y0_arr = np.asarray(float(y0))
-    r = float(model.r(y0_arr))
-    lam = float(model.lam(y0_arr))
-    sig = float(model.sigma(y0_arr))
-    delta = float(model.delta(y0_arr))
-    pi_c = float(np.asarray(pi(y0_arr)))
-    xi_c = float(np.asarray(xi(y0_arr)))
-    R = model.R
-
-    drift = (r + pi_c * lam * sig - xi_c - 0.5 * pi_c**2 * sig**2) * dt
-    vol = pi_c * sig * math.sqrt(dt)
-    log_x = np.cumsum(drift + vol * z, axis=1)
-    log_x[:, 1:] = log_x[:, :-1]
-    log_x[:, 0] = 0.0
-    log_x += math.log(x0)
-    t_left = np.arange(n_steps) * dt
-    disc = delta * t_left
-    if xi_c > 0.0:
-        log_c = math.log(xi_c) + log_x
-    else:
-        log_c = np.full_like(log_x, -np.inf)
-    flow = _utility_flow(log_c, -disc, R) * dt
-    k_tail = int(round(0.9 * n_steps))
-    return flow.sum(axis=1), flow[:, k_tail:].sum(axis=1)
-
-
-def _block_worker(model):
     if isinstance(model, RegimeModel):
-        return _regime_block
-    if isinstance(model, DiffusionModel):
-        if model.family == "black_scholes":
-            return _constant_block
-        return _diffusion_block
-    raise ModelError(f"cannot simulate model of type {type(model).__name__}")
+        kind, factor = "chain", np.empty((B, n_steps), dtype=np.int64)
+    elif not isinstance(model, DiffusionModel):
+        raise ModelError(f"cannot simulate model of type {type(model).__name__}")
+    elif model.family == "black_scholes":
+        kind, factor = "constant", np.full((B, 1), float(y0))
+    else:
+        # Each row holds the path's factor increments until the Euler loop.
+        kind, factor = "euler", np.empty((B, n_steps))
+    dw_asset = np.empty((B, n_steps))
+    root = math.sqrt(dt)
+    for row, idx in enumerate(indices):
+        rng = _path_rng(seed, idx // 2 if antithetic else idx)
+        sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
+        if kind == "euler":
+            da, df = correlated_increments(rng, model.rho, n_steps, dt)
+            dw_asset[row] = sign * da
+            factor[row] = sign * df
+            continue
+        if kind == "chain":
+            factor[row] = _states_on_grid(*_ctmc_segments(rng, model.Q, y0, T), n_steps, dt)
+        dw_asset[row] = sign * (root * rng.standard_normal(n_steps))
+    if kind == "euler":
+        y = np.full(B, float(y0))
+        for k in range(n_steps):
+            yc = _clipped(model, y)
+            y_next = y + model.a(yc) * dt + model.b(yc) * factor[:, k]
+            factor[:, k] = y
+            y = y_next
+    return factor, dw_asset
+
+
+def _wealth_kernel(model, pi, xi, x0, dt, factor, dw_asset):
+    """Log wealth and discount exponent at the step ends, and each step's utility flow.
+
+    ``factor`` and ``dw_asset`` come from :func:`_sample_block`; the three
+    results are (paths, n_steps) arrays like ``dw_asset``.
+    """
+    if isinstance(model, RegimeModel):
+        y = factor
+        r, lam, sig, delta = model.r[y], model.lam[y], model.sigma[y], model.delta[y]
+    else:
+        y = _clipped(model, factor)
+        r, lam, sig, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
+    pi_s = pi(y)
+    xi_s = xi(y)
+    drift = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt
+    log_x = np.cumsum(drift + pi_s * sig * dw_asset, axis=1)
+    log_x += math.log(x0)
+    disc = np.cumsum(np.broadcast_to(delta * dt, log_x.shape), axis=1)
+    # Left-endpoint rule: step k reads wealth and discount at its start.
+    log_x_start = np.empty_like(log_x)
+    log_x_start[:, 0] = math.log(x0)
+    log_x_start[:, 1:] = log_x[:, :-1]
+    disc_start = np.zeros_like(disc)
+    disc_start[:, 1:] = disc[:, :-1]
+    with np.errstate(divide="ignore"):
+        log_c = np.log(xi_s) + log_x_start
+    return log_x, disc, _utility_flow(log_c, -disc_start, model.R) * dt
 
 
 def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False):
     """Estimate the value of a policy by averaging path objectives.
 
     ``policy`` is a (pi, xi) pair: scalars, per-state arrays (regime) or
-    callables of the factor value.  With ``antithetic=True`` consecutive
+    callables of the factor value, applied elementwise to arrays of any
+    shape (paths x steps).  With ``antithetic=True`` consecutive
     paths share one noise stream with flipped signs and the standard error
     is computed over pair averages.
     """
@@ -339,20 +292,25 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         raise ValueError("antithetic sampling needs an even path count")
     n_steps = max(1, int(round(T / dt)))
     pi_fn, xi_fn = _normalize_policy(model, policy)
-    worker = _block_worker(model)
 
     values = np.empty(n_paths)
     tails = np.empty(n_paths)
+    k_tail = int(round(0.9 * n_steps))
     block = max(16, min(n_paths, 1_000_000 // max(n_steps, 1) + 1))
     ranges = [(start, min(start + block, n_paths)) for start in range(0, n_paths, block)]
+    rows = max(1, _SLICE_ELEMENTS // n_steps)
 
     def run(bounds):
         start, stop = bounds
-        idx = np.arange(start, stop)
-        v, t = worker(model, pi_fn, xi_fn, x0, y0, T, dt, n_steps, seed, idx, antithetic)
-        values[start:stop] = v
-        tails[start:stop] = t
-        return None
+        factor, dw_asset = _sample_block(
+            model, y0, T, dt, n_steps, seed, np.arange(start, stop), antithetic
+        )
+        block_values, block_tails = values[start:stop], tails[start:stop]
+        for lo in range(0, stop - start, rows):
+            part = slice(lo, lo + rows)
+            flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor[part], dw_asset[part])[2]
+            block_values[part] = flow.sum(axis=1)
+            block_tails[part] = flow[:, k_tail:].sum(axis=1)
 
     map_ordered(run, ranges)
 
@@ -387,97 +345,39 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=None):
     """Simulate one wealth path; returns the full :class:`PathSample`.
 
-    For regime models a pre-sampled factor path may be passed via ``path``
-    (as returned by :func:`sample_ctmc_path`); otherwise the factor is drawn
-    from the same stream as the wealth noise.
+    The path is path 0 of :func:`estimate_value` with the same seed: the
+    same sampler and the same wealth kernel, run on one path.  For regime
+    models a pre-sampled factor path may be passed via ``path`` (as
+    returned by :func:`sample_ctmc_path`); the asset normals are then the
+    first draws of the stream.
+
+    ``states`` holds the factor at each step start, with the last one
+    repeated at T, for every model type.  A diffusion's Euler value at T is
+    not reported, and black_scholes reports ``y0`` throughout: its constant
+    coefficients need no Brownian factor, so none is simulated.
     """
     if x0 <= 0.0:
         raise ValueError("initial wealth must be positive")
     pi_fn, xi_fn = _normalize_policy(model, policy)
-    rng = _path_rng(seed, 0)
-
-    if isinstance(model, RegimeModel):
-        if path is not None:
-            seg_times, seg_states = path.times, path.states
-            T_eff = float(seg_times[-1])
-            if dt is None:
-                raise ValueError("dt is required with a pre-sampled path")
-        else:
-            if y0 is None or T is None or dt is None:
-                raise ValueError("y0, T, dt are required without a pre-sampled path")
-            T_eff = float(T)
-            seg_times, seg_states = _ctmc_segments(rng, model.Q, y0, T_eff)
-        n_steps = max(1, int(round(T_eff / dt)))
-        t_left = np.arange(n_steps) * dt
-        states = seg_states[np.searchsorted(seg_times[1:-1], t_left, side="right")]
-        z = rng.standard_normal(n_steps)
-
-        r = model.r[states]
-        lam = model.lam[states]
-        sig = model.sigma[states]
-        delta = model.delta[states]
-        pi_s = pi_fn(states)
-        xi_s = xi_fn(states)
-        R = model.R
-        dlog = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt + pi_s * sig * math.sqrt(dt) * z
-        log_x = np.concatenate(([0.0], np.cumsum(dlog))) + math.log(x0)
-        disc = np.concatenate(([0.0], np.cumsum(delta * dt)))
-        with np.errstate(divide="ignore"):
-            log_c = np.log(xi_s) + log_x[:-1]
-        flow = _utility_flow(log_c, -disc[:-1], R) * dt
-        times = np.arange(n_steps + 1) * dt
-        return PathSample(
-            times=times,
-            states=np.concatenate((states, states[-1:])),
-            wealth=np.exp(log_x),
-            discount_integral=disc,
-            utility_integral=np.concatenate(([0.0], np.cumsum(flow))),
-        )
-
-    if not isinstance(model, DiffusionModel):
-        raise ModelError(f"unsupported model type {type(model).__name__}")
     if path is not None:
-        raise ValueError("pre-sampled paths apply to regime models only")
-    if y0 is None or T is None or dt is None:
-        raise ValueError("y0, T, dt are required for diffusion models")
-    n_steps = max(1, int(round(T / dt)))
-    dw_asset, dw_factor = correlated_increments(rng, model.rho, n_steps, dt)
-    lo, hi = model.interval
-    R = model.R
-    y = float(y0)
-    log_x = math.log(x0)
-    disc = 0.0
-    ys = np.empty(n_steps + 1)
-    log_xs = np.empty(n_steps + 1)
-    discs = np.empty(n_steps + 1)
-    utils = np.empty(n_steps + 1)
-    ys[0], log_xs[0], discs[0], utils[0] = y, log_x, 0.0, 0.0
-    for k in range(n_steps):
-        yc = min(max(y, lo), hi)
-        yc_arr = np.asarray(yc)
-        r = float(model.r(yc_arr))
-        lam = float(model.lam(yc_arr))
-        sig = float(model.sigma(yc_arr))
-        delta = float(model.delta(yc_arr))
-        a = float(model.a(yc_arr))
-        b = float(model.b(yc_arr))
-        pi_k = float(np.asarray(pi_fn(yc_arr)))
-        xi_k = float(np.asarray(xi_fn(yc_arr)))
-        if xi_k > 0.0:
-            flow = math.exp(-disc + (1.0 - R) * (math.log(xi_k) + log_x)) / (1.0 - R) * dt
-        else:
-            flow = 0.0 if R < 1.0 else -math.inf
-        log_x += (r + pi_k * lam * sig - xi_k - 0.5 * pi_k**2 * sig**2) * dt + pi_k * sig * dw_asset[k]
-        disc += delta * dt
-        y += a * dt + b * dw_factor[k]
-        ys[k + 1] = y
-        log_xs[k + 1] = log_x
-        discs[k + 1] = disc
-        utils[k + 1] = utils[k] + flow
+        if not isinstance(model, RegimeModel):
+            raise ValueError("pre-sampled paths apply to regime models only")
+        if dt is None:
+            raise ValueError("dt is required with a pre-sampled path")
+        n_steps = max(1, int(round(float(path.times[-1]) / dt)))
+        factor = _states_on_grid(path.times, path.states, n_steps, dt)[None, :]
+        dw_asset = math.sqrt(dt) * _path_rng(seed, 0).standard_normal((1, n_steps))
+    else:
+        if y0 is None or T is None or dt is None:
+            raise ValueError("y0, T, dt are required without a pre-sampled path")
+        n_steps = max(1, int(round(T / dt)))
+        factor, dw_asset = _sample_block(model, y0, T, dt, n_steps, seed, np.arange(1), False)
+    log_x, disc, flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor, dw_asset)
+    states = np.broadcast_to(factor[0], n_steps)
     return PathSample(
         times=np.arange(n_steps + 1) * dt,
-        states=ys,
-        wealth=np.exp(log_xs),
-        discount_integral=discs,
-        utility_integral=utils,
+        states=np.append(states, states[-1]),
+        wealth=np.exp(np.append(math.log(x0), log_x[0])),
+        discount_integral=np.append(0.0, disc[0]),
+        utility_integral=np.append(0.0, np.cumsum(flow[0])),
     )

@@ -163,6 +163,41 @@ def deterministic_policy_value(x0, R, delta, r, xi, T, dt):
     return gbm_policy_expected_value(x0, R, delta, r, 0.0, 1.0, 0.0, xi, T, dt)
 
 
+def euler_factor_path(a, b, y0, lo, dt, dw_factor):
+    """Full-truncation Euler factor at the step starts, one scalar step at a time.
+
+    The drift ``a`` and volatility ``b`` are evaluated at max(y, lo).
+    """
+    y = float(y0)
+    path = []
+    for dw in dw_factor:
+        path.append(y)
+        yc = max(y, lo)
+        y = y + a(yc) * dt + b(yc) * dw
+    return np.array(path)
+
+
+def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
+    """Wealth, discount exponent and utility integral of one path at t_0..t_n.
+
+    A scalar left-endpoint recursion: ``coef(y)`` gives (r, lambda, sigma,
+    delta) at the step-start factor value ``y``, the policy is (pi(y), xi(y)),
+    and step k adds exp(-disc) (xi X)^(1-R) / (1-R) dt to the utility.
+    """
+    log_x, disc, util = math.log(x0), 0.0, 0.0
+    wealth, discs, utils = [x0], [0.0], [0.0]
+    for y, dw in zip(factor, dw_asset):
+        r, lam, sigma, delta = coef(y)
+        p, c = pi(y), xi(y)
+        util += math.exp(-disc + (1.0 - R) * (math.log(c) + log_x)) / (1.0 - R) * dt
+        log_x += (r + p * lam * sigma - c - 0.5 * p * p * sigma * sigma) * dt + p * sigma * dw
+        disc += delta * dt
+        wealth.append(math.exp(log_x))
+        discs.append(disc)
+        utils.append(util)
+    return np.array(wealth), np.array(discs), np.array(utils)
+
+
 def ctmc_stationary(Q):
     """Stationary distribution of an irreducible generator: pi Q = 0, sum 1."""
     Q = np.asarray(Q, dtype=float)

@@ -15,6 +15,7 @@ import pytest
 import merton_factor
 from merton_factor import cli, read_solution_csv, recompute_csv_residual
 from merton_factor._parallel import map_ordered, worker_count
+from merton_factor.diffusion_solver import CSV_COLUMNS
 
 REGIME = {
     "family": "regime",
@@ -157,6 +158,21 @@ def test_solve_diffusion_writes_csv_roundtrip(model_file, tmp_path, capsys):
     assert columns["u"] == pytest.approx(np.full(65, 0.07125), rel=1e-11)
     recomputed, stored = recompute_csv_residual(out_csv)
     assert recomputed == stored
+
+
+def test_solve_regime_writes_csv_roundtrip(model_file, tmp_path, capsys):
+    out_csv = str(tmp_path / "regime.csv")
+    rc, out, _ = run_cli(capsys, ["solve", "--model", model_file(REGIME), "--out", out_csv])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["csv"] == out_csv
+
+    metadata, columns = read_solution_csv(out_csv)
+    assert tuple(columns) == CSV_COLUMNS
+    assert metadata["solve"]["model_type"] == "regime"
+    assert list(columns["u"]) == doc["u"]
+    recomputed, stored = recompute_csv_residual(out_csv)
+    assert recomputed == stored == doc["residual"]
 
 
 def test_solve_illposed_diffusion_exits_2(model_file, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo estimator: exactness, reproducibility, statistics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,8 @@ from merton_factor import (
     solve,
     solve_regime,
 )
+from merton_factor import montecarlo
+from merton_factor._parallel import map_ordered
 from merton_factor.montecarlo import default_horizon
 
 
@@ -120,13 +123,48 @@ def test_antithetic_pairing_reduces_variance(bs_model):
     assert again.mean == anti.mean and again.se == anti.se
 
 
-def test_results_do_not_depend_on_worker_count(bs_model, monkeypatch):
+def _route_policy(fixture):
+    """A scalar policy, or a callable one for the Euler-factor route."""
+    if fixture == "mpr_model":
+        return (lambda y: 0.5 + 0.1 * np.tanh(y), lambda y: 0.06 + 0.01 * np.cos(y))
+    return (0.6, 0.07125)
+
+
+@pytest.mark.parametrize("fixture", ["bs_model", "regime2_model", "mpr_model"])
+def test_results_do_not_depend_on_worker_count(fixture, request, monkeypatch):
+    # 1100 paths x 2000 steps make three blocks, so two workers really fan out.
+    model = request.getfixturevalue(fixture)
+    fanned_out = []
+
+    def spy(fn, items):
+        items = list(items)
+        fanned_out.append(len(items))
+        return map_ordered(fn, items)
+
+    monkeypatch.setattr(montecarlo, "map_ordered", spy)
     results = []
-    for workers in ("1", "6"):
+    for workers in ("1", "2"):
         monkeypatch.setenv("MERTON_FACTOR_THREADS", workers)
-        est = estimate_value(bs_model, (0.6, 0.07125), 1.0, 0.0, 20.0, 0.05, 700, seed=42)
+        est = estimate_value(model, _route_policy(fixture), 1.0, 0, 20.0, 0.01, 1100, seed=42)
         results.append((est.mean, est.se, est.tail_mean))
+    assert min(fanned_out) >= 2
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("fixture", ["regime2_model", "bs_model", "mpr_model"])
+def test_estimator_working_memory(fixture, request, monkeypatch):
+    # 1000 paths x 2000 steps run serially as two blocks of about 10^6
+    # path-steps.  The sampled block plus the kernel's row slices must stay
+    # below three block-sized float arrays (3 x 8 MB).
+    monkeypatch.delenv("MERTON_FACTOR_THREADS", raising=False)
+    model = request.getfixturevalue(fixture)
+    tracemalloc.start()
+    try:
+        estimate_value(model, _route_policy(fixture), 1.0, 0, 100.0, 0.05, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_seed_reproducibility_and_sensitivity(bs_model):
@@ -197,6 +235,93 @@ def test_simulate_wealth_accepts_presampled_path(regime2_model):
     assert np.array_equal(sample.states[:-1], expected_states)
     with pytest.raises(ValueError, match="dt is required"):
         simulate_wealth(regime2_model, (0.5, 0.1), 1.0, seed=21, path=path)
+
+
+@pytest.mark.parametrize("fixture", ["regime2_model", "bs_model", "mpr_model", "heston_model"])
+def test_simulate_wealth_is_path_zero_of_the_estimator(fixture, request):
+    model = request.getfixturevalue(fixture)
+    y0 = 0.035 if fixture == "heston_model" else 0
+    policy = _route_policy(fixture)
+    sample = simulate_wealth(model, policy, 1.5, y0=y0, T=10.0, dt=0.05, seed=9)
+    est = estimate_value(model, policy, 1.5, y0, 10.0, 0.05, 2, seed=9)
+    # With two paths the estimate is mean = (J0 + J1) / 2, se = |J0 - J1| / 2.
+    final = sample.utility_integral[-1]
+    assert min(abs(final - (est.mean + s * est.se)) for s in (-1.0, 1.0)) <= 1e-12 * abs(final)
+    assert est.se > 0.0
+
+
+def _path_zero_normals(seed, count):
+    """The first ``count`` standard normals of path 0's Philox stream."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=0)).standard_normal(count)
+
+
+def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model):
+    T, dt, n, seed, x0 = 10.0, 0.05, 200, 5, 1.5
+    root = math.sqrt(dt)
+
+    def check(sample, coef, R, policy, factor, dw_asset, lo=-math.inf):
+        # Coefficients and policy are read at the truncated factor.
+        wealth, disc, util = oracles.wealth_path_by_loop(
+            coef, R, *policy, x0, dt, np.maximum(factor, lo), dw_asset
+        )
+        np.testing.assert_allclose(sample.states[:-1], factor, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(sample.wealth, wealth, rtol=1e-12)
+        np.testing.assert_allclose(sample.discount_integral, disc, rtol=1e-12)
+        np.testing.assert_allclose(sample.utility_integral, util, rtol=1e-12)
+
+    # black_scholes: asset normals only, the factor stays at y0.
+    policy = (lambda y: 0.6, lambda y: 0.07125)
+    sample = simulate_wealth(bs_model, policy, x0, y0=0.0, T=T, dt=dt, seed=seed)
+    dw = root * _path_zero_normals(seed, n)
+    check(sample, lambda y: (0.02, 0.3, 0.25, 0.1), 2.0, policy, np.zeros(n), dw)
+
+    # Diffusions: factor normals, then perpendicular normals.  This Heston
+    # factor is rough enough that the Euler path goes negative (truncation).
+    heston = load_model(
+        {
+            "family": "heston",
+            "params": {
+                "R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66,
+                "kappa": 2.0, "theta": 0.04, "nu": 0.39, "rho": -0.84,
+            },
+        }
+    )
+    cases = (
+        (
+            mpr_model, 0.0, -math.inf,
+            lambda y: (0.02, y, 0.2, 0.05),
+            lambda y: -0.3 * (y - 0.5), lambda y: 0.6,
+            (lambda y: 0.5 + 0.1 * math.tanh(y), lambda y: 0.06 + 0.01 * math.cos(y)),
+        ),
+        (
+            heston, 0.035, 0.0,
+            lambda y: (0.013, 1.66 * math.sqrt(y), math.sqrt(y), 0.02),
+            lambda y: -2.0 * (y - 0.04), lambda y: 0.39 * math.sqrt(y),
+            (lambda y: 1.0 + y, lambda y: 0.05),
+        ),
+    )
+    for model, y0, lo, coef, a, b, policy in cases:
+        vectorized = tuple(np.vectorize(f) for f in policy)
+        sample = simulate_wealth(model, vectorized, x0, y0=y0, T=T, dt=dt, seed=seed)
+        z = _path_zero_normals(seed, 2 * n)
+        rho = model.rho
+        dw = root * (rho * z[:n] + math.sqrt(1.0 - rho * rho) * z[n:])
+        factor = oracles.euler_factor_path(a, b, y0, lo, dt, root * z[:n])
+        check(sample, coef, model.R, policy, factor, dw, lo)
+    assert np.any(factor < 0.0)
+
+    # Regime with a pre-sampled chain: the asset normals are the first draws.
+    path = sample_ctmc_path(regime2_model.Q, 1, T, seed=seed)
+    states = path.states[np.searchsorted(path.times[1:-1], np.arange(n) * dt, side="right")]
+    m = regime2_model
+    sample = simulate_wealth(m, (0.5, 0.1), x0, dt=dt, seed=seed, path=path)
+    dw = root * _path_zero_normals(seed, n)
+
+    def regime_coef(s):
+        s = int(s)
+        return m.r[s], m.lam[s], m.sigma[s], m.delta[s]
+
+    check(sample, regime_coef, m.R, (lambda s: 0.5, lambda s: 0.1), states, dw)
 
 
 def test_zero_consumption_semantics(bs_model):
