@@ -1,9 +1,10 @@
-"""Optional thread fan-out for embarrassingly parallel work.
+"""Optional thread fan-out of the Monte Carlo path blocks.
 
 Worker count comes from the ``MERTON_FACTOR_THREADS`` environment variable
-(default 1 = serial).  Results are always assembled in input order, and the
-work functions write into disjoint, pre-allocated slots, so the output is
-identical whatever the worker count.
+(default 1 = serial); it affects Monte Carlo estimates only.  Results are
+always assembled in input order, and the work functions write into
+disjoint, pre-allocated slots, so the output is identical whatever the
+worker count.
 """
 
 import os

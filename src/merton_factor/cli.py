@@ -16,9 +16,9 @@ Exit codes: 0 on success, 2 when the requested problem is ill-posed
 printed as JSON to stdout; ``--out`` redirects the primary artifact
 (the CSV table for ``solve``, the JSON document otherwise) to a file.
 
-Thread count for embarrassingly parallel studies is taken from the
-``MERTON_FACTOR_THREADS`` environment variable (default 1); Monte Carlo
-results are bitwise independent of it.
+The ``mc`` subcommand spreads path blocks over the number of threads in the
+``MERTON_FACTOR_THREADS`` environment variable (default 1); its results are
+bitwise independent of it.  No other subcommand uses threads.
 """
 
 import argparse

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .discretizer import assemble_discrete_hjb
 from .errors import IllPosedError, ModelError
 from .linalg import check_nonsingular_m_matrix
@@ -178,9 +177,7 @@ def grid_refinement_study(model, e_minus, e_plus, n_list, scheme="upwind", tol=1
     for a, b in zip(n_list, n_list[1:]):
         if b % a != 0:
             raise ValueError(f"each N must divide the next for common nodes; {a} !| {b}")
-    solutions = map_ordered(
-        lambda n: solve(model, e_minus, e_plus, n, tol=tol, scheme=scheme), n_list
-    )
+    solutions = [solve(model, e_minus, e_plus, n, tol=tol, scheme=scheme) for n in n_list]
     span = float(e_plus) - float(e_minus)
     rows = []
     for (n_coarse, coarse), (n_fine, fine) in zip(
@@ -227,7 +224,6 @@ def expansion_domain(model, m):
         return 1.0 / m, float(np.sqrt(m))
     lo, hi = model.interval
     if np.isfinite(lo) or np.isfinite(hi):
-        span = hi - lo
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
         return max(-m, lo + pad), min(m, hi - pad)
     return -float(m), float(m)
@@ -253,12 +249,10 @@ def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12)
                 f"window [{w_lo}, {w_hi}] not contained in the m = {m} domain [{lo:.6g}, {hi:.6g}]"
             )
 
-    def solve_one(bounds):
-        lo, hi = bounds
-        n = max(2, int(round((hi - lo) / h)))
-        return solve(model, lo, hi, n, tol=tol, scheme=scheme)
-
-    solutions = map_ordered(solve_one, domains)
+    solutions = [
+        solve(model, lo, hi, max(2, int(round((hi - lo) / h))), tol=tol, scheme=scheme)
+        for lo, hi in domains
+    ]
     n_probe = max(1, int(round((w_hi - w_lo) / h)))
     probe = np.linspace(w_lo, w_hi, n_probe + 1)
     values = [np.interp(probe, sol.grid, sol.u) for sol in solutions]
@@ -363,10 +357,12 @@ def write_solution_csv(path, solution, model, tolerance=None):
 def read_solution_csv(path):
     """Read a solution CSV back into (metadata dict, column dict)."""
     meta = {}
-    data_lines = []
     header = None
     with open(path) as handle:
-        for line in handle:
+        while header is None:
+            line = handle.readline()
+            if not line:
+                raise ValueError(f"{path} has no column header")
             line = line.strip()
             if not line:
                 continue
@@ -379,13 +375,8 @@ def read_solution_csv(path):
                     if key in ("model", "solve"):
                         meta[key] = json.loads(value)
                 continue
-            if header is None:
-                header = [name.strip() for name in line.split(",")]
-                continue
-            data_lines.append(line)
-    if header is None:
-        raise ValueError(f"{path} has no column header")
-    matrix = np.array([[float(cell) for cell in line.split(",")] for line in data_lines])
+            header = [name.strip() for name in line.split(",")]
+        matrix = np.loadtxt(handle, delimiter=",", ndmin=2)
     columns = {name: matrix[:, i] for i, name in enumerate(header)}
     return meta, columns
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DiscretizationError
 from .linalg import TridiagonalOperator
-from .model import DiffusionModel, frozen_rate
+from .model import DiffusionModel, _ZeroCorrelationModel
 
 __all__ = [
     "DiscreteGenerator",
@@ -64,7 +64,7 @@ class DiscreteGenerator:
 
 
 def _grid_and_coefficients(model, e_minus, e_plus, n_steps):
-    if not isinstance(model, DiffusionModel):
+    if not isinstance(model, (DiffusionModel, _ZeroCorrelationModel)):
         raise DiscretizationError("grid builders expect a DiffusionModel")
     if not np.isfinite(e_minus) or not np.isfinite(e_plus) or not e_minus < e_plus:
         raise DiscretizationError(f"need finite e_minus < e_plus, got [{e_minus}, {e_plus}]")
@@ -168,7 +168,7 @@ def assemble_discrete_hjb(model, e_minus, e_plus, n_steps, scheme="upwind"):
         gen = build_central_generator(model, e_minus, e_plus, n_steps)
     else:
         raise DiscretizationError(f"unknown scheme {scheme!r}; expected 'upwind' or 'central'")
-    eta = np.asarray(frozen_rate(model, gen.grid), dtype=float)
+    eta = np.asarray(model.eta(gen.grid), dtype=float)
     R = model.R
     A_h = TridiagonalOperator(
         -gen.Q_h.sub / R, eta - gen.Q_h.main / R, -gen.Q_h.sup / R

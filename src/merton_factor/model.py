@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -318,7 +319,8 @@ class DiffusionModel:
     def _closure(self, y):
         arr = np.asarray(y, dtype=float)
         lo, hi = self.interval
-        if np.any(arr < lo) or np.any(arr > hi):
+        # No float lies outside an infinite end, so only finite ends are compared.
+        if (lo > -math.inf and np.any(arr < lo)) or (hi < math.inf and np.any(arr > hi)):
             raise DomainError(f"y outside state interval [{lo}, {hi}]")
         return arr
 
@@ -372,37 +374,21 @@ class DiffusionModel:
         return f"DiffusionModel(family={self.family!r}, R={self.R}, rho={self.rho})"
 
 
-class _ZeroCorrelationModel(DiffusionModel):
-    """Distortion-transformed model: zero correlation, adjusted drift and R.
+@dataclass(frozen=True)
+class _ZeroCorrelationModel:
+    """Distortion-transformed coefficients: zero correlation, adjusted drift and R.
 
-    Keeps the base model's frozen consumption rate by construction; the
-    underlying market coefficients are delegated to the base model for
-    labeling only and never used to recompute eta.
+    ``a``, ``b`` and ``eta`` are the base model's ``a_tilde``, ``b`` and
+    ``eta`` methods (so the frozen rate is unchanged) and ``R`` is ``R / phi``;
+    with ``interval`` they are all the discretizer reads.
     """
 
-    def __init__(self, base, phi):
-        self.base = base
-        self.family = f"zero_correlation[{base.family}]"
-        self.rho = 0.0
-        self.R = base.R / phi
-        self.phi = phi
-        self.interval = base.interval
-        self.params = {"R": self.R, "rho": 0.0, "base_family": base.family}
-        self._r = base._r
-        self._lam = base._lam
-        self._sigma = base._sigma
-        self._delta = base._delta
-        self._a = lambda y: base.a_tilde(y)
-        self._b = base._b
-        self._eta_prime = base._eta_prime
-        self._eta_second = base._eta_second
-        self._base_eta = base.eta
-
-    def eta(self, y):
-        return self._base_eta(y)
-
-    def __repr__(self):
-        return f"_ZeroCorrelationModel(base={self.base.family!r}, R={self.R:.6g})"
+    interval: tuple
+    a: Callable
+    b: Callable
+    eta: Callable
+    R: float
+    rho: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -450,19 +436,21 @@ def distortion_power(R, rho):
 
 
 def to_zero_correlation(model):
-    """Rewrite a diffusion model with zero correlation, returning (model, phi).
+    """Rewrite a diffusion model with zero correlation, returning (work, phi).
 
-    The transformed model keeps the factor volatility and the frozen rate
+    ``work`` is a coefficient record (``interval``, ``a``, ``b``, ``eta``,
+    ``R``, ``rho = 0``) that keeps the factor volatility and the frozen rate
     eta, changes the drift to ``a_tilde`` and the risk aversion to
-    ``R_tilde = R / phi``.  A model with rho = 0 is returned unchanged with
-    phi = 1.
+    ``R_tilde = R / phi``; :func:`assemble_discrete_hjb` accepts it.  A model
+    with rho = 0, or a record, is returned unchanged with phi = 1.
     """
-    if not isinstance(model, DiffusionModel):
+    if not isinstance(model, (DiffusionModel, _ZeroCorrelationModel)):
         raise ModelError("to_zero_correlation applies to diffusion models")
     if model.rho == 0.0:
         return model, 1.0
     phi = distortion_power(model.R, model.rho)
-    return _ZeroCorrelationModel(model, phi), phi
+    work = _ZeroCorrelationModel(model.interval, model.a_tilde, model.b, model.eta, model.R / phi)
+    return work, phi
 
 
 def coefficients_at(model, y):
@@ -553,8 +541,6 @@ def model_to_dict(model):
             "delta": model.delta.tolist(),
             "R": model.R,
         }
-    if isinstance(model, _ZeroCorrelationModel):
-        raise ModelError("transformed models are internal and not serializable")
     if isinstance(model, DiffusionModel):
         params = {}
         for key, value in model.params.items():

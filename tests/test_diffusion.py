@@ -165,6 +165,12 @@ def test_csv_round_trip_is_bitwise(tmp_path, mpr_model):
     assert meta["solve"]["N"] == 300
     recomputed, stored = recompute_csv_residual(path)
     assert recomputed == stored
+    # A file cut before its column header is refused by name.
+    lines = path.read_text().splitlines()
+    header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    path.write_text("\n".join(lines[:header_at]) + "\n")
+    with pytest.raises(ValueError, match="no column header"):
+        read_solution_csv(path)
 
 
 def test_csv_rejects_tampered_content(tmp_path, mpr_model):

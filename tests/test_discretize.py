@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
@@ -170,3 +172,107 @@ def test_assemble_uses_the_given_models_risk_aversion(mpr_model):
     transformed, _ = assemble_discrete_hjb(work, -3.0, 3.0, 20)
     assert phi != 1.0
     assert np.max(np.abs(raw.to_dense() - transformed.to_dense())) > 0.0
+
+
+# Closed-form coefficients (a, b, lambda, eta) of the three parametric families,
+# written out here rather than read from the package.
+def _mpr_coefficients(p, y):
+    lam = y
+    eta = (p["delta"] - (1.0 - p["R"]) * (p["r"] + lam * lam / (2.0 * p["R"]))) / p["R"]
+    return -p["kappa"] * (y - p["theta"]), np.full_like(y, p["nu"]), lam, eta
+
+
+def _heston_coefficients(p, y):
+    lam = p["lambda"] * np.sqrt(y)
+    eta = (p["delta"] - (1.0 - p["R"]) * (p["r"] + lam * lam / (2.0 * p["R"]))) / p["R"]
+    return -p["kappa"] * (y - p["theta"]), p["nu"] * np.sqrt(y), lam, eta
+
+
+def _vasicek_coefficients(p, y):
+    lam = np.full_like(y, p["lambda"])
+    eta = (p["delta"] - (1.0 - p["R"]) * (y + lam * lam / (2.0 * p["R"]))) / p["R"]
+    return -p["kappa"] * (y - p["theta"]), np.full_like(y, p["nu"]), lam, eta
+
+
+_CLOSED_FORMS = {
+    "mpr": _mpr_coefficients,
+    "heston": _heston_coefficients,
+    "vasicek": _vasicek_coefficients,
+}
+
+
+@st.composite
+def _correlated_models(draw):
+    """(family, params, domain): a correlated mpr, heston or vasicek problem."""
+    def between(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    family = draw(st.sampled_from(sorted(_CLOSED_FORMS)))
+    p = {
+        "R": draw(st.floats(0.3, 5.0).filter(lambda R: abs(R - 1.0) > 1e-3)),
+        "delta": between(0.01, 0.3),
+        "kappa": between(0.05, 3.0),
+        "rho": draw(st.floats(0.05, 0.99) | st.floats(-0.99, -0.05)),
+    }
+    if family == "mpr":
+        p.update(r=between(0.0, 0.06), sigma=between(0.05, 0.5), theta=between(-1.0, 1.0))
+        p["nu"] = between(0.05, 1.5)
+        domain = (-3.0, 3.0)
+    elif family == "heston":
+        p.update(r=between(0.0, 0.06), theta=between(0.01, 0.5))
+        p["lambda"] = between(0.0, 3.0)
+        # Feller: nu^2 / 2 <= kappa theta, with margin against rounding.
+        p["nu"] = between(0.1, 0.99) * np.sqrt(2.0 * p["kappa"] * p["theta"])
+        domain = (p["theta"] / 10.0, 3.0 * p["theta"])
+    else:
+        p.update(sigma=between(0.05, 0.5), theta=between(-0.05, 0.1), nu=between(0.005, 0.1))
+        p["lambda"] = between(-1.0, 1.0)
+        domain = (p["theta"] - 0.2, p["theta"] + 0.2)
+    return family, p, domain
+
+
+def _oracle_operator(family, p, domain, n_steps, rho):
+    """Dense upwind A_h of the zero-correlation rewrite, from the closed forms."""
+    y = np.linspace(domain[0], domain[1], n_steps + 1)
+    a, b, lam, eta = _CLOSED_FORMS[family](p, y)
+    R = p["R"]
+    a_tilde = a + (1.0 - R) / R * rho * lam * b
+    phi = 1.0 / (1.0 - (R - 1.0) / R * rho * rho)
+    h = (domain[1] - domain[0]) / n_steps
+    return oracles.dense_upwind_operator(eta, a_tilde, b, R / phi, h), eta
+
+
+def _assembled(family, p, domain, n_steps, rho):
+    model = load_model({"family": family, "params": {**p, "rho": rho}})
+    A_h, _ = assemble_discrete_hjb(to_zero_correlation(model)[0], *domain, n_steps)
+    return A_h.to_dense()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=_correlated_models(), n_steps=st.integers(2, 60))
+def test_zero_correlation_operator_matches_closed_form_oracle(case, n_steps):
+    family, p, domain = case
+    got = _assembled(family, p, domain, n_steps, p["rho"])
+    expected, eta = _oracle_operator(family, p, domain, n_steps, p["rho"])
+    # Off the diagonal every entry agrees to rel 1e-12; the diagonal
+    # eta - Q_ii / R~ may cancel, so it is held to 1e-12 of its two terms.
+    off = ~np.eye(n_steps + 1, dtype=bool)
+    assert np.all(np.abs(got[off] - expected[off]) <= 1e-12 * np.abs(expected[off]))
+    d_got, d_exp = np.diag(got), np.diag(expected)
+    assert np.all(np.abs(d_got - d_exp) <= 1e-12 * (np.abs(eta) + np.abs(d_exp - eta)))
+
+    # rho -> 0 is continuous: ||A_h(t rho) - A_h(0)||_max <= L |rho| t, with L
+    # a Lipschitz bound in rho from the closed forms (R~ lies between R and 1).
+    y = np.linspace(domain[0], domain[1], n_steps + 1)
+    a, b, lam, _ = _CLOSED_FORMS[family](p, y)
+    h = (domain[1] - domain[0]) / n_steps
+    R = p["R"]
+    kappa = np.max(np.abs((1.0 - R) / R * lam * b)) / h
+    rate = np.max(b * b) / h**2 + np.max(np.abs(a)) / h + kappa
+    L = 2.0 * (kappa + rate * abs(R - 1.0)) / min(R, 1.0) ** 2
+    A_0 = _assembled(family, p, domain, n_steps, 0.0)
+    floor = 64.0 * np.finfo(float).eps * np.max(np.abs(A_0))
+    for t in (1e-2, 1e-5, 1e-8):
+        rho = t * p["rho"]
+        gap = np.max(np.abs(_assembled(family, p, domain, n_steps, rho) - A_0))
+        assert gap <= L * abs(rho) + floor

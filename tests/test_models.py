@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from merton_factor import (
+    DomainError,
     ModelError,
     coefficients_at,
     distortion_power,
@@ -150,6 +151,29 @@ def test_heston_domain_is_positive_half_line(heston_model):
     assert np.all(heston_model.b(y) > 0.0)
     with pytest.raises(Exception):
         coefficients_at(heston_model, np.array([-0.5]))
+
+
+def test_coefficients_refuse_points_beyond_finite_interval_ends(heston_model):
+    y = np.linspace(-1.0, 1.0, 5)
+    table = {k: (0.2 + 0.0 * y).tolist() for k in ("r", "lambda", "sigma", "delta", "a", "b")}
+    tab = load_model({"family": "tabulated", "params": {"R": 2.0, "y": y.tolist(), **table}})
+    methods = (
+        "r", "lam", "sigma", "delta", "a", "b",
+        "eta", "eta_prime", "eta_second", "a_tilde", "d_coefficient",
+    )
+    for model, inside, outside in (
+        (heston_model, 0.0, -1e-12),
+        (tab, -1.0, -1.0 - 1e-12),
+        (tab, 1.0, 1.0 + 1e-12),
+    ):
+        for name in methods:
+            method = getattr(model, name)
+            # The closed interval is accepted, its end included.
+            assert np.all(np.isfinite(method(np.array([inside, 0.5]))))
+            with pytest.raises(DomainError, match="outside state interval"):
+                method(np.array([0.5, outside]))
+            with pytest.raises(DomainError, match="outside state interval"):
+                method(outside)
 
 
 def test_tabulated_model_interpolates():
