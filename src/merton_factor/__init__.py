@@ -6,153 +6,26 @@ are driven by a finite-state Markov chain or a one-dimensional diffusion,
 with Monte Carlo cross-verification of the results.
 """
 
-from .analysis import (
-    AsymptoticReport,
-    BoundsCertificate,
-    PsiEvaluation,
-    asymptotic_report,
-    constant_profile,
-    eta_profile,
-    hjb_residual,
-    proportional_bounds,
-    psi,
-    psi_eta_profile,
-    vasicek_supersolution_profile,
-)
-from .diffusion_solver import (
-    ConvergenceTable,
-    DiffusionSolution,
-    domain_expansion_study,
-    expansion_domain,
-    grid_refinement_study,
-    read_solution_csv,
-    recompute_csv_residual,
-    solve,
-    write_solution_csv,
-)
-from .discretizer import (
-    DiscreteGenerator,
-    assemble_discrete_hjb,
-    build_central_generator,
-    build_upwind_generator,
-    monotone_step_limit,
-)
-from .errors import (
-    ConvergenceError,
-    DiscretizationError,
-    DomainError,
-    IllPosedError,
-    MertonFactorError,
-    ModelError,
-    NotMMatrixError,
-    NotZMatrixError,
-    SingularMatrixError,
-)
-from .linalg import (
-    MCertificate,
-    TridiagonalOperator,
-    check_nonsingular_m_matrix,
-    inverse_norm_bound,
-    tridiag_solve,
-)
-from .model import (
-    DerivedCoefficients,
-    DiffusionModel,
-    RegimeModel,
-    coefficients_at,
-    distortion_power,
-    frozen_rate,
-    load_model,
-    model_to_dict,
-    to_zero_correlation,
-)
-from .montecarlo import (
-    PathSample,
-    ValueEstimate,
-    estimate_value,
-    sample_ctmc_path,
-    simulate_wealth,
-)
-from .regime_solver import (
-    HjbSolution,
-    WellPosednessReport,
-    assemble_A,
-    check_wellposed,
-    cyclic_wellposed,
-    nearest_neighbour_wellposed,
-    solve_hjb_fixed_point,
-    solve_hjb_newton,
-    solve_matrix_hjb,
-    solve_regime,
-    value_and_policies,
-)
+from . import analysis, diffusion_solver, discretizer, errors, linalg, model, montecarlo, regime_solver
+from .analysis import *
+from .diffusion_solver import *
+from .discretizer import *
+from .errors import *
+from .linalg import *
+from .model import *
+from .montecarlo import *
+from .regime_solver import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticReport",
-    "BoundsCertificate",
-    "ConvergenceError",
-    "ConvergenceTable",
-    "DerivedCoefficients",
-    "DiffusionModel",
-    "DiffusionSolution",
-    "DiscreteGenerator",
-    "DiscretizationError",
-    "DomainError",
-    "HjbSolution",
-    "IllPosedError",
-    "MCertificate",
-    "MertonFactorError",
-    "ModelError",
-    "NotMMatrixError",
-    "NotZMatrixError",
-    "PathSample",
-    "PsiEvaluation",
-    "RegimeModel",
-    "SingularMatrixError",
-    "TridiagonalOperator",
-    "ValueEstimate",
-    "WellPosednessReport",
-    "assemble_A",
-    "assemble_discrete_hjb",
-    "asymptotic_report",
-    "build_central_generator",
-    "build_upwind_generator",
-    "check_nonsingular_m_matrix",
-    "check_wellposed",
-    "coefficients_at",
-    "constant_profile",
-    "cyclic_wellposed",
-    "distortion_power",
-    "domain_expansion_study",
-    "estimate_value",
-    "eta_profile",
-    "expansion_domain",
-    "frozen_rate",
-    "grid_refinement_study",
-    "hjb_residual",
-    "inverse_norm_bound",
-    "load_model",
-    "model_to_dict",
-    "monotone_step_limit",
-    "nearest_neighbour_wellposed",
-    "proportional_bounds",
-    "psi",
-    "psi_eta_profile",
-    "read_solution_csv",
-    "recompute_csv_residual",
-    "sample_ctmc_path",
-    "simulate_wealth",
-    "solve",
-    "solve_hjb_fixed_point",
-    "solve_hjb_newton",
-    "solve_matrix_hjb",
-    "solve_regime",
-    "tridiag_solve",
-    "to_zero_correlation",
-    "value_and_policies",
-    "vasicek_supersolution_profile",
-    "write_solution_csv",
+    *analysis.__all__,
+    *diffusion_solver.__all__,
+    *discretizer.__all__,
+    *errors.__all__,
+    *linalg.__all__,
+    *model.__all__,
+    *montecarlo.__all__,
+    *regime_solver.__all__,
     "__version__",
 ]

@@ -18,13 +18,13 @@ tail.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .model import DiffusionModel, coefficients_at, frozen_rate
+from .model import coefficients_at, frozen_rate
 
 __all__ = [
     "PsiEvaluation",
@@ -119,17 +119,7 @@ class AsymptoticReport:
     window: dict
 
     def to_dict(self):
-        return {
-            "ratio_left": self.ratio_left,
-            "ratio_right": self.ratio_right,
-            "logderiv_left": self.logderiv_left,
-            "logderiv_right": self.logderiv_right,
-            "below_eta_flag": self.below_eta_flag,
-            "below_eta_psi_flag": self.below_eta_psi_flag,
-            "psi_eta_below_eta_flag": self.psi_eta_below_eta_flag,
-            "mean_reversion_check": self.mean_reversion_check,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 def _evaluate_profile(spec, y):

@@ -99,42 +99,24 @@ def _parse_pair(text, flag):
         raise UsageError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, kind):
     try:
-        values = [int(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} is empty")
-    return values
+        what = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
-def _parse_float_list(text, flag):
-    try:
-        values = [float(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag} is empty")
-    return values
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+def _numpy_to_python(obj):
+    # json calls this only for objects it cannot encode: numpy arrays and
+    # numpy scalars other than np.float64, which is already a float.
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(document, out_path):
-    text = json.dumps(_jsonable(document), indent=2) + "\n"
+    text = json.dumps(document, indent=2, default=_numpy_to_python) + "\n"
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
@@ -162,7 +144,7 @@ def _config_from_args(args, parse_n=True):
     domain = _parse_pair(args.domain, "--domain") if getattr(args, "domain", None) else None
     n_steps = getattr(args, "n", None) if parse_n else None
     if isinstance(n_steps, str):
-        values = _parse_int_list(n_steps, "--n")
+        values = _parse_list(n_steps, "--n", int)
         if len(values) != 1:
             raise UsageError("--n takes a single integer here")
         n_steps = values[0]
@@ -259,7 +241,7 @@ def _cmd_refine(args):
         raise UsageError("refine needs a diffusion model")
     if config.domain is None:
         raise UsageError("refine needs --domain A,B")
-    n_list = _parse_int_list(args.n, "--n")
+    n_list = _parse_list(args.n, "--n", int)
     if len(n_list) < 2:
         raise UsageError("--n needs at least two grid sizes for a refinement study")
     lo, hi = config.domain
@@ -274,7 +256,7 @@ def _cmd_expand(args):
     config = _config_from_args(args)
     if not isinstance(config.model, DiffusionModel):
         raise UsageError("expand needs a diffusion model")
-    m_list = _parse_float_list(args.m, "--m")
+    m_list = _parse_list(args.m, "--m", float)
     window = _parse_pair(args.window, "--window")
     if not args.h > 0.0:
         raise UsageError("--h must be positive")

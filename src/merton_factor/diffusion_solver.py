@@ -18,14 +18,13 @@ certificate is reported instead of a solution.
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .discretizer import assemble_discrete_hjb
 from .errors import IllPosedError, ModelError
-from .linalg import check_nonsingular_m_matrix
-from .model import DiffusionModel, RegimeModel, frozen_rate, model_to_dict, to_zero_correlation
+from .linalg import check_nonsingular_m_matrix  # unused; perfbench/tracing.py hooks this name
+from .model import DiffusionModel, RegimeModel, model_to_dict, to_zero_correlation
 from .regime_solver import QuickChecks, WellPosednessReport, assemble_A, solve_matrix_hjb
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "write_solution_csv",
     "read_solution_csv",
     "recompute_csv_residual",
-    "CSV_COLUMNS",
 ]
 
 CSV_COLUMNS = ("y", "u", "f", "xi", "pi", "eta", "psi_eta", "du_over_u")
@@ -111,16 +109,13 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         raise ModelError("solve expects a DiffusionModel")
     work, phi = to_zero_correlation(model)
     A_h, grid = assemble_discrete_hjb(work, e_minus, e_plus, n_steps, scheme=scheme)
-    eta = np.asarray(frozen_rate(model, grid), dtype=float)
-    certificate = check_nonsingular_m_matrix(A_h)
-    if not certificate.verdict:
-        report = _discrete_illposed_report(A_h, eta, certificate)
+    try:
+        core = solve_matrix_hjb(A_h, work.R, tol=tol)
+    except IllPosedError as exc:
         raise IllPosedError(
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
-            report=report,
-        )
-
-    core = solve_matrix_hjb(A_h, work.R, tol=tol)
+            report=_discrete_illposed_report(A_h, model.eta(grid), exc.report),
+        ) from None
     p = core.p
     u = core.u
     if phi == 1.0:
@@ -309,7 +304,8 @@ def write_solution_csv(path, solution, model, tolerance=None):
     the logged residual exactly from the stored u column.  For a regime
     model, ``solution`` is the :class:`HjbSolution` of ``solve_regime``
     solved with ``tolerance``; its table has one row per state, ``y`` holds
-    the state index and the diffusion-only columns are NaN.
+    the state index and the diffusion-only columns are NaN.  ``psi_eta`` is
+    also NaN at the nodes where eta <= 0.
     """
     from .analysis import psi_eta_profile
 
@@ -333,12 +329,12 @@ def write_solution_csv(path, solution, model, tolerance=None):
         }
     else:
         grid = solution.grid
-        columns = {
-            "y": grid,
-            "eta": np.asarray(frozen_rate(model, grid), dtype=float),
-            "psi_eta": psi_eta_profile(model, grid),
-            "du_over_u": solution.du_over_u,
-        }
+        eta = model.eta(grid)
+        # Psi(eta) divides by eta, so it is undefined (NaN) where eta <= 0.
+        psi_eta = np.full(grid.shape, np.nan)
+        positive = eta > 0.0
+        psi_eta[positive] = psi_eta_profile(model, grid[positive])
+        columns = {"y": grid, "eta": eta, "psi_eta": psi_eta, "du_over_u": solution.du_over_u}
         meta = dict(solution.metadata)
         meta["domain"] = list(meta["domain"])
     columns.update(u=solution.u, f=solution.f, xi=solution.u, pi=solution.pi_hat)

@@ -40,6 +40,7 @@ __all__ = [
     "build_upwind_generator",
     "build_central_generator",
     "assemble_discrete_hjb",
+    "monotone_step_limit",
 ]
 
 _ROWSUM_ATOL = 1e-10

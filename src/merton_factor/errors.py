@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MertonFactorError",
+    "ModelError",
+    "DomainError",
+    "NotZMatrixError",
+    "NotMMatrixError",
+    "SingularMatrixError",
+    "DiscretizationError",
+    "ConvergenceError",
+    "IllPosedError",
+]
+
 
 class MertonFactorError(Exception):
     """Base class for all package errors."""

@@ -141,11 +141,6 @@ class MCertificate:
     note: str = ""
 
 
-def _require_z(off_entries_ok, where):
-    if not off_entries_ok:
-        raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
-
-
 def _minor_products(ratios):
     with np.errstate(over="ignore", invalid="ignore"):
         minors = np.cumprod(ratios)
@@ -250,7 +245,7 @@ def check_nonsingular_m_matrix(A, method="minor_ratios"):
                 where = f"({bad_sub[0] + 1}, {bad_sub[0]})"
             else:
                 where = f"({bad_sup[0]}, {bad_sup[0] + 1})"
-            _require_z(False, where)
+            raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
         if method == "positive_image":
             return _positive_image_certificate(A, A.matvec, A.solve)
         if method != "minor_ratios":
@@ -267,7 +262,7 @@ def check_nonsingular_m_matrix(A, method="minor_ratios"):
     np.fill_diagonal(off, 0.0)
     if np.any(off > 0.0):
         i, j = np.argwhere(off > 0.0)[0]
-        _require_z(False, f"({i}, {j})")
+        raise NotZMatrixError(f"positive off-diagonal entry ({i}, {j}); not a Z-matrix")
     if method == "positive_image":
         def dense_solve(rhs):
             try:

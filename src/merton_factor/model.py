@@ -35,8 +35,8 @@ __all__ = [
     "RegimeModel",
     "DiffusionModel",
     "DerivedCoefficients",
-    "DIFFUSION_FAMILIES",
     "frozen_rate",
+    "distortion_power",
     "to_zero_correlation",
     "coefficients_at",
     "load_model",
@@ -67,11 +67,18 @@ _OPTIONAL_PARAMS = {
 def _finite_scalar(name, value):
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"parameter {name!r} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
         raise ModelError(f"parameter {name!r} must be finite, got {out!r}")
     return out
+
+
+def _float_array(name, values):
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{name} must be a rectangular array of numbers ({exc})") from exc
 
 
 def _check_risk_aversion(R):
@@ -99,7 +106,7 @@ class RegimeModel:
     """
 
     def __init__(self, Q, r, lam, sigma, delta, R):
-        Q = np.array(Q, dtype=float)
+        Q = _float_array("Q", Q)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ModelError(f"Q must be square, got shape {Q.shape}")
         n = Q.shape[0]
@@ -107,7 +114,7 @@ class RegimeModel:
             raise ModelError("Q must have at least one state")
         vectors = {}
         for name, values in (("r", r), ("lambda", lam), ("sigma", sigma), ("delta", delta)):
-            arr = np.array(values, dtype=float)
+            arr = _float_array(name, values)
             if arr.shape != (n,):
                 raise ModelError(f"{name} must have shape ({n},), got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -244,10 +251,11 @@ class DiffusionModel:
         elif family == "heston":
             if p["nu"] == 0:
                 raise ModelError("nu must be nonzero")
-            if p["kappa"] * p["theta"] < 0.5 * p["nu"] ** 2:
+            half_nu2 = 0.5 * (p["nu"] * p["nu"])  # a product overflows to inf; ** raises
+            if p["kappa"] * p["theta"] < half_nu2:
                 raise ModelError(
                     f"Feller condition fails: kappa*theta = {p['kappa'] * p['theta']:.6g}"
-                    f" < nu^2/2 = {0.5 * p['nu'] ** 2:.6g}"
+                    f" < nu^2/2 = {half_nu2:.6g}"
                 )
             self.interval = (0.0, math.inf)
             lam0 = p["lambda"]
@@ -275,14 +283,16 @@ class DiffusionModel:
             self._eta_second = lambda y: np.zeros_like(y)
 
     def _init_tabulated(self, params):
-        grid = np.array(params["y"], dtype=float)
+        grid = _float_array("tabulated y", params["y"])
         if grid.ndim != 1 or grid.size < 3:
             raise ModelError("tabulated y grid needs at least 3 points")
+        if not np.all(np.isfinite(grid)):
+            raise ModelError("tabulated y grid must be finite")
         if not np.all(np.diff(grid) > 0):
             raise ModelError("tabulated y grid must be strictly increasing")
         tables = {}
         for name in ("r", "lambda", "sigma", "delta", "a", "b"):
-            arr = np.array(params[name], dtype=float)
+            arr = _float_array(f"tabulated {name}", params[name])
             if arr.shape != grid.shape:
                 raise ModelError(f"tabulated {name} must match y in length")
             if not np.all(np.isfinite(arr)):

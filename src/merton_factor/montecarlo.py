@@ -43,8 +43,6 @@ __all__ = [
     "sample_ctmc_path",
     "simulate_wealth",
     "estimate_value",
-    "default_horizon",
-    "correlated_increments",
 ]
 
 

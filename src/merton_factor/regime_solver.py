@@ -30,7 +30,6 @@ from .model import RegimeModel
 
 __all__ = [
     "HjbSolution",
-    "QuickChecks",
     "WellPosednessReport",
     "assemble_A",
     "check_wellposed",
@@ -164,6 +163,21 @@ def _linear_solver(A):
     return dense.dot, (lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)), dense.shape[0]
 
 
+def _hjb_solution(matvec, x, p, iterations, trace, method):
+    """HjbSolution of x with the recomputed residual ||A x - x^p||_inf and scale ||x^p||_inf."""
+    rhs = x**p
+    return HjbSolution(
+        f=x,
+        u=x ** (p - 1.0),
+        p=p,
+        iterations=iterations,
+        trace=np.array(trace),
+        residual=float(np.max(np.abs(matvec(x) - rhs))),
+        residual_scale=float(np.max(np.abs(rhs))),
+        method=method,
+    )
+
+
 def _fixed_point_box(c_min, c_max, p):
     """Invariant box [m, M] for T x = A^-1 x^p from c = extrema of A^-1 1."""
     if p >= 0.0:
@@ -206,17 +220,7 @@ def solve_hjb_fixed_point(A, p, tol=1e-10, x1=None):
     c_min, c_max = float(w.min()), float(w.max())
 
     if p == 0.0:
-        residual = float(np.max(np.abs(matvec(w) - ones)))
-        return HjbSolution(
-            f=w,
-            u=w ** (p - 1.0),
-            p=p,
-            iterations=1,
-            trace=np.array([0.0]),
-            residual=residual,
-            residual_scale=1.0,
-            method="fixed_point",
-        )
+        return _hjb_solution(matvec, w, p, 1, [0.0], "fixed_point")
 
     m_box, M_box = _fixed_point_box(c_min, c_max, p)
     if x1 is None:
@@ -245,18 +249,7 @@ def solve_hjb_fixed_point(A, p, tol=1e-10, x1=None):
         raise ConvergenceError(
             f"fixed point not converged after {cap} iterations", last_iterate=x
         )
-    rhs = x**p
-    residual = float(np.max(np.abs(matvec(x) - rhs)))
-    return HjbSolution(
-        f=x,
-        u=x ** (p - 1.0),
-        p=p,
-        iterations=len(trace),
-        trace=np.array(trace),
-        residual=residual,
-        residual_scale=float(np.max(np.abs(rhs))),
-        method="fixed_point",
-    )
+    return _hjb_solution(matvec, x, p, len(trace), trace, "fixed_point")
 
 
 def _newton_jacobian_solve(A, x, p, fx):
@@ -428,34 +421,21 @@ def value_and_policies(model, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (model.n_states,) or not np.all(f > 0.0):
         raise ValueError("f must be a strictly positive vector, one entry per state")
-    p = 1.0 - 1.0 / model.R
-    A = assemble_A(model)
-    rhs = f**p
-    residual = float(np.max(np.abs(A.dot(f) - rhs)))
-    return HjbSolution(
-        f=f,
-        u=f ** (-1.0 / model.R),
-        p=p,
-        iterations=0,
-        trace=np.array([]),
-        residual=residual,
-        residual_scale=float(np.max(np.abs(rhs))),
-        method="direct",
-        pi_hat=model.lam / (model.R * model.sigma),
-    )
+    solution = _hjb_solution(assemble_A(model).dot, f, 1.0 - 1.0 / model.R, 0, [], "direct")
+    solution.pi_hat = model.lam / (model.R * model.sigma)
+    return solution
 
 
 def solve_regime(model, tol=1e-10):
     """Certify well-posedness, solve the matrix HJB, attach policies.
 
-    Raises :class:`IllPosedError` carrying the report when certification
-    fails, per the refuse-then-report contract.
+    Raises :class:`IllPosedError` carrying the full :func:`check_wellposed`
+    report when certification fails, per the refuse-then-report contract;
+    that report is built only on refusal.
     """
-    report = check_wellposed(model)
-    if not report.verdict:
-        raise IllPosedError("regime problem is ill-posed", report=report)
-    A = assemble_A(model)
-    solution = solve_matrix_hjb(A, model.R, tol=tol)
+    try:
+        solution = solve_matrix_hjb(assemble_A(model), model.R, tol=tol)
+    except IllPosedError:
+        raise IllPosedError("regime problem is ill-posed", report=check_wellposed(model)) from None
     solution.pi_hat = model.lam / (model.R * model.sigma)
-    solution.certificate = report.certificate
     return solution

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, documents, CSV round trips."""
 
+import importlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import merton_factor
-from merton_factor import cli, read_solution_csv, recompute_csv_residual
+from merton_factor import cli, load_model, psi_eta_profile, read_solution_csv, recompute_csv_residual
 from merton_factor._parallel import map_ordered, worker_count
 from merton_factor.diffusion_solver import CSV_COLUMNS
 
@@ -41,6 +42,19 @@ MPR = {
         "theta": 0.5,
         "nu": 0.6,
         "rho": -0.2,
+    },
+}
+VASICEK = {
+    "family": "vasicek",
+    "params": {
+        "R": 1.5,
+        "delta": 0.02,
+        "lambda": 23.0 / 60.0,
+        "sigma": 0.18,
+        "kappa": 0.43,
+        "theta": 0.013,
+        "nu": 0.033,
+        "rho": -0.0012,
     },
 }
 
@@ -173,6 +187,32 @@ def test_solve_regime_writes_csv_roundtrip(model_file, tmp_path, capsys):
     assert list(columns["u"]) == doc["u"]
     recomputed, stored = recompute_csv_residual(out_csv)
     assert recomputed == stored == doc["residual"]
+
+
+def test_solve_csv_leaves_psi_eta_undefined_where_eta_is_not_positive(
+    model_file, tmp_path, capsys
+):
+    out_csv = str(tmp_path / "vasicek.csv")
+    argv = ["solve", "--model", model_file(VASICEK), "--domain=-0.3,0.3", "--n", "300"]
+    rc, out, err = run_cli(capsys, argv + ["--out", out_csv])
+    assert rc == 0, err
+    doc = json.loads(out)
+
+    _, columns = read_solution_csv(out_csv)
+    positive = columns["eta"] > 0.0
+    assert 0 < np.count_nonzero(positive) < positive.size  # eta changes sign here
+    assert np.array_equal(np.isnan(columns["psi_eta"]), ~positive)
+    expected = psi_eta_profile(load_model(VASICEK), columns["y"][positive])
+    assert np.array_equal(columns["psi_eta"][positive], expected)
+    recomputed, stored = recompute_csv_residual(out_csv)
+    assert recomputed == stored == doc["metadata"]["residual"]
+
+
+def test_malformed_model_array_is_reported_not_raised(model_file, capsys):
+    rc, out, err = run_cli(capsys, ["wellposed", "--model", model_file(dict(REGIME, Q="x"))])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: Q must be")
 
 
 def test_solve_illposed_diffusion_exits_2(model_file, capsys):
@@ -421,3 +461,83 @@ def test_map_ordered_preserves_order(monkeypatch):
     for workers in ("1", "4"):
         monkeypatch.setenv("MERTON_FACTOR_THREADS", workers)
         assert map_ordered(lambda k: k * k, items) == [k * k for k in items]
+
+
+def test_emit_writes_numpy_values_as_their_python_equivalents(tmp_path, capsys):
+    nan = float("nan")
+    numpy_document = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "flag": np.bool_(True),
+        "array": np.array([[1.0, np.nan], [2.5, -0.0]]),
+        "ints": np.arange(3),
+        "pair": (np.float64(1e-300), 2),
+        "nan": nan,
+        "nested": {"x": [np.int64(3), np.float32(2.5)]},
+    }
+    plain_document = {
+        "f64": 0.1,
+        "f32": 0.10000000149011612,
+        "i64": -7,
+        "flag": True,
+        "array": [[1.0, nan], [2.5, -0.0]],
+        "ints": [0, 1, 2],
+        "pair": [1e-300, 2],
+        "nan": nan,
+        "nested": {"x": [3, 2.5]},
+    }
+    cli._emit(numpy_document, None)
+    numpy_text = capsys.readouterr().out
+    cli._emit(plain_document, None)
+    assert numpy_text == capsys.readouterr().out
+    target = tmp_path / "document.json"
+    cli._emit(numpy_document, str(target))
+    assert target.read_text() == numpy_text
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._emit({"x": object()}, None)
+
+
+PUBLIC_SURFACE = set(
+    """
+    AsymptoticReport BoundsCertificate ConvergenceError ConvergenceTable DerivedCoefficients
+    DiffusionModel DiffusionSolution DiscreteGenerator DiscretizationError DomainError
+    HjbSolution IllPosedError MCertificate MertonFactorError ModelError NotMMatrixError
+    NotZMatrixError PathSample PsiEvaluation RegimeModel SingularMatrixError
+    TridiagonalOperator ValueEstimate WellPosednessReport __version__ assemble_A
+    assemble_discrete_hjb asymptotic_report build_central_generator build_upwind_generator
+    check_nonsingular_m_matrix check_wellposed coefficients_at constant_profile
+    cyclic_wellposed distortion_power domain_expansion_study estimate_value eta_profile
+    expansion_domain frozen_rate grid_refinement_study hjb_residual inverse_norm_bound
+    load_model model_to_dict monotone_step_limit nearest_neighbour_wellposed
+    proportional_bounds psi psi_eta_profile read_solution_csv recompute_csv_residual
+    sample_ctmc_path simulate_wealth solve solve_hjb_fixed_point solve_hjb_newton
+    solve_matrix_hjb solve_regime to_zero_correlation tridiag_solve value_and_policies
+    vasicek_supersolution_profile write_solution_csv
+    """.split()
+)
+SUBMODULES = (
+    "analysis",
+    "diffusion_solver",
+    "discretizer",
+    "errors",
+    "linalg",
+    "model",
+    "montecarlo",
+    "regime_solver",
+)
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_SURFACE) == 65
+    assert set(merton_factor.__all__) == PUBLIC_SURFACE
+    owner = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"merton_factor.{name}")
+        for export in module.__all__:
+            assert export not in owner, f"{export} exported by {owner[export]} and {name}"
+            owner[export] = name
+            obj = getattr(merton_factor, export)
+            assert obj is getattr(module, export)
+            assert obj.__module__ == module.__name__, f"{export} is not defined in {name}"
+    assert set(owner) == PUBLIC_SURFACE - {"__version__"}

@@ -8,6 +8,8 @@ from merton_factor import (
     DiscretizationError,
     IllPosedError,
     ModelError,
+    WellPosednessReport,
+    diffusion_solver,
     domain_expansion_study,
     expansion_domain,
     grid_refinement_study,
@@ -15,7 +17,9 @@ from merton_factor import (
     load_model,
     read_solution_csv,
     recompute_csv_residual,
+    regime_solver,
     solve,
+    solve_regime,
     write_solution_csv,
 )
 
@@ -109,9 +113,53 @@ def test_ill_posed_problem_is_refused_with_report():
     with pytest.raises(IllPosedError) as exc_info:
         solve(bad, -1.0, 1.0, 50)
     report = exc_info.value.report
+    assert isinstance(report, WellPosednessReport)
     assert report.verdict is False
     assert report.quick_checks.all_eta_nonpositive is True
     assert report.certificate.verdict is False
+    assert np.array_equal(report.eta, bad.eta(np.linspace(-1.0, 1.0, 51)))
+
+
+def _certificate_calls(monkeypatch):
+    """Count calls of check_nonsingular_m_matrix under both names the solvers see."""
+    calls = []
+    for module in (regime_solver, diffusion_solver):
+
+        def spy(*args, _certify=module.check_nonsingular_m_matrix, **kwargs):
+            calls.append(args)
+            return _certify(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_nonsingular_m_matrix", spy)
+    return calls
+
+
+def test_each_successful_solve_certifies_once(
+    monkeypatch, mpr_model, heston_model, bs_model, regime2_model
+):
+    newton_regime = load_model(
+        {
+            "family": "regime",
+            "Q": [[-0.5, 0.5], [0.5, -0.5]],
+            "r": [0.02, 0.01],
+            "lambda": [0.4, 0.1],
+            "sigma": [0.25, 0.2],
+            "delta": [0.3, 0.18],
+            "R": 0.4,
+        }
+    )
+    calls = _certificate_calls(monkeypatch)
+    solves = [
+        lambda: solve(mpr_model, -3.0, 3.0, 200),
+        lambda: solve(mpr_model, -3.0, 3.0, 400, scheme="central"),
+        lambda: solve(heston_model, 0.005, 0.2, 200),
+        lambda: solve(bs_model, -1.0, 1.0, 50),
+        lambda: solve_regime(regime2_model),
+        lambda: solve_regime(newton_regime),
+    ]
+    for run in solves:
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_solve_input_validation(mpr_model, regime2_model):

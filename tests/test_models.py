@@ -1,10 +1,13 @@
 """Model loading, validation, derived coefficients, and the frozen rate."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
@@ -200,3 +203,119 @@ def test_tabulated_model_interpolates():
         [oracles.frozen_rate_scalar(2.0, 0.1, 0.02, 0.3 * v) for v in probe]
     )
     assert model.eta(probe) == pytest.approx(expected_eta, rel=0, abs=1e-15)
+
+
+_TABULATED = {
+    "family": "tabulated",
+    "params": {
+        "R": 2.0,
+        "y": [-1.0, 0.0, 1.0],
+        "r": [0.02, 0.02, 0.02],
+        "lambda": [0.1, 0.3, 0.2],
+        "sigma": [0.2, 0.25, 0.2],
+        "delta": [0.1, 0.1, 0.1],
+        "a": [0.5, 0.0, -0.5],
+        "b": [0.4, 0.4, 0.4],
+    },
+}
+_REGIME = {
+    "family": "regime",
+    "Q": [[-0.5, 0.5], [0.5, -0.5]],
+    "r": [0.02, 0.01],
+    "lambda": [0.4, 0.1],
+    "sigma": [0.25, 0.2],
+    "delta": [0.3, 0.18],
+    "R": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "base, field, value, message",
+    [
+        (_REGIME, "Q", "x", "Q must be"),
+        (_REGIME, "Q", [[-0.5, 0.5], [0.5]], "Q must be"),
+        (_REGIME, "sigma", [0.25, [0.2]], "sigma must be"),
+        (_TABULATED, "y", {"a": 1}, "tabulated y must be"),
+        (_TABULATED, "y", "abc", "tabulated y must be"),
+        (_TABULATED, "y", [-1.0, 0.0, math.inf], "tabulated y grid must be finite"),
+        (_TABULATED, "r", [0.02, [0.02, 0.03], 0.02], "tabulated r must be"),
+    ],
+    ids=["Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite", "column-ragged"],
+)
+def test_malformed_model_arrays_raise_model_error(base, field, value, message):
+    document = copy.deepcopy(base)
+    fields = document if document["family"] == "regime" else document["params"]
+    fields[field] = value
+    with pytest.raises(ModelError, match=message):
+        load_model(document)
+
+
+# Valid documents of every family; the fuzz below breaks one to three fields.
+_VALID_DOCUMENTS = (
+    _REGIME,
+    _TABULATED,
+    {"family": "black_scholes", "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3}},
+    {
+        "family": "mpr",
+        "params": {"R": 1.5, "delta": 0.05, "r": 0.02, "sigma": 0.2, "kappa": 0.3,
+                   "theta": 0.5, "nu": 0.6, "rho": -0.2},
+    },
+    {
+        "family": "heston",
+        "params": {"R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66, "kappa": 0.088,
+                   "theta": 0.035, "nu": 0.031, "rho": -0.84},
+    },
+    {
+        "family": "vasicek",
+        "params": {"R": 1.5, "delta": 0.02, "lambda": 0.38, "sigma": 0.18, "kappa": 0.43,
+                   "theta": 0.013, "nu": 0.033},
+    },
+)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_NUMERIC = st.floats() | st.integers(-3, 3) | st.sampled_from([10**400, 1e300])
+_FIELD_VALUES = (
+    _JSON
+    | _NUMERIC
+    | st.lists(_NUMERIC, max_size=6)
+    | st.lists(st.lists(_NUMERIC, max_size=3), max_size=3)
+)
+
+
+@st.composite
+def _model_documents(draw):
+    """Arbitrary JSON, or a valid model document with one to three fields broken."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON)
+    document = copy.deepcopy(draw(st.sampled_from(_VALID_DOCUMENTS)))
+    fields = document if document["family"] == "regime" else document["params"]
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(fields) + ["extra", "family", "params"]))
+        target = document if key in ("family", "params") else fields
+        if target is fields and key in fields and draw(st.integers(0, 5)) == 0:
+            del fields[key]
+        else:
+            target[key] = draw(_FIELD_VALUES)
+    return document
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(document=_model_documents())
+def test_load_model_refuses_malformed_json_only_with_model_error(document, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_model.json"
+    path.write_text(json.dumps(document))
+    try:
+        load_model(path)
+    except ModelError:
+        pass

@@ -143,8 +143,9 @@ def test_check_wellposed_verdicts_and_quick_screens(regime2_model):
     assert report.verdict is False
     assert report.quick_checks.all_eta_nonpositive is True
     assert oracles.is_m_matrix_by_minors(assemble_A(bad)) is False
-    with pytest.raises(IllPosedError):
+    with pytest.raises(IllPosedError) as refusal:
         solve_regime(bad)
+    assert refusal.value.report.to_dict() == report.to_dict()
 
 
 def test_check_wellposed_rejects_diffusion_models(mpr_model):
