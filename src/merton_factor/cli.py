@@ -329,15 +329,17 @@ def _cmd_mc(args):
     if not args.x0 > 0.0:
         raise UsageError("--x0 must be positive")
     if isinstance(model, RegimeModel):
-        state = int(args.y0)
-        if not 0 <= state < model.n_states:
+        if not (args.y0.is_integer() and 0 <= args.y0 < model.n_states):
             raise UsageError(f"--y0 must be a state index in 0..{model.n_states - 1}")
+        state = int(args.y0)
         solution = solve_regime(model, tol=config.tolerance)
         policy = (solution.pi_hat, solution.u)
         solver_value = solution.value(args.x0, state=state)
         y0 = state
     else:
         lo, hi, n = config.require_grid()
+        if not lo <= args.y0 <= hi:
+            raise UsageError(f"--y0 {args.y0} lies outside --domain [{lo}, {hi}]")
         solution = solve(model, lo, hi, n, tol=config.tolerance, scheme=config.scheme)
         grid, u_grid, pi_grid = solution.grid, solution.u, solution.pi_hat
         policy = (

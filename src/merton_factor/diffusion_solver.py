@@ -118,14 +118,13 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         ) from None
     p = core.p
     u = core.u
-    if phi == 1.0:
-        f = core.f
-        check = core.f
-    else:
+    f, residual, scale = core.f, core.residual, core.residual_scale
+    if phi != 1.0:
+        # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
         check = u ** (-work.R)
-    rhs = check**p
-    residual = float(np.max(np.abs(A_h.matvec(check) - rhs)))
+        rhs = check**p
+        residual, scale = float(np.max(np.abs(A_h.matvec(check) - rhs))), float(np.max(rhs))
 
     du = np.gradient(u, float(grid[1] - grid[0]))
     du_over_u = du / u
@@ -143,7 +142,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         "p": float(p),
         "method": core.method,
         "residual": residual,
-        "residual_scale": float(np.max(np.abs(rhs))),
+        "residual_scale": scale,
     }
     return DiffusionSolution(
         grid=grid,

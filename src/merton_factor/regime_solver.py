@@ -13,13 +13,15 @@ pi = lambda / (R sigma) per state.
 
 With p = 1 - 1/R in (-1, 1) (that is, R > 1/2), T x = A^-1 x^p contracts the
 log-sup metric d(x, y) = ||log x - log y||_inf at rate |p| and the iteration
-from the invariant-box corner converges geometrically.  For R <= 1/2 a
-damped Newton method is used instead.
+from the invariant-box corner converges geometrically.  For R <= 1/2
+Newton's method is used instead, from a start on the side where it
+converges monotonically.  Both run in one driver that shares the set-up,
+the positivity checks, the stop test and the result.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -41,8 +43,6 @@ __all__ = [
     "nearest_neighbour_wellposed",
     "value_and_policies",
 ]
-
-_TINY = 1e-300
 
 
 @dataclass
@@ -150,17 +150,43 @@ def check_wellposed(model, method="minor_ratios"):
     )
 
 
+class _Ops(NamedTuple):
+    """What the iteration needs of A; ``solve`` reuses one factorization."""
+
+    n: int
+    matvec: Callable
+    solve: Callable
+    jacobian_solve: Callable  # (d, rhs) -> (A - diag(d))^-1 rhs
+    norm_inf: Callable  # () -> ||A||_inf
+
+
 def _linear_solver(A):
-    """(matvec, solve-with-reused-factorization, size) for dense or tridiagonal A."""
+    """:class:`_Ops` of a dense or tridiagonal A."""
     if isinstance(A, TridiagonalOperator):
-        return A.matvec, A.factorized(), A.n
+        def jacobian_solve(d, rhs):
+            return TridiagonalOperator(A.sub, A.main - d, A.sup).solve(rhs)
+
+        return _Ops(A.n, A.matvec, A.factorized(), jacobian_solve, A.norm_inf)
     dense = np.asarray(A, dtype=float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
     lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
     if np.any(np.diag(lu) == 0.0):
         raise SingularMatrixError("singular matrix in HJB solve")
-    return dense.dot, (lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)), dense.shape[0]
+
+    def jacobian_solve(d, rhs):
+        try:
+            return np.linalg.solve(dense - np.diag(d), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"singular Newton system: {exc}") from exc
+
+    return _Ops(
+        dense.shape[0],
+        dense.dot,
+        lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False),
+        jacobian_solve,
+        lambda: float(np.linalg.norm(dense, np.inf)),
+    )
 
 
 def _hjb_solution(matvec, x, p, iterations, trace, method):
@@ -200,80 +226,69 @@ def _iteration_cap(m_box, M_box, p, tol):
     return max(1, math.ceil(bound))
 
 
-def solve_hjb_fixed_point(A, p, tol=1e-10, x1=None):
+def _iterate(A, p, method, plan):
+    """Solve A x = x^p by x <- step(x); the one loop behind both solvers.
+
+    ``plan(ops, w)`` gets the :class:`_Ops` of A and w = A^-1 1 (checked
+    positive) and returns (start, iteration cap, step tolerance, step),
+    where step(x) returns (x_next, at_floor).  The loop stops when the
+    log-sup step ||log x_next - log x||_inf is at most the step tolerance,
+    or when the step reports its residual at the rounding floor and the
+    log-sup steps have stopped shrinking.  An iterate outside the positive
+    cone raises :class:`NotMMatrixError`.
+    """
+    ops = _linear_solver(A)
+    w = ops.solve(np.ones(ops.n))
+    if not np.all(w > 0.0):
+        raise NotMMatrixError("A^-1 1 has nonpositive entries; A is not an M-matrix")
+    x, cap, step_tol, step = plan(ops, w)
+    trace = []
+    log_x = np.log(x)
+    for _ in range(cap):
+        x_next, at_floor = step(x)
+        if not np.all(x_next > 0.0):
+            raise NotMMatrixError("iteration left the positive cone; A is not an M-matrix")
+        log_next = np.log(x_next)
+        trace.append(float(np.max(np.abs(log_next - log_x))))
+        x, log_x = x_next, log_next
+        if trace[-1] <= step_tol or (at_floor and len(trace) > 1 and trace[-1] >= trace[-2]):
+            return _hjb_solution(ops.matvec, x, p, len(trace), trace, method)
+    raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
+
+
+def solve_hjb_fixed_point(A, p, tol=1e-10):
     """Solve A x = x^p by the contraction T x = A^-1 x^p, p in (-1, 1).
 
-    Starts from the lower corner of the invariant box (unless ``x1`` is
-    given) and stops when the log-sup step is at most tol * (1 - |p|), which
-    leaves the iterate within tol of the fixed point in that metric.  For
-    p outside (-1, 1) raises ValueError advising :func:`solve_hjb_newton`.
+    Starts from the lower corner of the invariant box (from A^-1 1 itself
+    when p = 0, which is then the solution) and stops when the log-sup step
+    is at most tol * (1 - |p|), which leaves the iterate within tol of the
+    fixed point in that metric.  For p outside (-1, 1) raises ValueError
+    advising :func:`solve_hjb_newton`.
     """
     if not -1.0 < p < 1.0:
         raise ValueError(
             f"p = {p} outside (-1, 1): the iteration does not contract; use solve_hjb_newton"
         )
-    matvec, solve, n = _linear_solver(A)
-    ones = np.ones(n)
-    w = solve(ones)
-    if not np.all(w > 0.0):
-        raise NotMMatrixError("A^-1 1 has nonpositive entries; A is not an M-matrix")
-    c_min, c_max = float(w.min()), float(w.max())
 
-    if p == 0.0:
-        return _hjb_solution(matvec, w, p, 1, [0.0], "fixed_point")
-
-    m_box, M_box = _fixed_point_box(c_min, c_max, p)
-    if x1 is None:
-        x = np.full(n, m_box)
+    def plan(ops, w):
+        m_box, M_box = _fixed_point_box(float(w.min()), float(w.max()), p)
+        start = w if p == 0.0 else np.full(ops.n, m_box)
         cap = _iteration_cap(m_box, M_box, p, tol) + 32
-    else:
-        x = np.asarray(x1, dtype=float)
-        if x.shape != (n,) or not np.all(x > 0.0):
-            raise ValueError("x1 must be a strictly positive vector of matching size")
-        cap = 16 * (_iteration_cap(m_box, M_box, p, tol) + 32)
+        return start, cap, tol * (1.0 - abs(p)), lambda x: (ops.solve(x**p), False)
 
-    ap = abs(p)
-    trace = []
-    log_x = np.log(x)
-    for _ in range(cap):
-        x_next = solve(x**p)
-        if not np.all(x_next > 0.0):
-            raise NotMMatrixError("iteration left the positive cone; A is not an M-matrix")
-        log_next = np.log(x_next)
-        step = float(np.max(np.abs(log_next - log_x)))
-        trace.append(step)
-        x, log_x = x_next, log_next
-        if step <= tol * (1.0 - ap):
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point not converged after {cap} iterations", last_iterate=x
-        )
-    return _hjb_solution(matvec, x, p, len(trace), trace, "fixed_point")
+    return _iterate(A, p, "fixed_point", plan)
 
 
-def _newton_jacobian_solve(A, x, p, fx):
-    diag_shift = p * x ** (p - 1.0)
-    if isinstance(A, TridiagonalOperator):
-        J = TridiagonalOperator(A.sub, A.main - diag_shift, A.sup)
-        return J.solve(-fx)
-    dense = np.asarray(A, dtype=float) - np.diag(diag_shift)
-    try:
-        return np.linalg.solve(dense, -fx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular Newton system: {exc}") from exc
-
-
-def solve_hjb_newton(A, p, tol=1e-10, x0=None, max_iterations=100):
-    """Damped Newton for A x = x^p, any p < 1 (covers R <= 1/2).
+def solve_hjb_newton(A, p, tol=1e-10):
+    """Newton's method for A x = x^p, any p < 1 (covers R <= 1/2).
 
     For p <= 0 the map F(x) = A x - x^p is componentwise concave and the
     Jacobian A - diag(p x^(p-1)) adds a positive diagonal to A, hence stays
     a nonsingular M-matrix on the positive cone.  Started from a point with
     F(x0) <= 0, the Newton sequence is then monotonically increasing and
-    converges to the minimal positive root without damping; the default
-    start m * 1 with m = min over rows i with (A 1)_i > 0 of
-    (A 1)_i^(-1/(1-p)) satisfies F(m 1) <= 0 by construction.
+    converges to the minimal positive root; the start m * 1 with m = min
+    over rows i with (A 1)_i > 0 of (A 1)_i^(-1/(1-p)) satisfies
+    F(m 1) <= 0 by construction.
 
     For p in (0, 1), F is componentwise convex instead, and the safe side
     flips: starting from the upper corner M * 1 of the contraction's
@@ -284,69 +299,44 @@ def solve_hjb_newton(A, p, tol=1e-10, x0=None, max_iterations=100):
     lower start is unsafe in this regime: x^(p-1) blows up near 0 and
     Newton can stall at a spurious small-component point.
 
-    Steps are still halved (at most 60 times) if an iterate would leave
-    the positive cone, which only engages for custom starts.
-    Non-convergence raises :class:`ConvergenceError` with the last iterate
+    Newton stops when its log-sup step is at most tol, or when the residual
+    ||A x - x^p||_inf is within tol * ||x^p||_inf + eps * ||A||_inf *
+    ||x||_inf (the rounding floor, which grows like h^-2 for a discretized
+    diffusion) and the steps have stopped shrinking.  An iterate leaving
+    the positive cone raises :class:`NotMMatrixError`; no convergence
+    within 100 steps raises :class:`ConvergenceError` with the last iterate
     attached.
     """
     if not p < 1.0:
         raise ValueError(f"p = {p} must be < 1")
-    matvec, solve, n = _linear_solver(A)
-    if x0 is None:
-        w = solve(np.ones(n))
-        if not np.all(w > 0.0):
-            raise NotMMatrixError("A^-1 1 has nonpositive entries; A is not an M-matrix")
-        if p <= 0.0:
-            image = matvec(np.ones(n))
+
+    def plan(ops, w):
+        if p > 0.0:
+            m = _fixed_point_box(float(w.min()), float(w.max()), p)[1]
+        else:
+            image = ops.matvec(np.ones(ops.n))
             positive = image[image > 0.0]
             m = float(np.min(positive ** (-1.0 / (1.0 - p)))) if positive.size else 1.0
-            x = np.full(n, m)
-        else:
-            x = np.full(n, _fixed_point_box(float(w.min()), float(w.max()), p)[1])
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (n,) or not np.all(x > 0.0):
-            raise ValueError("x0 must be a strictly positive vector of matching size")
+        rounding = np.finfo(float).eps * ops.norm_inf()
 
-    trace = []
-    for iteration in range(max_iterations):
-        rhs = x**p
-        fx = matvec(x) - rhs
-        residual = float(np.max(np.abs(fx)))
-        scale = float(np.max(np.abs(rhs)))
-        if residual <= tol * max(scale, _TINY):
-            return HjbSolution(
-                f=x,
-                u=x ** (p - 1.0),
-                p=p,
-                iterations=iteration,
-                trace=np.array(trace),
-                residual=residual,
-                residual_scale=scale,
-                method="newton",
-            )
-        step = _newton_jacobian_solve(A, x, p, fx)
-        t = 1.0
-        for _ in range(60):
-            if np.all(x + t * step > 0.0):
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "Newton step could not be damped into the positive cone", last_iterate=x
-            )
-        x = x + t * step
-        trace.append(float(np.max(np.abs(t * step))))
-    raise ConvergenceError(
-        f"Newton not converged after {max_iterations} iterations", last_iterate=x
-    )
+        def step(x):
+            rhs = x**p
+            fx = ops.matvec(x) - rhs
+            at_floor = np.max(np.abs(fx)) <= tol * np.max(rhs) + rounding * np.max(x)
+            return x - ops.jacobian_solve(p * rhs / x, fx), at_floor
+
+        return np.full(ops.n, m), 100, tol, step
+
+    return _iterate(A, p, "newton", plan)
 
 
 def solve_matrix_hjb(A, R, tol=1e-10):
     """Certify A, then dispatch on R: contraction for R > 1/2, Newton otherwise.
 
     Raises :class:`IllPosedError` carrying the failed certificate when A is
-    not a nonsingular M-matrix.
+    not a nonsingular M-matrix.  Neither method asks for a residual below
+    the rounding floor eps * ||A||_inf * ||x||_inf, which for a discretized
+    diffusion grows like h^-2 (see :func:`solve_hjb_newton`).
     """
     certificate = check_nonsingular_m_matrix(A)
     if not certificate.verdict:

@@ -370,6 +370,23 @@ def test_mc_document(model_file, capsys):
     assert doc["seed"] == 3
 
 
+def test_mc_refuses_diffusion_start_outside_domain(model_file, capsys):
+    # np.interp would clamp y0 = 8 to the boundary node of [-3, 3].
+    argv = ["mc", "--model", model_file(MPR), "--domain", "-3,3", "--n", "600", "--y0", "8"]
+    rc, out, err = run_cli(capsys, argv + ["--horizon", "20", "--dt", "0.05", "--paths", "50"])
+    assert rc == 1
+    assert out == ""
+    assert "--y0" in err and "outside --domain" in err
+
+
+def test_mc_refuses_fractional_regime_state(model_file, capsys):
+    argv = ["mc", "--model", model_file(REGIME), "--y0", "1.9"]
+    rc, out, err = run_cli(capsys, argv + ["--horizon", "20", "--dt", "0.05", "--paths", "50"])
+    assert rc == 1
+    assert out == ""
+    assert "state index" in err
+
+
 def test_out_flag_writes_document(model_file, tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run_cli(

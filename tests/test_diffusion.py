@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
@@ -9,6 +11,8 @@ from merton_factor import (
     IllPosedError,
     ModelError,
     WellPosednessReport,
+    assemble_discrete_hjb,
+    check_nonsingular_m_matrix,
     diffusion_solver,
     domain_expansion_study,
     expansion_domain,
@@ -20,8 +24,26 @@ from merton_factor import (
     regime_solver,
     solve,
     solve_regime,
+    to_zero_correlation,
     write_solution_csv,
 )
+
+
+def mpr(**overrides):
+    """The AC3 mpr model with some parameters replaced."""
+    params = {"R": 1.5, "delta": 0.05, "r": 0.02, "sigma": 0.2, "kappa": 0.3}
+    params.update(theta=0.5, nu=0.6, rho=-0.2)
+    return load_model({"family": "mpr", "params": {**params, **overrides}})
+
+
+def residual_limit(sol, model):
+    """tol * scale plus the rounding floor 100 eps ||A_h||_inf ||x||_inf of a solve."""
+    meta = sol.metadata
+    work, _ = to_zero_correlation(model)
+    A_h, _ = assemble_discrete_hjb(work, *meta["domain"], meta["N"], scheme=meta["scheme"])
+    x = sol.u ** (-meta["R_tilde"])
+    floor = 100 * np.finfo(float).eps * A_h.norm_inf() * np.max(x)
+    return meta["tolerance"] * meta["residual_scale"] + floor
 
 
 def test_constant_coefficients_reproduce_closed_form(bs_model):
@@ -247,3 +269,56 @@ def test_vasicek_solves_and_policies_are_finite(vasicek_model):
     sol = solve(vasicek_model, -4.45, 4.45, 1000)
     assert np.all(sol.u > 0.0)
     assert np.all(np.isfinite(sol.du_over_u))
+
+
+@pytest.mark.parametrize("n_steps", [1_000, 10_000, 100_000])
+def test_newton_route_reaches_the_rounding_floor(n_steps):
+    # R = 0.4 gives p = 1 - 1/R~ < -1, so solve takes Newton.  Its residual
+    # cannot fall below eps ||A_h|| ||x||, which grows like 1/h^2; a
+    # residual-only stop never fired here and raised ConvergenceError.
+    model = mpr(R=0.4, delta=0.6)
+    sol = solve(model, -0.5, 0.5, n_steps)
+    assert sol.metadata["method"] == "newton"
+    assert sol.metadata["iterations"] <= 10
+    assert np.all(sol.u > 0.0)
+    assert sol.metadata["residual"] <= residual_limit(sol, model)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    R=st.floats(0.15, 0.49) | st.floats(0.55, 4.0).filter(lambda R: abs(R - 1.0) > 1e-3),
+    delta=st.floats(-0.2, 0.8),
+    domain=st.sampled_from([(-0.5, 0.5), (-3.0, 3.0)]),
+    n_steps=st.sampled_from([10, 100, 1000, 10_000]),
+)
+def test_verdict_and_solve_agree_on_discretized_mpr(R, delta, domain, n_steps):
+    model = mpr(R=R, delta=delta)
+    A_h, _ = assemble_discrete_hjb(to_zero_correlation(model)[0], *domain, n_steps)
+    if not check_nonsingular_m_matrix(A_h).verdict:
+        with pytest.raises(IllPosedError) as refusal:
+            solve(model, *domain, n_steps)
+        assert isinstance(refusal.value.report, WellPosednessReport)
+        assert refusal.value.report.certificate.verdict is False
+        return
+    sol = solve(model, *domain, n_steps)
+    assert np.all(sol.u > 0.0)
+    assert sol.metadata["residual"] <= residual_limit(sol, model)
+
+
+def test_zero_correlation_solve_logs_the_solver_residual(tmp_path):
+    # With rho = 0 the solved vector is f itself; its residual and scale are
+    # ||A_h f - f^p|| and ||f^p|| exactly, and the CSV reproduces them.
+    model = mpr(rho=0.0)
+    sol = solve(model, -3.0, 3.0, 1000)
+    meta = sol.metadata
+    assert meta["phi"] == 1.0
+    A_h, _ = assemble_discrete_hjb(model, -3.0, 3.0, 1000)
+    rhs = sol.f ** meta["p"]
+    assert meta["residual"] == float(np.max(np.abs(A_h.matvec(sol.f) - rhs)))
+    assert meta["residual_scale"] == float(np.max(np.abs(rhs)))
+    path = tmp_path / "rho0.csv"
+    write_solution_csv(path, sol, model)
+    csv_meta, columns = read_solution_csv(path)
+    assert csv_meta["solve"] == {**meta, "domain": list(meta["domain"])}
+    assert np.array_equal(columns["f"], sol.f) and np.array_equal(columns["u"], sol.u)
+    assert recompute_csv_residual(path) == (meta["residual"], meta["residual"])

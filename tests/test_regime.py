@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
     IllPosedError,
     assemble_A,
+    assemble_discrete_hjb,
+    check_nonsingular_m_matrix,
     check_wellposed,
     cyclic_wellposed,
     load_model,
@@ -15,6 +19,7 @@ from merton_factor import (
     solve_hjb_newton,
     solve_matrix_hjb,
     solve_regime,
+    to_zero_correlation,
 )
 
 
@@ -89,22 +94,39 @@ def test_newton_branch_used_for_small_risk_aversion():
     assert np.all(sol.f > 0.0)
 
 
-def test_newton_and_fixed_point_agree_where_both_apply():
-    rng = np.random.default_rng(31)
-    checked = 0
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        Q, eta, _ = oracles.random_regime_instance(rng, n, well_posed_bias=1.0)
-        R = float(rng.uniform(0.55, 4.0))
-        A = np.diag(eta) - Q / R
-        if not oracles.is_m_matrix_by_minors(A):
-            continue
-        p = 1.0 - 1.0 / R
-        a = solve_hjb_fixed_point(A, p, tol=1e-13)
-        b = solve_hjb_newton(A, p, tol=1e-13)
-        assert a.f == pytest.approx(b.f, rel=1e-10, abs=0)
-        checked += 1
-    assert checked >= 20
+def _random_operator(seed, n, R):
+    """A = diag(eta) - Q / R of a random well-posed-leaning regime instance."""
+    Q, eta, _ = oracles.random_regime_instance(np.random.default_rng(seed), n, 1.0)
+    return np.diag(eta) - Q / R
+
+
+def _mpr_operator(R, delta, theta, n_steps):
+    """Upwind A_h of an mpr model's zero-correlation rewrite on [-3, 3], with p."""
+    params = {"R": R, "delta": delta, "r": 0.02, "sigma": 0.2, "kappa": 0.3}
+    params.update(theta=theta, nu=0.6, rho=-0.2)
+    work, _ = to_zero_correlation(load_model({"family": "mpr", "params": params}))
+    A_h, _ = assemble_discrete_hjb(work, -3.0, 3.0, n_steps)
+    return A_h, 1.0 - 1.0 / work.R
+
+
+def _log_sup(x, y):
+    return float(np.max(np.abs(np.log(x) - np.log(y))))
+
+
+_CONTRACTING_R = st.floats(0.55, 12.0).filter(lambda R: abs(R - 1.0) > 1e-3)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), R=_CONTRACTING_R)
+def test_newton_and_fixed_point_agree_where_both_apply(seed, n, R):
+    A = _random_operator(seed, n, R)
+    assume(oracles.is_m_matrix_by_minors(A))
+    p = 1.0 - 1.0 / R
+    fixed = solve_hjb_fixed_point(A, p, tol=1e-13)
+    newton = solve_hjb_newton(A, p, tol=1e-13)
+    assert fixed.f == pytest.approx(newton.f, rel=1e-10, abs=0)
+    assert newton.iterations <= 12
+
 
 
 def test_p_zero_reduces_to_one_linear_solve():
@@ -262,3 +284,59 @@ def test_consumption_rate_increases_with_impatience():
         bumped = solve_regime(load_model(payload))
         assert np.all(bumped.u >= base.u - 1e-12)
         assert np.all(bumped.f <= base.f + 1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    R=_CONTRACTING_R,
+    delta=st.floats(0.05, 0.6),
+    theta=st.floats(-1.0, 1.0),
+    n_steps=st.sampled_from([10, 100, 1000, 10_000]),
+)
+def test_newton_and_fixed_point_agree_on_discretized_mpr(R, delta, theta, n_steps):
+    A_h, p = _mpr_operator(R, delta, theta, n_steps)
+    assume(-1.0 < p < 1.0 and check_nonsingular_m_matrix(A_h).verdict)
+    fixed = solve_hjb_fixed_point(A_h, p)
+    newton = solve_hjb_newton(A_h, p)
+    assert _log_sup(fixed.f, newton.f) <= 1e-8
+    assert newton.iterations <= 12
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    R=st.sampled_from([0.2, 0.4, 0.8, 1.5, 4.0]),
+    c=st.floats(1e-2, 1e2),
+)
+def test_scaling_A_by_c_scales_u_by_c_on_both_routes(seed, n, R, c):
+    # If A f = f^p then (c A)(c^-R f) = (c^-R f)^p, so u = f^(-1/R) scales by c.
+    A = _random_operator(seed, n, R)
+    assume(oracles.is_m_matrix_by_minors(A))
+    p = 1.0 - 1.0 / R
+    solvers = [solve_hjb_newton] + ([solve_hjb_fixed_point] if abs(p) < 1.0 else [])
+    for solver in solvers:
+        base = solver(A, p, tol=1e-12)
+        scaled = solver(c * A, p, tol=1e-12)
+        assert scaled.f == pytest.approx(c ** (-R) * base.f, rel=1e-9, abs=0)
+        assert scaled.u == pytest.approx(c * base.u, rel=1e-9, abs=0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_verdict_and_solve_agree_on_regime_matrices(seed, n):
+    # R is drawn from 0.25 ... 3.0, so both routes and both verdicts occur.
+    Q, eta, R = oracles.random_regime_instance(np.random.default_rng(seed), n, 0.5)
+    A = np.diag(eta) - Q / R
+    certificate = check_nonsingular_m_matrix(A)
+    if not certificate.verdict:
+        with pytest.raises(IllPosedError) as refusal:
+            solve_matrix_hjb(A, R)
+        report = refusal.value.report
+        assert report.verdict is False and report.failure_index == certificate.failure_index
+        assert np.array_equal(report.ratios, certificate.ratios)
+        return
+    sol = solve_matrix_hjb(A, R)
+    floor = 100.0 * np.finfo(float).eps * np.linalg.norm(A, np.inf) * np.max(sol.f)
+    assert np.all(sol.u > 0.0)
+    assert sol.residual <= 1e-10 * sol.residual_scale + floor
