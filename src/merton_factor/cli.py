@@ -10,11 +10,17 @@ bounds      proportional sandwich bounds from sub/supersolution profiles
 report      tail diagnostics of a solved problem
 mc          Monte Carlo check of the computed policy and value
 
+Every subcommand runs the same pipeline.  argparse checks each flag value;
+``main`` loads the model and calls the subcommand's handler, which returns
+a JSON document and a verdict; ``main`` then emits the document and maps the
+verdict to the exit code.  Documents go to stdout, or to ``--out``; for
+``solve``, ``--out`` names the CSV table and the document stays on stdout.
+
 Exit codes: 0 on success, 2 when the requested problem is ill-posed
-(verdict false or a solver refusal with a certificate), 1 on any error
-(bad flags, malformed model files, numerical failures).  Results are
-printed as JSON to stdout; ``--out`` redirects the primary artifact
-(the CSV table for ``solve``, the JSON document otherwise) to a file.
+(verdict false, or a solver refusal whose certificate document is still
+emitted), 1 on any error (bad flags or flag values, malformed model files,
+arguments the library refuses, numerical failures), reported on stderr as
+one ``error: ...`` line.
 
 The ``mc`` subcommand spreads path blocks over the number of threads in the
 ``MERTON_FACTOR_THREADS`` environment variable (default 1); its results are
@@ -25,8 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from .model import (
 from .montecarlo import estimate_value
 from .regime_solver import check_wellposed, solve_regime
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 class UsageError(MertonFactorError):
@@ -61,50 +66,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated common options of the solver-backed subcommands."""
+def _flag_type(expected, parse, accept=lambda value: True):
+    """An argparse ``type=`` that parses a flag value and refuses it unless ``accept`` holds."""
 
-    model: object
-    domain: Optional[tuple] = None
-    n_steps: Optional[int] = None
-    scheme: str = "upwind"
-    tolerance: float = 1e-10
+    def convert(text):
+        try:
+            value = parse(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {expected}, got {text!r}")
 
-    def __post_init__(self):
-        if self.scheme not in ("upwind", "central"):
-            raise UsageError(f"unknown scheme {self.scheme!r} (expected upwind or central)")
-        if not self.tolerance > 0.0:
-            raise UsageError("--tol must be positive")
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise UsageError("--domain must be two finite numbers A,B with A < B")
-        if self.n_steps is not None and self.n_steps < 1:
-            raise UsageError("--n must be at least 1")
-
-    def require_grid(self):
-        if self.domain is None or self.n_steps is None:
-            raise UsageError("diffusion models need --domain A,B and --n")
-        return self.domain[0], self.domain[1], self.n_steps
+    return convert
 
 
-def _parse_pair(text, flag):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects two comma-separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"{flag} expects numbers, got {text!r}") from None
+def _split(kind):
+    return lambda text: [kind(part) for part in text.split(",")]
 
 
-def _parse_list(text, flag, kind):
-    try:
-        return [kind(part) for part in text.split(",")]
-    except ValueError:
-        what = "integers" if kind is int else "numbers"
-        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+_POSITIVE = _flag_type("a positive number", float, lambda x: x > 0.0)
+_STEPS = _flag_type("an integer >= 1", int, lambda n: n >= 1)
+_STEP_LIST = _flag_type(
+    "two or more integers >= 1", _split(int), lambda ns: len(ns) > 1 and min(ns) >= 1
+)
+_NUMBERS = _flag_type("comma-separated numbers", _split(float))
+_INTERVAL = _flag_type(
+    "two finite numbers A,B with A < B",
+    _split(float),
+    lambda xs: len(xs) == 2 and -math.inf < xs[0] < xs[1] < math.inf,
+)
+_PROFILE = _flag_type("'eta' or a number", lambda text: text if text == "eta" else float(text))
 
 
 def _numpy_to_python(obj):
@@ -139,36 +131,24 @@ def _certificate_summary(cert):
     return summary
 
 
-def _config_from_args(args, parse_n=True):
-    model = load_model(args.model)
-    domain = _parse_pair(args.domain, "--domain") if getattr(args, "domain", None) else None
-    n_steps = getattr(args, "n", None) if parse_n else None
-    if isinstance(n_steps, str):
-        values = _parse_list(n_steps, "--n", int)
-        if len(values) != 1:
-            raise UsageError("--n takes a single integer here")
-        n_steps = values[0]
-    return RunConfig(
-        model=model,
-        domain=domain,
-        n_steps=n_steps,
-        scheme=getattr(args, "scheme", "upwind"),
-        tolerance=getattr(args, "tol", 1e-10),
-    )
+def _diffusion_grid(args, model, grid=True):
+    """Refuse a regime model; with ``grid``, return ``(lo, hi, n)`` from --domain and --n."""
+    if not isinstance(model, DiffusionModel):
+        raise UsageError(f"{args.command} needs a diffusion model")
+    if grid and (args.domain is None or args.n is None):
+        raise UsageError("diffusion models need --domain A,B and --n")
+    return (*args.domain, args.n) if grid else None
 
 
-def _cmd_wellposed(args):
-    config = _config_from_args(args)
-    model = config.model
+def _cmd_wellposed(args, model):
     if isinstance(model, RegimeModel):
         report = check_wellposed(model, method=args.method)
         document = {"model_type": "regime", **report.to_dict()}
         document["certificate"] = _certificate_summary(report.certificate)
-        _emit(document, args.out)
-        return 0 if report.verdict else 2
-    lo, hi, n = config.require_grid()
+        return document, report.verdict
+    lo, hi, n = _diffusion_grid(args, model)
     work, phi = to_zero_correlation(model)
-    A_h, grid = assemble_discrete_hjb(work, lo, hi, n, scheme=config.scheme)
+    A_h, grid = assemble_discrete_hjb(work, lo, hi, n, scheme=args.scheme)
     cert = check_nonsingular_m_matrix(A_h, method=args.method)
     eta = np.asarray(model.eta(grid), dtype=float)
     document = {
@@ -178,22 +158,17 @@ def _cmd_wellposed(args):
         "certificate": _certificate_summary(cert),
         "domain": [lo, hi],
         "n": n,
-        "scheme": config.scheme,
+        "scheme": args.scheme,
         "distortion": phi,
         "eta_min": float(eta.min()),
         "eta_max": float(eta.max()),
     }
-    _emit(document, args.out)
-    return 0 if cert.verdict else 2
+    return document, cert.verdict
 
 
-def _cmd_solve(args):
-    config = _config_from_args(args)
-    model = config.model
+def _cmd_solve(args, model):
     if isinstance(model, RegimeModel):
-        solution = solve_regime(model, tol=config.tolerance)
-        if args.out:
-            write_solution_csv(args.out, solution, model, config.tolerance)
+        solution = solve_regime(model, tol=args.tol)
         document = {
             "model_type": "regime",
             "verdict": True,
@@ -204,89 +179,52 @@ def _cmd_solve(args):
             "iterations": solution.iterations,
             "method": solution.method,
             "residual": solution.residual,
-            "csv": args.out or None,
         }
-        _emit(document, None)
-        return 0
-    lo, hi, n = config.require_grid()
-    solution = solve(model, lo, hi, n, tol=config.tolerance, scheme=config.scheme)
+    else:
+        lo, hi, n = _diffusion_grid(args, model)
+        solution = solve(model, lo, hi, n, tol=args.tol, scheme=args.scheme)
+        u = solution.u
+        document = {
+            "model_type": "diffusion",
+            "family": model.family,
+            "verdict": True,
+            "metadata": solution.metadata,
+            "u": {
+                "min": float(u.min()),
+                "max": float(u.max()),
+                "left": float(u[0]),
+                "right": float(u[-1]),
+            },
+            "pi_hat": {"left": float(solution.pi_hat[0]), "right": float(solution.pi_hat[-1])},
+            "du_over_u": {
+                "left": float(solution.du_over_u[0]),
+                "right": float(solution.du_over_u[-1]),
+            },
+        }
     if args.out:
-        write_solution_csv(args.out, solution, model)
-    u = solution.u
-    document = {
-        "model_type": "diffusion",
-        "family": model.family,
-        "verdict": True,
-        "metadata": solution.metadata,
-        "u": {
-            "min": float(u.min()),
-            "max": float(u.max()),
-            "left": float(u[0]),
-            "right": float(u[-1]),
-        },
-        "pi_hat": {"left": float(solution.pi_hat[0]), "right": float(solution.pi_hat[-1])},
-        "du_over_u": {
-            "left": float(solution.du_over_u[0]),
-            "right": float(solution.du_over_u[-1]),
-        },
-        "csv": args.out or None,
-    }
-    _emit(document, None)
-    return 0
+        write_solution_csv(args.out, solution, model, args.tol)
+    document["csv"] = args.out or None
+    return document, True
 
 
-def _cmd_refine(args):
-    config = _config_from_args(args, parse_n=False)
-    if not isinstance(config.model, DiffusionModel):
-        raise UsageError("refine needs a diffusion model")
-    if config.domain is None:
-        raise UsageError("refine needs --domain A,B")
-    n_list = _parse_list(args.n, "--n", int)
-    if len(n_list) < 2:
-        raise UsageError("--n needs at least two grid sizes for a refinement study")
-    lo, hi = config.domain
-    table = grid_refinement_study(
-        config.model, lo, hi, n_list, scheme=config.scheme, tol=config.tolerance
-    )
-    _emit(asdict(table), args.out)
-    return 0
+def _cmd_refine(args, model):
+    lo, hi, n_list = _diffusion_grid(args, model)
+    table = grid_refinement_study(model, lo, hi, n_list, scheme=args.scheme, tol=args.tol)
+    return asdict(table), True
 
 
-def _cmd_expand(args):
-    config = _config_from_args(args)
-    if not isinstance(config.model, DiffusionModel):
-        raise UsageError("expand needs a diffusion model")
-    m_list = _parse_list(args.m, "--m", float)
-    window = _parse_pair(args.window, "--window")
-    if not args.h > 0.0:
-        raise UsageError("--h must be positive")
+def _cmd_expand(args, model):
+    _diffusion_grid(args, model, grid=False)
     table = domain_expansion_study(
-        config.model, m_list, args.h, window, scheme=config.scheme, tol=config.tolerance
+        model, args.m, args.h, args.window, scheme=args.scheme, tol=args.tol
     )
-    _emit(asdict(table), args.out)
-    return 0
+    return asdict(table), True
 
 
-def _parse_profile(text, flag):
-    if text is None:
-        return None
-    if text == "eta":
-        return "eta"
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{flag} expects 'eta' or a number, got {text!r}") from None
-
-
-def _cmd_bounds(args):
-    config = _config_from_args(args)
-    model = config.model
-    if not isinstance(model, DiffusionModel):
-        raise UsageError("bounds needs a diffusion model")
-    lo, hi, n = config.require_grid()
+def _cmd_bounds(args, model):
+    lo, hi, n = _diffusion_grid(args, model)
     grid = np.linspace(lo, hi, n + 1)
-    g1 = _parse_profile(args.g1, "--g1")
-    g2 = _parse_profile(args.g2, "--g2")
+    g1, g2 = args.g1, args.g2
     if g1 is None and g2 is None:
         eta = np.asarray(model.eta(grid), dtype=float)
         eta_min = float(eta.min())
@@ -300,17 +238,12 @@ def _cmd_bounds(args):
     document = certificate.to_dict()
     document["g1"] = g1
     document["g2"] = g2
-    _emit(document, args.out)
-    return 0
+    return document, True
 
 
-def _cmd_report(args):
-    config = _config_from_args(args)
-    model = config.model
-    if not isinstance(model, DiffusionModel):
-        raise UsageError("report needs a diffusion model")
-    lo, hi, n = config.require_grid()
-    solution = solve(model, lo, hi, n, tol=config.tolerance, scheme=config.scheme)
+def _cmd_report(args, model):
+    lo, hi, n = _diffusion_grid(args, model)
+    solution = solve(model, lo, hi, n, tol=args.tol, scheme=args.scheme)
     report = asymptotic_report(
         solution, model, tail_fraction=args.tail_fraction, margin_fraction=args.margin_fraction
     )
@@ -319,36 +252,30 @@ def _cmd_report(args):
         "metadata": solution.metadata,
         **report.to_dict(),
     }
-    _emit(document, args.out)
-    return 0
+    return document, True
 
 
-def _cmd_mc(args):
-    config = _config_from_args(args)
-    model = config.model
-    if not args.x0 > 0.0:
-        raise UsageError("--x0 must be positive")
+def _cmd_mc(args, model):
     if isinstance(model, RegimeModel):
         if not (args.y0.is_integer() and 0 <= args.y0 < model.n_states):
             raise UsageError(f"--y0 must be a state index in 0..{model.n_states - 1}")
-        state = int(args.y0)
-        solution = solve_regime(model, tol=config.tolerance)
+        y0 = int(args.y0)
+        solution = solve_regime(model, tol=args.tol)
         policy = (solution.pi_hat, solution.u)
-        solver_value = solution.value(args.x0, state=state)
-        y0 = state
+        solver_value = solution.value(args.x0, state=y0)
     else:
-        lo, hi, n = config.require_grid()
+        lo, hi, n = _diffusion_grid(args, model)
         if not lo <= args.y0 <= hi:
             raise UsageError(f"--y0 {args.y0} lies outside --domain [{lo}, {hi}]")
-        solution = solve(model, lo, hi, n, tol=config.tolerance, scheme=config.scheme)
+        y0 = args.y0
+        solution = solve(model, lo, hi, n, tol=args.tol, scheme=args.scheme)
         grid, u_grid, pi_grid = solution.grid, solution.u, solution.pi_hat
         policy = (
             lambda y: np.interp(y, grid, pi_grid),
             lambda y: np.interp(y, grid, u_grid),
         )
-        f0 = float(np.interp(args.y0, grid, solution.f))
+        f0 = float(np.interp(y0, grid, solution.f))
         solver_value = args.x0 ** (1.0 - model.R) / (1.0 - model.R) * f0
-        y0 = args.y0
     estimate = estimate_value(
         model,
         policy,
@@ -367,94 +294,77 @@ def _cmd_mc(args):
         "z_score": float(z_score),
         "seed": args.seed,
     }
-    _emit(document, args.out)
-    return 0
-
-
-def _add_common(parser, domain=True, tol_default=1e-10):
-    parser.add_argument("--model", required=True, help="model JSON file")
-    parser.add_argument("--tol", type=float, default=tol_default, help="solver tolerance")
-    parser.add_argument("--out", default=None, help="output file")
-    parser.add_argument("--scheme", default="upwind", help="upwind or central")
-    if domain:
-        parser.add_argument("--domain", default=None, help="truncation interval A,B")
+    return document, True
 
 
 def build_parser():
     parser = _Parser(prog="merton-factor", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    # --n is one grid step count, a comma list for refine.  expand has no grid,
+    # and its --tol default is that of domain_expansion_study.
+    for name, func, summary, steps in (
+        ("wellposed", _cmd_wellposed, "well-posedness verdict with certificate", _STEPS),
+        ("solve", _cmd_solve, "solve the stationary problem", _STEPS),
+        ("refine", _cmd_refine, "grid refinement study", _STEP_LIST),
+        ("expand", _cmd_expand, "domain expansion study", None),
+        ("bounds", _cmd_bounds, "proportional sandwich bounds", _STEPS),
+        ("report", _cmd_report, "tail diagnostics of a solved problem", _STEPS),
+        ("mc", _cmd_mc, "Monte Carlo policy verification", _STEPS),
+    ):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--model", required=True, help="model JSON file")
+        tol = 1e-10 if steps else 1e-12
+        p.add_argument("--tol", type=_POSITIVE, default=tol, help="solver tolerance")
+        p.add_argument("--out", default=None, help="output file")
+        p.add_argument(
+            "--scheme", default="upwind", choices=("upwind", "central"), help="upwind or central"
+        )
+        if steps:
+            p.add_argument("--domain", type=_INTERVAL, help="truncation interval A,B")
+            p.add_argument(
+                "--n", type=steps, required=steps is _STEP_LIST, help="grid step count(s)"
+            )
 
-    p = sub.add_parser("wellposed", help="well-posedness verdict with certificate")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="number of grid steps (diffusion models)")
-    p.add_argument(
+    commands["wellposed"].add_argument(
         "--method",
         default="minor_ratios",
         choices=("minor_ratios", "positive_image"),
         help="certificate route",
     )
-    p.set_defaults(func=_cmd_wellposed)
 
-    p = sub.add_parser("solve", help="solve the stationary problem")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="number of grid steps (diffusion models)")
-    p.set_defaults(func=_cmd_solve)
+    p = commands["expand"]
+    p.add_argument("--m", type=_NUMBERS, required=True, help="comma list of domain sizes")
+    p.add_argument("--h", type=_POSITIVE, required=True, help="target grid spacing")
+    p.add_argument("--window", type=_INTERVAL, required=True, help="comparison window A,B")
 
-    p = sub.add_parser("refine", help="grid refinement study")
-    _add_common(p)
-    p.add_argument("--n", required=True, help="comma list of grid step counts")
-    p.set_defaults(func=_cmd_refine)
+    p = commands["bounds"]
+    p.add_argument("--g1", type=_PROFILE, help="subsolution profile: 'eta' or a constant")
+    p.add_argument("--g2", type=_PROFILE, help="supersolution profile: 'eta' or a constant")
 
-    p = sub.add_parser("expand", help="domain expansion study")
-    _add_common(p, domain=False, tol_default=1e-12)
-    p.add_argument("--m", required=True, help="comma list of domain sizes")
-    p.add_argument("--h", type=float, required=True, help="target grid spacing")
-    p.add_argument("--window", required=True, help="comparison window A,B")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("bounds", help="proportional sandwich bounds")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="number of grid steps")
-    p.add_argument("--g1", default=None, help="subsolution profile: 'eta' or a constant")
-    p.add_argument("--g2", default=None, help="supersolution profile: 'eta' or a constant")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("report", help="tail diagnostics of a solved problem")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="number of grid steps")
+    p = commands["report"]
     p.add_argument("--tail-fraction", type=float, default=0.1, dest="tail_fraction")
     p.add_argument("--margin-fraction", type=float, default=0.01, dest="margin_fraction")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("mc", help="Monte Carlo policy verification")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="number of grid steps (diffusion models)")
-    p.add_argument("--x0", type=float, default=1.0, help="initial wealth")
+    p = commands["mc"]
+    p.add_argument("--x0", type=_POSITIVE, default=1.0, help="initial wealth")
     p.add_argument("--y0", type=float, required=True, help="initial factor value or state index")
     p.add_argument("--horizon", type=float, required=True, help="simulation horizon T")
     p.add_argument("--dt", type=float, required=True, help="time step")
     p.add_argument("--paths", type=int, required=True, help="number of paths")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--antithetic", action="store_true", help="antithetic pairing")
-    p.set_defaults(func=_cmd_mc)
 
     return parser
 
 
 def _illposed_document(exc):
-    report = getattr(exc, "report", None)
-    if report is None:
-        return None
-    if hasattr(report, "certificate"):
-        document = {"verdict": False, "error": str(exc), **report.to_dict()}
-        document["certificate"] = _certificate_summary(report.certificate)
-    else:
-        # Raw matrix-level failures attach the certificate itself.
-        document = {
-            "verdict": False,
-            "error": str(exc),
-            "certificate": _certificate_summary(report),
-        }
+    # Every IllPosedError that reaches main comes from solve or solve_regime,
+    # which attach a WellPosednessReport.
+    report = exc.report
+    document = {"verdict": False, "error": str(exc), **report.to_dict()}
+    document["certificate"] = _certificate_summary(report.certificate)
     eta = document.get("eta")
     if isinstance(eta, list) and len(eta) > 64:
         document["eta"] = {"min": min(eta), "max": max(eta), "n": len(eta)}
@@ -486,26 +396,19 @@ def _join_negative_values(argv):
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_negative_values(list(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        document, verdict = args.func(args, load_model(args.model))
     except IllPosedError as exc:
-        document = _illposed_document(exc)
-        if document is not None:
-            _emit(document, getattr(args, "out", None))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        _emit(_illposed_document(exc), args.out)
         return 2
-    except MertonFactorError as exc:
+    except (MertonFactorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # solve writes its CSV table to --out, so its document goes to stdout.
+    _emit(document, None if args.command == "solve" else args.out)
+    return 0 if verdict else 2
 
 
 if __name__ == "__main__":

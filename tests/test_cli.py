@@ -115,20 +115,62 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 3, column 13" in err
 
 
-def test_usage_errors_exit_1(model_file, capsys):
-    rc, _, err = run_cli(capsys, ["solve", "--model", model_file(BS)])
-    assert rc == 1
-    assert "--domain" in err
+MC_RUN = ["--y0", "0", "--horizon", "20", "--dt", "0.05"]
+BS_GRID = ["--domain", "-1,1", "--n", "8"]
+EXPAND_RUN = ["--h", "0.05", "--window", "-1,1"]
 
-    rc, _, err = run_cli(capsys, ["frobnicate"])
-    assert rc == 1
 
-    rc, _, err = run_cli(capsys, [])
+@pytest.mark.parametrize(
+    "model, argv, flag",
+    [
+        pytest.param(BS, ["solve"], "--domain", id="solve-without-domain"),
+        pytest.param(None, ["frobnicate"], "frobnicate", id="unknown-command"),
+        pytest.param(None, [], "command", id="no-command"),
+        pytest.param(None, ["wellposed", "--model", "/no/such/file.json"], "file.json", id="file"),
+        pytest.param(BS, ["solve", "--domain", "3,-3", "--n", "8"], "--domain", id="domain-order"),
+        pytest.param(BS, ["solve", "--domain", "a,b", "--n", "8"], "--domain", id="domain-text"),
+        pytest.param(BS, ["solve", "--domain", "-1,1", "--n", "0"], "--n", id="n-zero"),
+        pytest.param(BS, ["solve", "--domain", "-1,1", "--n", "1,2"], "--n", id="n-list"),
+        pytest.param(BS, ["solve", "--domain", "-1,1", "--n", "x"], "--n", id="n-text"),
+        pytest.param(MPR, ["refine", "--domain", "-2,2", "--n", "100"], "--n", id="refine-one-n"),
+        pytest.param(BS, ["solve", *BS_GRID, "--scheme", "foo"], "--scheme", id="scheme"),
+        pytest.param(BS, ["solve", *BS_GRID, "--tol", "0"], "--tol", id="tol"),
+        pytest.param(MPR, ["expand", "--m", "2,3", "--h", "0", "--window", "-1,1"], "--h", id="h"),
+        pytest.param(REGIME, ["mc", *MC_RUN, "--paths", "50", "--x0", "0"], "--x0", id="x0"),
+        pytest.param(MPR, ["bounds", "--domain", "0,3", "--n", "9", "--g1", "zz"], "--g1", id="g1"),
+        pytest.param(MPR, ["expand", "--m", "2,x", *EXPAND_RUN], "--m", id="m"),
+        pytest.param(MPR, ["expand", "--m", "2,3", "--window", "0"], "--window", id="window"),
+    ],
+)
+def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
+    if model is not None:
+        argv = [argv[0], "--model", model_file(model), *argv[1:]]
+    rc, out, err = run_cli(capsys, argv)
     assert rc == 1
+    assert out == ""
+    assert flag in err
 
-    rc, _, err = run_cli(capsys, ["wellposed", "--model", "/no/such/file.json"])
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (REGIME, ["mc", *MC_RUN, "--paths", "1"]),
+        (REGIME, ["mc", *MC_RUN, "--paths", "11", "--antithetic"]),
+        (REGIME, ["mc", "--y0", "0", "--horizon", "20", "--dt", "0", "--paths", "50"]),
+        (MPR, ["refine", "--domain", "-2,2", "--n", "100,150"]),
+        (MPR, ["expand", "--m", "3,2", *EXPAND_RUN]),
+        (MPR, ["bounds", "--domain", "-3,3", "--n", "100", "--g1", "5"]),
+        (MPR, ["report", "--domain", "-3,3", "--n", "300", "--tail-fraction", "0.9"]),
+    ],
+    ids=["mc-paths", "mc-antithetic", "mc-dt", "refine-n", "expand-m", "bounds-g1", "report-tail"],
+)
+def test_library_argument_errors_exit_1(model_file, capsys, model, argv):
+    # The library refuses these arguments with ValueError; main reports it like any other error.
+    rc, out, err = run_cli(capsys, [argv[0], "--model", model_file(model), *argv[1:]])
     assert rc == 1
-    assert "file.json" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_solve_regime_document(model_file, capsys):

@@ -19,6 +19,8 @@ from merton_factor import (
     grid_refinement_study,
     hjb_residual,
     load_model,
+    model_to_dict,
+    monotone_step_limit,
     read_solution_csv,
     recompute_csv_residual,
     regime_solver,
@@ -269,6 +271,34 @@ def test_vasicek_solves_and_policies_are_finite(vasicek_model):
     sol = solve(vasicek_model, -4.45, 4.45, 1000)
     assert np.all(sol.u > 0.0)
     assert np.all(np.isfinite(sol.du_over_u))
+
+
+@pytest.mark.parametrize(
+    "family, rho, R",
+    [
+        (family, rho, R)
+        for family in ("mpr", "vasicek", "heston")
+        for rho in (0.0, -0.2, 0.5)
+        for R in (0.7, 1.5, 4.0)
+        # mpr with R < 1 has eta -> -inf in both tails, so its A_h is refused.
+        if not (family == "mpr" and R < 1.0)
+    ],
+)
+def test_raising_delta_raises_u_at_every_node(request, family, rho, R):
+    # Comparison principle: more impatience means a larger consumption rate.
+    params = model_to_dict(request.getfixturevalue(f"{family}_model"))["params"]
+    lo, hi = {"mpr": (-3.0, 3.0), "vasicek": (-0.3, 0.3), "heston": (0.005, 0.2)}[family]
+    n = 400
+    base, bumped = (
+        load_model({"family": family, "params": {**params, "R": R, "rho": rho, "delta": delta}})
+        for delta in (0.05, 0.1)
+    )
+    schemes = ["upwind"]
+    if (hi - lo) / n < monotone_step_limit(to_zero_correlation(base)[0], lo, hi, n):
+        schemes.append("central")
+    for scheme in schemes:
+        gain = solve(bumped, lo, hi, n, scheme=scheme).u - solve(base, lo, hi, n, scheme=scheme).u
+        assert np.all(gain > 0.0), scheme
 
 
 @pytest.mark.parametrize("n_steps", [1_000, 10_000, 100_000])
