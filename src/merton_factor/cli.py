@@ -14,13 +14,14 @@ Every subcommand runs the same pipeline.  argparse checks each flag value;
 ``main`` loads the model and calls the subcommand's handler, which returns
 a JSON document and a verdict; ``main`` then emits the document and maps the
 verdict to the exit code.  Documents go to stdout, or to ``--out``; for
-``solve``, ``--out`` names the CSV table and the document stays on stdout.
+``solve``, ``--out`` names the CSV table and the document, ill-posed or
+not, stays on stdout.
 
 Exit codes: 0 on success, 2 when the requested problem is ill-posed
 (verdict false, or a solver refusal whose certificate document is still
 emitted), 1 on any error (bad flags or flag values, malformed model files,
-arguments the library refuses, numerical failures), reported on stderr as
-one ``error: ...`` line.
+arguments the library refuses, numerical failures, an ``--out`` path that
+cannot be written), reported on stderr as one ``error: ...`` line.
 
 The ``mc`` subcommand spreads path blocks over the number of threads in the
 ``MERTON_FACTOR_THREADS`` environment variable (default 1); its results are
@@ -119,7 +120,6 @@ def _emit(document, out_path):
 def _certificate_summary(cert):
     summary = {
         "verdict": cert.verdict,
-        "method": cert.method,
         "failure_index": cert.failure_index,
         "note": cert.note,
     }
@@ -142,14 +142,14 @@ def _diffusion_grid(args, model, grid=True):
 
 def _cmd_wellposed(args, model):
     if isinstance(model, RegimeModel):
-        report = check_wellposed(model, method=args.method)
+        report = check_wellposed(model)
         document = {"model_type": "regime", **report.to_dict()}
         document["certificate"] = _certificate_summary(report.certificate)
         return document, report.verdict
     lo, hi, n = _diffusion_grid(args, model)
     work, phi = to_zero_correlation(model)
     A_h, grid = assemble_discrete_hjb(work, lo, hi, n, scheme=args.scheme)
-    cert = check_nonsingular_m_matrix(A_h, method=args.method)
+    cert = check_nonsingular_m_matrix(A_h)
     eta = np.asarray(model.eta(grid), dtype=float)
     document = {
         "model_type": "diffusion",
@@ -327,13 +327,6 @@ def build_parser():
                 "--n", type=steps, required=steps is _STEP_LIST, help="grid step count(s)"
             )
 
-    commands["wellposed"].add_argument(
-        "--method",
-        default="minor_ratios",
-        choices=("minor_ratios", "positive_image"),
-        help="certificate route",
-    )
-
     p = commands["expand"]
     p.add_argument("--m", type=_NUMBERS, required=True, help="comma list of domain sizes")
     p.add_argument("--h", type=_POSITIVE, required=True, help="target grid spacing")
@@ -399,15 +392,15 @@ def main(argv=None):
     argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-        document, verdict = args.func(args, load_model(args.model))
-    except IllPosedError as exc:
-        _emit(_illposed_document(exc), args.out)
-        return 2
-    except (MertonFactorError, ValueError) as exc:
+        try:
+            document, verdict = args.func(args, load_model(args.model))
+        except IllPosedError as exc:
+            document, verdict = _illposed_document(exc), False
+        # solve writes its CSV table to --out, so its document goes to stdout.
+        _emit(document, None if args.command == "solve" else args.out)
+    except (MertonFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # solve writes its CSV table to --out, so its document goes to stdout.
-    _emit(document, None if args.command == "solve" else args.out)
     return 0 if verdict else 2
 
 

@@ -25,7 +25,7 @@ from .discretizer import assemble_discrete_hjb
 from .errors import IllPosedError, ModelError
 from .linalg import check_nonsingular_m_matrix  # unused; perfbench/tracing.py hooks this name
 from .model import DiffusionModel, RegimeModel, model_to_dict, to_zero_correlation
-from .regime_solver import QuickChecks, WellPosednessReport, assemble_A, solve_matrix_hjb
+from .regime_solver import WellPosednessReport, assemble_A, solve_matrix_hjb
 
 __all__ = [
     "DiffusionSolution",
@@ -87,18 +87,6 @@ class ConvergenceTable:
     note: str = ""
 
 
-def _discrete_illposed_report(A_h, eta, certificate):
-    nonpos = np.flatnonzero(A_h.main <= 0.0)
-    quick = QuickChecks(
-        all_eta_positive=bool(np.all(eta > 0.0)),
-        all_eta_nonpositive=bool(np.all(eta <= 0.0)),
-        dominance_failure_index=int(nonpos[0]) if nonpos.size else None,
-    )
-    return WellPosednessReport(
-        verdict=certificate.verdict, certificate=certificate, quick_checks=quick, eta=eta
-    )
-
-
 def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
     """Solve the truncated diffusion HJB problem on [e_minus, e_plus].
 
@@ -114,11 +102,11 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
     except IllPosedError as exc:
         raise IllPosedError(
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
-            report=_discrete_illposed_report(A_h, model.eta(grid), exc.report),
+            report=WellPosednessReport.from_certificate(A_h.main, model.eta(grid), exc.report),
         ) from None
-    p = core.p
-    u = core.u
-    f, residual, scale = core.f, core.residual, core.residual_scale
+    p, u, f, iterations, method = core.p, core.u, core.f, core.iterations, core.method
+    residual, scale = core.residual, core.residual_scale
+    del core  # its certificate holds three N-vectors (ratios and witness) not needed below
     if phi != 1.0:
         # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
@@ -135,12 +123,12 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         "N": int(n_steps),
         "domain": (float(e_minus), float(e_plus)),
         "tolerance": float(tol),
-        "iterations": int(core.iterations),
+        "iterations": int(iterations),
         "scheme": scheme,
         "phi": float(phi),
         "R_tilde": float(work.R),
         "p": float(p),
-        "method": core.method,
+        "method": method,
         "residual": residual,
         "residual_scale": scale,
     }

@@ -124,21 +124,23 @@ def build_upwind_generator(model, e_minus, e_plus, n_steps):
     return DiscreteGenerator(grid=grid, h=h, Q_h=TridiagonalOperator(sub, main, sup), scheme="upwind")
 
 
+def _step_limit(a, b):
+    # h* = inf b^2 / sup |a| over the nodes; inf when the drift vanishes.
+    sup_a = float(np.max(np.abs(a)))
+    return np.inf if sup_a == 0.0 else float(np.min(b**2)) / sup_a
+
+
 def monotone_step_limit(model, e_minus, e_plus, n_steps):
     """h* = inf b^2 / sup |a| over the grid nodes (inf when the drift vanishes)."""
-    grid, _, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
-    sup_a = float(np.max(np.abs(a)))
-    if sup_a == 0.0:
-        return np.inf
-    return float(np.min(b**2) / sup_a)
+    _, _, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
+    return _step_limit(a, b)
 
 
 def build_central_generator(model, e_minus, e_plus, n_steps):
     """Second-order generator; refuses steps h >= h* that break monotonicity."""
     grid, h, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
     n = grid.shape[0]
-    sup_a = float(np.max(np.abs(a)))
-    h_star = np.inf if sup_a == 0.0 else float(np.min(b**2)) / sup_a
+    h_star = _step_limit(a, b)
     if h >= h_star:
         raise DiscretizationError(
             f"central scheme needs h < h* = {h_star:.6g} for monotonicity, got h = {h:.6g};"

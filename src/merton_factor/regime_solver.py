@@ -15,19 +15,19 @@ With p = 1 - 1/R in (-1, 1) (that is, R > 1/2), T x = A^-1 x^p contracts the
 log-sup metric d(x, y) = ||log x - log y||_inf at rate |p| and the iteration
 from the invariant-box corner converges geometrically.  For R <= 1/2
 Newton's method is used instead, from a start on the side where it
-converges monotonically.  Both run in one driver that shares the set-up,
-the positivity checks, the stop test and the result.
+converges monotonically.  Both run in one driver that certifies A once,
+takes A^-1 1 from the certificate and shares the positive-cone check, the
+stop test and the result.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError, IllPosedError, NotMMatrixError, SingularMatrixError
-from .linalg import MCertificate, TridiagonalOperator, check_nonsingular_m_matrix
+from .errors import ConvergenceError, IllPosedError, NotMMatrixError
+from .linalg import MCertificate, TridiagonalOperator, as_operator, check_nonsingular_m_matrix
 from .model import RegimeModel
 
 __all__ = [
@@ -83,9 +83,9 @@ class QuickChecks:
     """Cheap sign-based screens; conclusive flags agree with the verdict.
 
     All eta positive implies well-posed; all eta nonpositive implies
-    ill-posed; eta_i <= -(off-diagonal row sum)/R at some state makes the
-    diagonal of A nonpositive there, which also implies ill-posed
-    (``dominance_failure_index`` is the first such state).
+    ill-posed; a nonpositive diagonal entry of A (for a regime model,
+    eta_i <= -(off-diagonal row sum of Q)/R) also implies ill-posed
+    (``dominance_failure_index`` is the first such index).
     """
 
     all_eta_positive: bool
@@ -100,10 +100,20 @@ class WellPosednessReport:
     quick_checks: QuickChecks
     eta: np.ndarray
 
+    @classmethod
+    def from_certificate(cls, diagonal, eta, certificate):
+        """Report of ``certificate`` with the sign screens of eta and of A's diagonal."""
+        nonpositive = np.flatnonzero(diagonal <= 0.0)
+        quick = QuickChecks(
+            all_eta_positive=bool(np.all(eta > 0.0)),
+            all_eta_nonpositive=bool(np.all(eta <= 0.0)),
+            dominance_failure_index=int(nonpositive[0]) if nonpositive.size else None,
+        )
+        return cls(certificate.verdict, certificate, quick, eta)
+
     def to_dict(self):
         cert = {
             "verdict": self.certificate.verdict,
-            "method": self.certificate.method,
             "failure_index": self.certificate.failure_index,
             "note": self.certificate.note,
         }
@@ -128,79 +138,25 @@ def assemble_A(model):
     return np.diag(model.eta()) - model.Q / model.R
 
 
-def check_wellposed(model, method="minor_ratios"):
+def check_wellposed(model):
     """Well-posedness verdict with an M-matrix certificate and quick screens."""
     if not isinstance(model, RegimeModel):
         raise TypeError(
             "check_wellposed applies to regime models; discretize a diffusion model "
             "with assemble_discrete_hjb and certify the resulting matrix instead"
         )
-    eta = model.eta()
-    off_row_sums = model.Q.sum(axis=1) - np.diag(model.Q)
-    dominated = eta + off_row_sums / model.R
-    failure = np.flatnonzero(dominated <= 0.0)
-    quick = QuickChecks(
-        all_eta_positive=bool(np.all(eta > 0.0)),
-        all_eta_nonpositive=bool(np.all(eta <= 0.0)),
-        dominance_failure_index=int(failure[0]) if failure.size else None,
-    )
-    certificate = check_nonsingular_m_matrix(assemble_A(model), method=method)
-    return WellPosednessReport(
-        verdict=certificate.verdict, certificate=certificate, quick_checks=quick, eta=eta
-    )
-
-
-class _Ops(NamedTuple):
-    """What the iteration needs of A; ``solve`` reuses one factorization."""
-
-    n: int
-    matvec: Callable
-    solve: Callable
-    jacobian_solve: Callable  # (d, rhs) -> (A - diag(d))^-1 rhs
-    norm_inf: Callable  # () -> ||A||_inf
-
-
-def _linear_solver(A):
-    """:class:`_Ops` of a dense or tridiagonal A."""
-    if isinstance(A, TridiagonalOperator):
-        def jacobian_solve(d, rhs):
-            return TridiagonalOperator(A.sub, A.main - d, A.sup).solve(rhs)
-
-        return _Ops(A.n, A.matvec, A.factorized(), jacobian_solve, A.norm_inf)
-    dense = np.asarray(A, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError("singular matrix in HJB solve")
-
-    def jacobian_solve(d, rhs):
-        try:
-            return np.linalg.solve(dense - np.diag(d), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular Newton system: {exc}") from exc
-
-    return _Ops(
-        dense.shape[0],
-        dense.dot,
-        lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False),
-        jacobian_solve,
-        lambda: float(np.linalg.norm(dense, np.inf)),
-    )
+    A = assemble_A(model)
+    certificate = check_nonsingular_m_matrix(A)
+    return WellPosednessReport.from_certificate(np.diag(A), model.eta(), certificate)
 
 
 def _hjb_solution(matvec, x, p, iterations, trace, method):
     """HjbSolution of x with the recomputed residual ||A x - x^p||_inf and scale ||x^p||_inf."""
     rhs = x**p
+    residual = float(np.max(np.abs(matvec(x) - rhs)))
+    scale = float(np.max(np.abs(rhs)))
     return HjbSolution(
-        f=x,
-        u=x ** (p - 1.0),
-        p=p,
-        iterations=iterations,
-        trace=np.array(trace),
-        residual=float(np.max(np.abs(matvec(x) - rhs))),
-        residual_scale=float(np.max(np.abs(rhs))),
-        method=method,
+        x, x ** (p - 1.0), p, iterations, np.array(trace), residual, scale, method
     )
 
 
@@ -227,21 +183,25 @@ def _iteration_cap(m_box, M_box, p, tol):
 
 
 def _iterate(A, p, method, plan):
-    """Solve A x = x^p by x <- step(x); the one loop behind both solvers.
+    """Certify A, then solve A x = x^p by x <- step(x); the one loop behind both solvers.
 
-    ``plan(ops, w)`` gets the :class:`_Ops` of A and w = A^-1 1 (checked
-    positive) and returns (start, iteration cap, step tolerance, step),
-    where step(x) returns (x_next, at_floor).  The loop stops when the
-    log-sup step ||log x_next - log x||_inf is at most the step tolerance,
-    or when the step reports its residual at the rounding floor and the
-    log-sup steps have stopped shrinking.  An iterate outside the positive
-    cone raises :class:`NotMMatrixError`.
+    A that is not a nonsingular M-matrix raises :class:`IllPosedError`
+    carrying its certificate.  ``plan(op, w)`` gets A behind the operator
+    surface of :func:`as_operator` and the certificate's witness
+    w = A^-1 1, and returns (start, iteration cap, step tolerance, step),
+    where step(x) returns (x_next, at_floor).  The loop stops when the log-sup step ||log x_next - log
+    x||_inf is at most the step tolerance, or when the step reports its
+    residual at the rounding floor and the log-sup steps have stopped
+    shrinking.  An iterate outside the positive cone raises
+    :class:`NotMMatrixError`.
     """
-    ops = _linear_solver(A)
-    w = ops.solve(np.ones(ops.n))
-    if not np.all(w > 0.0):
-        raise NotMMatrixError("A^-1 1 has nonpositive entries; A is not an M-matrix")
-    x, cap, step_tol, step = plan(ops, w)
+    op = as_operator(A)
+    certificate = check_nonsingular_m_matrix(op)
+    if not certificate.verdict:
+        raise IllPosedError(
+            "matrix HJB is ill-posed: A is not a nonsingular M-matrix", report=certificate
+        )
+    x, cap, step_tol, step = plan(op, certificate.witness[0])
     trace = []
     log_x = np.log(x)
     for _ in range(cap):
@@ -252,7 +212,9 @@ def _iterate(A, p, method, plan):
         trace.append(float(np.max(np.abs(log_next - log_x))))
         x, log_x = x_next, log_next
         if trace[-1] <= step_tol or (at_floor and len(trace) > 1 and trace[-1] >= trace[-2]):
-            return _hjb_solution(ops.matvec, x, p, len(trace), trace, method)
+            solution = _hjb_solution(op.matvec, x, p, len(trace), trace, method)
+            solution.certificate = certificate
+            return solution
     raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
 
 
@@ -263,18 +225,20 @@ def solve_hjb_fixed_point(A, p, tol=1e-10):
     when p = 0, which is then the solution) and stops when the log-sup step
     is at most tol * (1 - |p|), which leaves the iterate within tol of the
     fixed point in that metric.  For p outside (-1, 1) raises ValueError
-    advising :func:`solve_hjb_newton`.
+    advising :func:`solve_hjb_newton`; for A that is not a nonsingular
+    M-matrix, :class:`IllPosedError` carrying the certificate.
     """
     if not -1.0 < p < 1.0:
         raise ValueError(
             f"p = {p} outside (-1, 1): the iteration does not contract; use solve_hjb_newton"
         )
 
-    def plan(ops, w):
+    def plan(op, w):
+        solve = op.factorized()
         m_box, M_box = _fixed_point_box(float(w.min()), float(w.max()), p)
-        start = w if p == 0.0 else np.full(ops.n, m_box)
+        start = w if p == 0.0 else np.full(op.n, m_box)
         cap = _iteration_cap(m_box, M_box, p, tol) + 32
-        return start, cap, tol * (1.0 - abs(p)), lambda x: (ops.solve(x**p), False)
+        return start, cap, tol * (1.0 - abs(p)), lambda x: (solve(x**p), False)
 
     return _iterate(A, p, "fixed_point", plan)
 
@@ -302,55 +266,48 @@ def solve_hjb_newton(A, p, tol=1e-10):
     Newton stops when its log-sup step is at most tol, or when the residual
     ||A x - x^p||_inf is within tol * ||x^p||_inf + eps * ||A||_inf *
     ||x||_inf (the rounding floor, which grows like h^-2 for a discretized
-    diffusion) and the steps have stopped shrinking.  An iterate leaving
-    the positive cone raises :class:`NotMMatrixError`; no convergence
-    within 100 steps raises :class:`ConvergenceError` with the last iterate
-    attached.
+    diffusion) and the steps have stopped shrinking.  A that is not a
+    nonsingular M-matrix raises :class:`IllPosedError` carrying the
+    certificate; an iterate leaving the positive cone raises
+    :class:`NotMMatrixError`; no convergence within 100 steps raises
+    :class:`ConvergenceError` with the last iterate attached.
     """
     if not p < 1.0:
         raise ValueError(f"p = {p} must be < 1")
 
-    def plan(ops, w):
+    def plan(op, w):
         if p > 0.0:
             m = _fixed_point_box(float(w.min()), float(w.max()), p)[1]
         else:
-            image = ops.matvec(np.ones(ops.n))
+            image = op.matvec(np.ones(op.n))
             positive = image[image > 0.0]
             m = float(np.min(positive ** (-1.0 / (1.0 - p)))) if positive.size else 1.0
-        rounding = np.finfo(float).eps * ops.norm_inf()
+        rounding = np.finfo(float).eps * op.norm_inf()
 
         def step(x):
             rhs = x**p
-            fx = ops.matvec(x) - rhs
+            fx = op.matvec(x) - rhs
             at_floor = np.max(np.abs(fx)) <= tol * np.max(rhs) + rounding * np.max(x)
-            return x - ops.jacobian_solve(p * rhs / x, fx), at_floor
+            return x - op.shifted(p * rhs / x).solve(fx), at_floor
 
-        return np.full(ops.n, m), 100, tol, step
+        return np.full(op.n, m), 100, tol, step
 
     return _iterate(A, p, "newton", plan)
 
 
 def solve_matrix_hjb(A, R, tol=1e-10):
-    """Certify A, then dispatch on R: contraction for R > 1/2, Newton otherwise.
+    """Dispatch on R: contraction for R > 1/2, Newton otherwise.
 
-    Raises :class:`IllPosedError` carrying the failed certificate when A is
-    not a nonsingular M-matrix.  Neither method asks for a residual below
-    the rounding floor eps * ||A||_inf * ||x||_inf, which for a discretized
-    diffusion grows like h^-2 (see :func:`solve_hjb_newton`).
+    Both certify A first and raise :class:`IllPosedError` carrying the
+    failed certificate when A is not a nonsingular M-matrix.  Neither asks
+    for a residual below the rounding floor eps * ||A||_inf * ||x||_inf,
+    which for a discretized diffusion grows like h^-2 (see
+    :func:`solve_hjb_newton`).
     """
-    certificate = check_nonsingular_m_matrix(A)
-    if not certificate.verdict:
-        raise IllPosedError(
-            "matrix HJB is ill-posed: A is not a nonsingular M-matrix",
-            report=certificate,
-        )
     p = 1.0 - 1.0 / R
     if -1.0 < p < 1.0:
-        solution = solve_hjb_fixed_point(A, p, tol=tol)
-    else:
-        solution = solve_hjb_newton(A, p, tol=tol)
-    solution.certificate = certificate
-    return solution
+        return solve_hjb_fixed_point(A, p, tol=tol)
+    return solve_hjb_newton(A, p, tol=tol)
 
 
 def cyclic_wellposed(eta, q, R):
@@ -379,8 +336,9 @@ def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
     ``q_minus[i]``/``q_plus[i]`` are the down/up jump rates of state i, with
     the boundary convention q_minus[0] = 0 and q_plus[-1] = 0.  Returns
     (verdict, ratios); the ratios are the leading-minor ratios of
-    diag(eta) - Q/R and the verdict is their positivity.  On failure the
-    ratio sequence is truncated at the first nonpositive entry.
+    diag(eta) - Q/R and the verdict is that of
+    :func:`check_nonsingular_m_matrix`.  On a failed ratio the sequence is
+    truncated at the first nonpositive entry.
     """
     eta = np.asarray(eta, dtype=float)
     q_minus = np.asarray(q_minus, dtype=float)
@@ -419,13 +377,14 @@ def value_and_policies(model, f):
 def solve_regime(model, tol=1e-10):
     """Certify well-posedness, solve the matrix HJB, attach policies.
 
-    Raises :class:`IllPosedError` carrying the full :func:`check_wellposed`
-    report when certification fails, per the refuse-then-report contract;
-    that report is built only on refusal.
+    Raises :class:`IllPosedError` carrying a :class:`WellPosednessReport`
+    of the failed certificate, per the refuse-then-report contract.
     """
+    A = assemble_A(model)
     try:
-        solution = solve_matrix_hjb(assemble_A(model), model.R, tol=tol)
-    except IllPosedError:
-        raise IllPosedError("regime problem is ill-posed", report=check_wellposed(model)) from None
+        solution = solve_matrix_hjb(A, model.R, tol=tol)
+    except IllPosedError as exc:
+        report = WellPosednessReport.from_certificate(np.diag(A), model.eta(), exc.report)
+        raise IllPosedError("regime problem is ill-posed", report=report) from None
     solution.pi_hat = model.lam / (model.R * model.sigma)
     return solution

@@ -80,20 +80,8 @@ def test_wellposed_regime_document(model_file, capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["verdict"] is True
-    assert doc["certificate"]["method"] == "minor_ratios"
     assert doc["eta"] == pytest.approx([0.18, 0.09625], rel=0, abs=1e-15)
     assert doc["quick_checks"]["all_eta_positive"] is True
-
-
-def test_wellposed_positive_image_route(model_file, capsys):
-    rc, out, _ = run_cli(
-        capsys,
-        ["wellposed", "--model", model_file(REGIME), "--method", "positive_image"],
-    )
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["certificate"]["method"] == "positive_image"
-    assert doc["verdict"] is True
 
 
 def test_illposed_regime_exits_2(model_file, capsys):
@@ -161,11 +149,24 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
         (MPR, ["expand", "--m", "3,2", *EXPAND_RUN]),
         (MPR, ["bounds", "--domain", "-3,3", "--n", "100", "--g1", "5"]),
         (MPR, ["report", "--domain", "-3,3", "--n", "300", "--tail-fraction", "0.9"]),
+        (REGIME, ["wellposed", "--out", "/no/such/dir/x.json"]),
+        (BS, ["solve", *BS_GRID, "--out", "/no/such/dir/x.csv"]),
     ],
-    ids=["mc-paths", "mc-antithetic", "mc-dt", "refine-n", "expand-m", "bounds-g1", "report-tail"],
+    ids=[
+        "mc-paths",
+        "mc-antithetic",
+        "mc-dt",
+        "refine-n",
+        "expand-m",
+        "bounds-g1",
+        "report-tail",
+        "wellposed-out-dir",
+        "solve-out-dir",
+    ],
 )
 def test_library_argument_errors_exit_1(model_file, capsys, model, argv):
-    # The library refuses these arguments with ValueError; main reports it like any other error.
+    # The library refuses these arguments with ValueError, or --out cannot be
+    # opened (OSError); main reports it like any other error.
     rc, out, err = run_cli(capsys, [argv[0], "--model", model_file(model), *argv[1:]])
     assert rc == 1
     assert out == ""
@@ -257,15 +258,19 @@ def test_malformed_model_array_is_reported_not_raised(model_file, capsys):
     assert err.startswith("error: Q must be")
 
 
-def test_solve_illposed_diffusion_exits_2(model_file, capsys):
+def test_solve_illposed_diffusion_exits_2(model_file, capsys, tmp_path):
     bad = {
         "family": "black_scholes",
         "params": {"R": 2.0, "delta": -0.2, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
     }
+    csv = tmp_path / "x.csv"
     rc, out, _ = run_cli(
-        capsys, ["solve", "--model", model_file(bad), "--domain", "-1,1", "--n", "16"]
+        capsys,
+        ["solve", "--model", model_file(bad), "--domain", "-1,1", "--n", "16", "--out", str(csv)],
     )
     assert rc == 2
+    # Like a successful solve's, the ill-posed document goes to stdout; no CSV is written.
+    assert not csv.exists()
     doc = json.loads(out)
     assert doc["verdict"] is False
     assert "ill-posed" in doc["error"]

@@ -1,15 +1,21 @@
 """Tridiagonal kernels and M-matrix certification against dense oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
+    IllPosedError,
     NotZMatrixError,
     SingularMatrixError,
     TridiagonalOperator,
     check_nonsingular_m_matrix,
     inverse_norm_bound,
+    solve_matrix_hjb,
     tridiag_solve,
 )
 
@@ -46,15 +52,13 @@ def test_certificate_minors_match_determinant_oracle():
     for op in (random_tridiagonal(rng, 7), swapping):
         cert = check_nonsingular_m_matrix(op)
         assert cert.verdict is True
-        assert cert.method == "minor_ratios"
         expected = oracles.leading_minors(op.to_dense())
         assert cert.minors == pytest.approx(expected, rel=1e-12, abs=1e-300)
         assert np.cumprod(cert.ratios) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("method", ["minor_ratios", "positive_image"])
 @pytest.mark.parametrize("shape", ["tridiagonal", "dense"])
-def test_certificates_match_oracle_on_random_instances(method, shape):
+def test_certificates_match_oracle_on_random_instances(shape):
     rng = np.random.default_rng(42)
     checked = 0
     for _ in range(150):
@@ -70,7 +74,7 @@ def test_certificates_match_oracle_on_random_instances(method, shape):
         expected = oracles.is_m_matrix_by_minors(dense)
         assert expected == oracles.is_m_matrix_by_inverse(dense)
         assert expected == oracles.is_m_matrix_by_positive_image(dense)
-        cert = check_nonsingular_m_matrix(target, method=method)
+        cert = check_nonsingular_m_matrix(target)
         assert cert.verdict == expected, f"instance {checked}: {cert}"
         checked += 1
     assert checked == 150
@@ -78,12 +82,77 @@ def test_certificates_match_oracle_on_random_instances(method, shape):
 
 def test_positive_image_witness_is_recorded():
     A = np.array([[0.43, -0.25], [-0.25, 0.34625]])
-    cert = check_nonsingular_m_matrix(A, method="positive_image")
+    cert = check_nonsingular_m_matrix(A)
     assert cert.verdict is True
     x, image = cert.witness
     assert np.all(x > 0.0)
     assert np.all(image > 0.0)
     assert A @ x == pytest.approx(image, rel=0, abs=1e-12)
+
+
+def test_near_zero_pivot_is_refused_with_its_certificate():
+    # Exact pivots 1, 1e-9 and -0.25; the computed third ratio comes out 5.51
+    # because the rounding error of the second is divided by 1e-9.
+    op = TridiagonalOperator([-0.82, -0.83], [1.0, 0.459200001, 298799997.37282246], [-0.56, -0.36])
+    for A in (op, op.to_dense()):
+        cert = check_nonsingular_m_matrix(A)
+        assert cert.verdict is False
+        assert np.all(cert.ratios > 0.0)
+        with pytest.raises(IllPosedError) as refusal:
+            solve_matrix_hjb(A, 2.0)
+        report = refusal.value.report
+        assert report.verdict is False and report.failure_index == cert.failure_index
+        assert np.array_equal(report.ratios, cert.ratios)
+        assert np.array_equal(report.witness[0], cert.witness[0])
+
+
+def _exact_pivots_and_witness(main, sub, sup):
+    """Pivots of elimination without row exchanges and, for an M-matrix,
+    A^-1 1, in rationals (None otherwise)."""
+    main, sub, sup = ([Fraction(v) for v in band] for band in (main, sub, sup))
+    pivots, y = [main[0]], [Fraction(1)]
+    for i in range(1, len(main)):
+        multiplier = sub[i - 1] / pivots[-1]
+        pivots.append(main[i] - multiplier * sup[i - 1])
+        y.append(1 - multiplier * y[-1])
+    if not all(pivot > 0 for pivot in pivots):
+        return pivots, None
+    w = [y[-1] / pivots[-1]]
+    for i in range(len(main) - 2, -1, -1):
+        w.insert(0, (y[i] - sup[i] * w[0]) / pivots[i])
+    return pivots, w
+
+
+_OFF = st.floats(-1.0, -0.1)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    sub=st.tuples(_OFF, _OFF),
+    sup=st.tuples(_OFF, _OFF),
+    main0=st.floats(0.5, 2.0),
+    digits=st.floats(6.0, 12.0),
+    third=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_near_singular_verdicts_match_exact_pivots(sub, sup, main0, digits, third):
+    # Second pivot 10^-digits, third pivot `third`, both exact for the stored
+    # floats up to the rounding of main1 and main2; the rationals decide.
+    head = Fraction(sub[0]) * Fraction(sup[0]) / Fraction(main0)
+    main1 = float(head + Fraction(10.0**-digits))
+    main2 = float(Fraction(sub[1]) * Fraction(sup[1]) / (Fraction(main1) - head) + Fraction(third))
+    main = [main0, main1, main2]
+    pivots, w = _exact_pivots_and_witness(main, sub, sup)
+    op = TridiagonalOperator(sub, main, sup)
+    dense = op.to_dense()
+    # || |A| A^-1 1 ||_inf: no double-precision method resolves the sign of a
+    # pivot once this reaches 1/eps, so only an M-matrix well below it must pass.
+    resolvable = w is not None and max(
+        sum(abs(Fraction(a)) * x for a, x in zip(row, w)) for row in dense
+    ) * np.finfo(float).eps < 1e-2
+    for A in (op, dense):
+        verdict = check_nonsingular_m_matrix(A).verdict
+        assert not (verdict and w is None), f"certified a matrix with exact pivots {pivots}"
+        assert verdict or not resolvable, "refused an M-matrix of condition below 0.01/eps"
 
 
 def test_positive_off_diagonal_is_rejected_not_judged():

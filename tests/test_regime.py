@@ -151,7 +151,6 @@ def test_check_wellposed_verdicts_and_quick_screens(regime2_model):
     assert report.eta == pytest.approx([0.18, 0.09625], rel=0, abs=1e-15)
     doc = report.to_dict()
     assert doc["verdict"] is True
-    assert doc["certificate"]["method"] == "minor_ratios"
 
     bad = make_regime(
         [[-0.5, 0.5], [0.5, -0.5]],
