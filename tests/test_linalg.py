@@ -57,8 +57,11 @@ def test_certificate_minors_match_determinant_oracle():
         assert np.cumprod(cert.ratios) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("evidence", ["minor_ratios", "positive_image"])
 @pytest.mark.parametrize("shape", ["tridiagonal", "dense"])
-def test_certificates_match_oracle_on_random_instances(shape):
+def test_certificates_match_oracle_on_random_instances(evidence, shape):
+    # One certificate carries both characterizations; each case checks the
+    # verdict and the evidence of one of them against its dense oracle.
     rng = np.random.default_rng(42)
     checked = 0
     for _ in range(150):
@@ -76,6 +79,15 @@ def test_certificates_match_oracle_on_random_instances(shape):
         assert expected == oracles.is_m_matrix_by_positive_image(dense)
         cert = check_nonsingular_m_matrix(target)
         assert cert.verdict == expected, f"instance {checked}: {cert}"
+        if evidence == "minor_ratios":
+            k = len(cert.ratios)
+            minors = oracles.leading_minors(dense)[:k]
+            assert np.cumprod(cert.ratios) == pytest.approx(minors, rel=1e-9, abs=1e-300)
+        elif cert.verdict:
+            w, image = cert.witness
+            assert w == pytest.approx(np.linalg.solve(dense, np.ones(n)), rel=1e-9)
+            assert dense @ w == pytest.approx(image, rel=1e-9)
+            assert np.all(w > 0.0) and np.all(image > 0.0)
         checked += 1
     assert checked == 150
 
