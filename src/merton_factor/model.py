@@ -90,6 +90,27 @@ def _check_risk_aversion(R):
     return R
 
 
+def _checked_generator(Q):
+    """Q as a float array; ModelError unless it is a generator (see RegimeModel)."""
+    Q = _float_array("Q", Q)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ModelError(f"Q must be square, got shape {Q.shape}")
+    if Q.shape[0] < 1:
+        raise ModelError("Q must have at least one state")
+    if not np.all(np.isfinite(Q)):
+        raise ModelError("Q contains non-finite entries")
+    off = Q - np.diag(np.diagonal(Q))
+    if np.any(off < 0):
+        i, j = np.argwhere(off < 0)[0]
+        raise ModelError(f"Q[{i},{j}] = {Q[i, j]} is negative; off-diagonal rates must be >= 0")
+    sums = Q.sum(axis=1)
+    bad = np.abs(sums) > _Q_ROWSUM_RTOL * np.maximum(1.0, np.abs(Q).sum(axis=1))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ModelError(f"row {i} of Q sums to {sums[i]:.3e}, not zero")
+    return Q
+
+
 class RegimeModel:
     """Finite-regime market: one coefficient value per Markov-chain state.
 
@@ -106,12 +127,8 @@ class RegimeModel:
     """
 
     def __init__(self, Q, r, lam, sigma, delta, R):
-        Q = _float_array("Q", Q)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ModelError(f"Q must be square, got shape {Q.shape}")
+        Q = _checked_generator(Q)
         n = Q.shape[0]
-        if n < 1:
-            raise ModelError("Q must have at least one state")
         vectors = {}
         for name, values in (("r", r), ("lambda", lam), ("sigma", sigma), ("delta", delta)):
             arr = _float_array(name, values)
@@ -120,19 +137,6 @@ class RegimeModel:
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{name} contains non-finite entries")
             vectors[name] = arr
-        if not np.all(np.isfinite(Q)):
-            raise ModelError("Q contains non-finite entries")
-        off = Q.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
-            i, j = np.argwhere(off < 0)[0]
-            raise ModelError(f"Q[{i},{j}] = {Q[i, j]} is negative; off-diagonal rates must be >= 0")
-        sums = Q.sum(axis=1)
-        scale = np.maximum(1.0, np.abs(Q).sum(axis=1))
-        bad = np.abs(sums) > _Q_ROWSUM_RTOL * scale
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ModelError(f"row {i} of Q sums to {sums[i]:.3e}, not zero")
         if np.any(vectors["sigma"] <= 0):
             raise ModelError("sigma must be positive in every state")
 

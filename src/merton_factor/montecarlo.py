@@ -12,7 +12,7 @@ accumulated with the left-endpoint rule.
 
 The factor never depends on wealth, so each path is simulated in two
 stages.  A sampler draws the factor at the step starts and the asset
-increments: chains by exact jump simulation, diffusions by Euler (full
+increments: chains exactly by uniformization, diffusions by Euler (full
 truncation at the boundary of the state space) with correlated increments
 dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no factor path for
 black_scholes.  Then one wealth kernel, shared by ``estimate_value`` and
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .errors import ModelError
-from .model import DiffusionModel, RegimeModel
+from .model import DiffusionModel, RegimeModel, _checked_generator
 
 __all__ = [
     "PathSample",
@@ -92,16 +92,6 @@ def _path_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=int(seed), counter=int(index) << 128))
 
 
-def correlated_increments(rng, rho, n_steps, dt):
-    """(dW, dW~) with correlation rho over n_steps of width dt."""
-    z_factor = rng.standard_normal(n_steps)
-    z_perp = rng.standard_normal(n_steps)
-    root = math.sqrt(dt)
-    dw_factor = root * z_factor
-    dw_asset = root * (rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp)
-    return dw_asset, dw_factor
-
-
 def default_horizon(min_eta, cutoff=1e-4):
     """Horizon T with exp(-min_eta * T) < cutoff (discounted flow decays at eta)."""
     if min_eta <= 0.0:
@@ -109,51 +99,78 @@ def default_horizon(min_eta, cutoff=1e-4):
     return math.log(1.0 / cutoff) / min_eta
 
 
-def _ctmc_segments(rng, Q, y0, T):
-    """Exact jump simulation: (segment start times ending with T, states).
+def _uniformized(Q):
+    """(Lambda, rows of the CDF of P = I + Q / Lambda without their last entry).
 
-    Jump targets use inverse-CDF sampling on the off-diagonal row weights.
+    The chain moves at the events of a Poisson process of rate
+    Lambda = max_i |Q_ii|, each one step of P, possibly to the same state.
     """
-    n = Q.shape[0]
-    state = int(y0)
-    if not 0 <= state < n:
-        raise ValueError(f"initial state {state} outside 0..{n - 1}")
-    rates = -np.diagonal(Q)
-    off_diag = Q.copy()
-    np.fill_diagonal(off_diag, 0.0)
-    cdfs = np.cumsum(off_diag, axis=1)
-    times = [0.0]
-    states = [state]
-    t = 0.0
-    while True:
-        rate = rates[state]
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= T:
-            break
-        state = min(int(np.searchsorted(cdfs[state], rate * rng.random(), side="right")), n - 1)
-        times.append(t)
-        states.append(state)
-    times.append(T)
-    return np.array(times), np.array(states, dtype=np.int64)
+    rate = max(0.0, float(np.max(-np.diagonal(Q))))
+    P = np.eye(Q.shape[0]) + (Q / rate if rate > 0.0 else 0.0)
+    return rate, np.cumsum(P, axis=1)[:, :-1]
+
+
+def _event_batch(mean):
+    """Events drawn per batch when ``mean`` are expected: mean + 8 sd + 16."""
+    return math.ceil(mean + 8.0 * math.sqrt(mean)) + 16
+
+
+def _chain_events(rng, rate, T):
+    """Event times in [0, T) of a rate-``rate`` Poisson process, one uniform each.
+
+    Draws batches of standard exponentials, then as many uniforms, until
+    the events pass T, so the process is never truncated.
+    """
+    times, uniforms = [np.zeros(1)], [np.empty(0)]
+    while rate > 0.0 and times[-1][-1] < T:
+        k = _event_batch(rate * T)
+        times.append(times[-1][-1] + np.cumsum(rng.standard_exponential(k)) / rate)
+        uniforms.append(rng.random(k))
+    times = np.concatenate(times)[1:]
+    return times[times < T], np.concatenate(uniforms)[times < T]
+
+
+def _embedded_chains(events, cdf, y0):
+    """(event times padded with +inf, y0 and the state after each event), a row per path.
+
+    One step per event index, vectorized over the paths; a pad's uniform 0
+    is a valid draw whose state no step reads.  ``y0`` must be a state index.
+    """
+    if not (float(y0).is_integer() and 0 <= y0 < len(cdf)):
+        raise ValueError(f"initial state {y0} is not an integer in 0..{len(cdf) - 1}")
+    width = max(t.size for t, _ in events)
+    times, uniforms = np.full((len(events), width), np.inf), np.zeros((len(events), width))
+    for row, (t, u) in enumerate(events):
+        times[row, : t.size], uniforms[row, : u.size] = t, u
+    states = np.empty((len(events), width + 1), np.min_scalar_type(len(cdf)))
+    states[:, 0] = y0
+    for j in range(width):
+        states[:, j + 1] = (cdf[states[:, j]] <= uniforms[:, j, None]).sum(axis=1)
+    return times, states
+
+
+def _on_grid(times, states, n_steps, dt):
+    """(paths, n_steps) state at each step start: ``states[:, e]`` up to ``times[:, e]``."""
+    edges = np.searchsorted(np.arange(n_steps) * dt, times, side="left")
+    counts = np.diff(edges, axis=1, prepend=0, append=n_steps)
+    return np.repeat(states.ravel(), counts.ravel()).reshape(-1, n_steps)
 
 
 def sample_ctmc_path(Q, y0, T, seed):
-    """Sample the factor chain exactly on [0, T].
+    """Sample the factor chain exactly on [0, T]: path 0 of the estimator's sampler.
 
-    Holding times are exponential with the diagonal rates; jump targets are
-    drawn from the off-diagonal row weights.  The path is constant (one
-    segment) for a single state or an absorbing one.
+    Self-events are dropped, so consecutive segments differ in state; the
+    path is one segment for a single state or an absorbing one.  ``Q`` must
+    be a generator (else ``ModelError``) and ``y0`` an integer state index.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be a square generator matrix")
+    Q = _checked_generator(Q)
     if T <= 0.0:
         raise ValueError("T must be positive")
-    rng = _path_rng(seed, 0)
-    times, states = _ctmc_segments(rng, Q, y0, T)
-    return PathSample(times=times, states=states)
+    rate, cdf = _uniformized(Q)
+    times, states = _embedded_chains([_chain_events(_path_rng(seed, 0), rate, T)], cdf, y0)
+    times, states = times[0], states[0].astype(np.int64)
+    moves = np.flatnonzero(np.diff(states))
+    return PathSample(np.concatenate(([0.0], times[moves], [T])), states[np.append(0, moves + 1)])
 
 
 def _normalize_policy(model, policy):
@@ -162,7 +179,8 @@ def _normalize_policy(model, policy):
 
     def as_fn(spec, name):
         if callable(spec):
-            return spec
+            # Sampled chain states are small unsigned integers; callables get int64.
+            return (lambda s: spec(s.astype(np.int64))) if isinstance(model, RegimeModel) else spec
         arr = np.asarray(spec, dtype=float)
         if arr.ndim == 0:
             return lambda y: np.full(np.shape(y), float(arr))
@@ -170,7 +188,7 @@ def _normalize_policy(model, policy):
             raise ValueError(f"{name} must be scalar or callable for diffusion models")
         if arr.shape != (model.n_states,):
             raise ValueError(f"{name} must be scalar or one value per state")
-        return lambda s: arr[np.asarray(s, dtype=np.int64)]
+        return lambda s: arr[s]
 
     return as_fn(pi_spec, "pi"), as_fn(xi_spec, "xi")
 
@@ -189,11 +207,6 @@ def _utility_flow(log_c, discount, R):
     return flow
 
 
-def _states_on_grid(seg_times, seg_states, n_steps, dt):
-    """Chain state at each step start from its segments."""
-    return seg_states[np.searchsorted(seg_times[1:-1], np.arange(n_steps) * dt, side="right")]
-
-
 def _clipped(model, y):
     lo, hi = model.interval
     return np.clip(y, lo, hi) if (np.isfinite(lo) or np.isfinite(hi)) else y
@@ -202,15 +215,18 @@ def _clipped(model, y):
 def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
     """(factor at the step starts, asset increments dW) of a block of paths.
 
-    Path ``idx`` draws from its own Philox stream: the chain and then the
-    asset normals for regime models, the asset normals only for
-    black_scholes (whose factor is one column holding ``y0``), the factor
-    and then the perpendicular normals for the other diffusions.  With
-    ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
+    Path ``idx`` draws from its own Philox stream: the chain's events (see
+    :func:`_chain_events`) and then the asset normals for regime models,
+    the asset normals only for black_scholes (whose factor is one column
+    holding ``y0``), the factor and then the perpendicular normals for the
+    other diffusions.  With ``antithetic``, paths 2k and 2k+1 share stream
+    k (and so the chain) with flipped signs.  The chains' embedded steps
+    and grid mapping then run once per block, into small unsigned integers.
     """
     B = indices.shape[0]
     if isinstance(model, RegimeModel):
-        kind, factor = "chain", np.empty((B, n_steps), dtype=np.int64)
+        kind, events = "chain", []
+        rate, cdf = _uniformized(model.Q)
     elif not isinstance(model, DiffusionModel):
         raise ModelError(f"cannot simulate model of type {type(model).__name__}")
     elif model.family == "black_scholes":
@@ -224,13 +240,16 @@ def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
         rng = _path_rng(seed, idx // 2 if antithetic else idx)
         sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
         if kind == "euler":
-            da, df = correlated_increments(rng, model.rho, n_steps, dt)
-            dw_asset[row] = sign * da
-            factor[row] = sign * df
+            z_factor, z_perp = rng.standard_normal((2, n_steps))
+            rho = model.rho
+            dw_asset[row] = sign * (root * (rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp))
+            factor[row] = sign * (root * z_factor)
             continue
         if kind == "chain":
-            factor[row] = _states_on_grid(*_ctmc_segments(rng, model.Q, y0, T), n_steps, dt)
+            events.append(_chain_events(rng, rate, T))
         dw_asset[row] = sign * (root * rng.standard_normal(n_steps))
+    if kind == "chain":
+        factor = _on_grid(*_embedded_chains(events, cdf, y0), n_steps, dt)
     if kind == "euler":
         y = np.full(B, float(y0))
         for k in range(n_steps):
@@ -363,7 +382,7 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
         if dt is None:
             raise ValueError("dt is required with a pre-sampled path")
         n_steps = max(1, int(round(float(path.times[-1]) / dt)))
-        factor = _states_on_grid(path.times, path.states, n_steps, dt)[None, :]
+        factor = _on_grid(path.times[None, 1:-1], path.states[None, :], n_steps, dt)
         dw_asset = math.sqrt(dt) * _path_rng(seed, 0).standard_normal((1, n_steps))
     else:
         if y0 is None or T is None or dt is None:
@@ -371,7 +390,7 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
         n_steps = max(1, int(round(T / dt)))
         factor, dw_asset = _sample_block(model, y0, T, dt, n_steps, seed, np.arange(1), False)
     log_x, disc, flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor, dw_asset)
-    states = np.broadcast_to(factor[0], n_steps)
+    states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))
     return PathSample(
         times=np.arange(n_steps + 1) * dt,
         states=np.append(states, states[-1]),

@@ -198,6 +198,36 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
     return np.array(wealth), np.array(discs), np.array(utils)
 
 
+def uniformized_chain_by_loop(Q, y0, T, batch, rng):
+    """Event times in [0, T) and the chain state after each, one event at a time.
+
+    Draws ``batch`` standard exponentials and then ``batch`` uniforms from
+    ``rng``.  Event i comes after the first i exponentials over
+    Lambda = max_i |Q_ii| and moves the chain by inverse-CDF sampling of the
+    current row of I + Q / Lambda with the i-th uniform (self-moves kept).
+    """
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    rate = max(-Q[i, i] for i in range(n))
+    P = np.eye(n) + Q / rate
+    gaps = rng.standard_exponential(batch)
+    uniforms = rng.random(batch)
+    clock, state, times, states = 0.0, int(y0), [], []
+    for gap, u in zip(gaps, uniforms):
+        clock += gap
+        if clock / rate >= T:
+            return np.array(times), np.array(states)
+        cdf, target = 0.0, 0
+        for j in range(n - 1):
+            cdf += P[state, j]
+            if cdf <= u:
+                target = j + 1
+        state = target
+        times.append(clock / rate)
+        states.append(state)
+    raise AssertionError("the batch of events ended before T")
+
+
 def ctmc_stationary(Q):
     """Stationary distribution of an irreducible generator: pi Q = 0, sum 1."""
     Q = np.asarray(Q, dtype=float)

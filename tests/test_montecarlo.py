@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from merton_factor import (
@@ -32,6 +33,21 @@ def flat_regime(xi_irrelevant=None):
             "lambda": [0.4, 0.1],
             "sigma": [0.25, 0.2],
             "delta": [0.1, 0.1],
+            "R": 2.0,
+        }
+    )
+
+
+def three_state_regime():
+    """Unequal exit rates (so uniformization has self-events) and state 2 absorbing."""
+    return load_model(
+        {
+            "family": "regime",
+            "Q": [[-3.0, 2.0, 1.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]],
+            "r": [0.02, 0.01, 0.03],
+            "lambda": [0.4, 0.1, 0.2],
+            "sigma": [0.25, 0.2, 0.3],
+            "delta": [0.3, 0.18, 0.2],
             "R": 2.0,
         }
     )
@@ -205,6 +221,136 @@ def test_ctmc_path_structure():
     same = sample_ctmc_path(Q, 1, 50.0, seed=13)
     assert np.array_equal(same.times, path.times)
     assert np.array_equal(same.states, path.states)
+
+
+def test_uniformized_states_follow_the_transition_law():
+    # The estimator's chains at several grid times against expm(Q t)[y0].
+    model = three_state_regime()
+    n_paths, T, dt, n_steps = 20_000, 3.0, 0.25, 12
+    factor, _ = montecarlo._sample_block(
+        model, 0, T, dt, n_steps, 2027, np.arange(n_paths), False
+    )
+    assert np.all(factor[:, 0] == 0)
+    for k in (1, 2, 4, 8, 11):
+        law = scipy.linalg.expm(model.Q * (k * dt))[0]
+        freq = np.bincount(factor[:, k], minlength=3) / n_paths
+        se = np.sqrt(law * (1.0 - law) / n_paths)
+        assert np.all(np.abs(freq - law) <= 4.0 * se), (k, freq, law)
+
+
+def test_single_state_chain_is_constant(bs_model):
+    # Lambda = 0: no events are drawn, and nothing divides by it.  The
+    # asset normals are then the first draws, as for black_scholes.
+    one = load_model(
+        {
+            "family": "regime",
+            "Q": [[0.0]],
+            "r": [0.02],
+            "lambda": [0.3],
+            "sigma": [0.25],
+            "delta": [0.1],
+            "R": 2.0,
+        }
+    )
+    with np.errstate(divide="raise", invalid="raise"):
+        path = sample_ctmc_path(one.Q, 0, 5.0, seed=1)
+        factor, _ = montecarlo._sample_block(one, 0, 5.0, 0.5, 10, 1, np.arange(3), False)
+    assert np.array_equal(path.times, [0.0, 5.0]) and np.array_equal(path.states, [0])
+    assert np.all(factor == 0)
+    est = estimate_value(one, (0.6, 0.07125), 1.0, 0, 20.0, 0.05, 200, seed=4)
+    ref = estimate_value(bs_model, (0.6, 0.07125), 1.0, 0.0, 20.0, 0.05, 200, seed=4)
+    assert est.mean == pytest.approx(ref.mean, rel=1e-12)
+    assert est.se == pytest.approx(ref.se, rel=1e-12)
+
+
+def test_event_batches_are_topped_up_until_T(regime2_model, monkeypatch):
+    # With one event per batch, every path must keep drawing batches from
+    # its stream until its events pass T; nothing is truncated.
+    monkeypatch.setattr(montecarlo, "_event_batch", lambda mean: 1)
+    T, dt, n_paths = 40.0, 0.05, 400
+    factor, _ = montecarlo._sample_block(
+        regime2_model, 0, T, dt, 800, 3, np.arange(n_paths), False
+    )
+    # Every event of this chain switches state (P = [[0, 1], [1, 0]], rate
+    # 0.5), so one batch alone would allow at most one switch per path.
+    switches = np.count_nonzero(np.diff(factor.astype(int), axis=1), axis=1)
+    assert np.all(switches > 1)
+    # Over the second half, a step sees a switch after an odd event count.
+    late = np.count_nonzero(np.diff(factor[:, 400:].astype(int), axis=1), axis=1)
+    expected = 399 * (1.0 - math.exp(-2.0 * 0.5 * dt)) / 2.0
+    assert abs(late.mean() - expected) <= 4.0 * math.sqrt(expected / n_paths)
+    est = estimate_value(regime2_model, (0.5, 0.1), 1.0, 0, T, dt, 200, seed=3)
+    assert math.isfinite(est.mean) and math.isfinite(est.se)
+
+
+def test_regime_path_zero_follows_its_stream_by_loop():
+    # Path 0 draws one batch of exponentials, then as many uniforms, then
+    # the asset normals; sample_ctmc_path is the same chain without its
+    # self-events.
+    model = three_state_regime()
+    T, dt, seed, x0 = 2.0, 0.05, 17, 1.5
+    n = int(round(T / dt))
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
+    times, states = oracles.uniformized_chain_by_loop(
+        model.Q, 0, T, montecarlo._event_batch(3.0 * T), rng
+    )
+    chain = np.concatenate(([0], states))
+    assert np.any(chain[1:] == chain[:-1])  # self-events occur
+    on_grid = [chain[np.sum(times <= k * dt)] for k in range(n)]
+    dw = math.sqrt(dt) * rng.standard_normal(n)
+    # A callable reads states as signed integers: s - 1 must not wrap at s = 0.
+    policy = (lambda s: 0.5 + 0.1 * (s - 1), np.array([0.1, 0.12, 0.08]))
+    sample = simulate_wealth(model, policy, x0, y0=0, T=T, dt=dt, seed=seed)
+    assert sample.states.dtype == np.int64
+    assert np.array_equal(sample.states[:-1], on_grid)
+
+    def coef(s):
+        return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
+
+    wealth, disc, util = oracles.wealth_path_by_loop(
+        coef, model.R, policy[0], lambda s: policy[1][s], x0, dt, on_grid, dw
+    )
+    np.testing.assert_allclose(sample.wealth, wealth, rtol=1e-12)
+    np.testing.assert_allclose(sample.utility_integral, util, rtol=1e-12)
+
+    moved = np.flatnonzero(chain[1:] != chain[:-1])
+    path = sample_ctmc_path(model.Q, 0, T, seed=seed)
+    assert path.states.dtype == np.int64
+    assert np.array_equal(path.times, np.concatenate(([0.0], times[moved], [T])))
+    assert np.array_equal(path.states, np.concatenate(([0], states[moved])))
+
+
+@pytest.mark.parametrize("y0", [0.7, -0.5, 1.9, 2, -1])
+@pytest.mark.parametrize("entry", ["estimate_value", "simulate_wealth", "sample_ctmc_path"])
+def test_regime_initial_state_must_be_a_state_index(entry, y0, regime2_model):
+    calls = {
+        "estimate_value": lambda y: estimate_value(
+            regime2_model, (0.5, 0.1), 1.0, y, 5.0, 0.5, 4, seed=1
+        ),
+        "simulate_wealth": lambda y: simulate_wealth(
+            regime2_model, (0.5, 0.1), 1.0, y0=y, T=5.0, dt=0.5, seed=1
+        ),
+        "sample_ctmc_path": lambda y: sample_ctmc_path(regime2_model.Q, y, 5.0, seed=1),
+    }
+    with pytest.raises(ValueError, match="initial state"):
+        calls[entry](y0)
+    result = calls[entry](1.0)  # an integral float names a state
+    assert entry == "estimate_value" or result.states[0] == 1
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [
+        [[1.0, -1.0], [1.0, -1.0]],
+        [[-1.0, 2.0], [1.0, -1.0]],
+        [[-1.0, 1.0]],
+        [[-1.0, 1.0], [math.nan, 0.0]],
+    ],
+    ids=["negative-off-diagonal", "row-sum", "not-square", "not-finite"],
+)
+def test_sample_ctmc_path_refuses_non_generators(Q):
+    with pytest.raises(ModelError):
+        sample_ctmc_path(Q, 0, 5.0, seed=1)
 
 
 def test_simulate_wealth_invariants(regime2_model, mpr_model, bs_model):
