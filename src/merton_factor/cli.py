@@ -178,6 +178,7 @@ def _cmd_solve(args, model):
             "pi_hat": solution.pi_hat,
             "iterations": solution.iterations,
             "method": solution.method,
+            "stop": solution.stop,
             "residual": solution.residual,
         }
     else:

@@ -51,7 +51,8 @@ class DiffusionSolution:
     differences inside, one-sided at the ends) and ``pi_hat`` the risky
     weight (lambda - R rho b u'/u) / (R sigma).
 
-    ``metadata`` records N (steps), domain, tolerance, iterations, scheme,
+    ``metadata`` records N (steps), domain, tolerance, iterations, the stop
+    rule that ended them (see :class:`HjbSolution`), scheme,
     the distortion data (phi, R_tilde, p) and the recomputed residual of the
     solved system together with its scale ||x^p||_inf.  The residual is
     computed on the vector x = u^(-R_tilde) so that a reader of the emitted
@@ -104,7 +105,8 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
             report=WellPosednessReport.from_certificate(A_h.main, model.eta(grid), exc.report),
         ) from None
-    p, u, f, iterations, method = core.p, core.u, core.f, core.iterations, core.method
+    p, u, f, iterations = core.p, core.u, core.f, core.iterations
+    method, stop = core.method, core.stop
     residual, scale = core.residual, core.residual_scale
     del core  # its certificate holds three N-vectors (ratios and witness) not needed below
     if phi != 1.0:
@@ -129,6 +131,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         "R_tilde": float(work.R),
         "p": float(p),
         "method": method,
+        "stop": stop,
         "residual": residual,
         "residual_scale": scale,
     }
@@ -311,6 +314,7 @@ def write_solution_csv(path, solution, model, tolerance=None):
             "tolerance": tolerance,
             "p": solution.p,
             "method": solution.method,
+            "stop": solution.stop,
             "iterations": solution.iterations,
             "residual": solution.residual,
         }

@@ -24,14 +24,16 @@ pivoting: when no rows were exchanged, the diagonal of U is the ratio
 sequence above; an M-matrix need not be diagonally dominant, so rows can
 still be exchanged, and the recursion then recomputes the ratios.  A dense
 square matrix enters through :func:`as_operator`, whose factor is the
-elimination without row exchanges itself (an M-matrix needs none).
+elimination without row exchanges itself (an M-matrix needs none).  A
+shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps
+no factor: a tridiagonal one is one LAPACK dgtsv call.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrs, dgtsv
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -113,15 +115,30 @@ class TridiagonalOperator:
             row[1:] += np.abs(self.sub)
         return float(row.max())
 
-    def shifted(self, d):
-        """The operator A - diag(d)."""
-        return TridiagonalOperator(self.sub, self.main - d, self.sup)
+    def solve_shifted(self, d, rhs):
+        """Solve (A - diag(d)) x = rhs once, keeping no factor.
+
+        One LAPACK dgtsv call (LU with partial pivoting) on copies of the
+        bands; ``rhs`` may be overwritten with x.  A zero pivot raises
+        SingularMatrixError.
+        """
+        if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
+            return TridiagonalOperator(self.sub, self.main - d, self.sup).solve(rhs)
+        *_, x, info = dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
+        if info > 0:
+            raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
+        return x
+
+    def drop_factor(self):
+        """Release the cached LU; the next certificate or solve recomputes it."""
+        self._lu = None
 
     def _factor(self):
         # (lu, ipiv, info) of LAPACK's banded LU, cached: no code changes the
         # bands after construction.  U's diagonal is lu[2]; ipiv is 0-based.
+        # The band is built in Fortran order, which dgbtrf factors in place.
         if self._lu is None:
-            ab = np.zeros((4, self.n))
+            ab = np.zeros((4, self.n), order="F")
             ab[1, 1:] = self.sup
             ab[2] = self.main
             ab[3, :-1] = self.sub
@@ -182,8 +199,11 @@ class _DenseOperator:
     def norm_inf(self):
         return float(np.linalg.norm(self.dense, np.inf))
 
-    def shifted(self, d):
-        return _DenseOperator(self.dense - np.diag(d))
+    def solve_shifted(self, d, rhs):
+        return _DenseOperator(self.dense - np.diag(d)).solve(rhs)
+
+    def drop_factor(self):
+        self._lu = None
 
     def _factor(self):
         # (lu, k): pivots 0..k-1 eliminated, unit L below the diagonal, U on

@@ -182,7 +182,8 @@ def test_solve_regime_document(model_file, capsys):
     assert doc["f"] == pytest.approx([50.73506890664007, 58.7728969599557], rel=1e-9)
     assert doc["u"] == pytest.approx([0.14039313523141583, 0.13044019849958916], rel=1e-9)
     assert doc["pi_hat"] == pytest.approx([0.8, 0.25], rel=0, abs=1e-12)
-    assert doc["method"] == "fixed_point"
+    assert doc["method"] == "newton"
+    assert doc["stop"] == "quadratic"
     assert doc["csv"] is None
 
 
@@ -207,10 +208,12 @@ def test_solve_diffusion_writes_csv_roundtrip(model_file, tmp_path, capsys):
     assert doc["verdict"] is True
     assert doc["csv"] == out_csv
     assert doc["metadata"]["N"] == 64
+    assert doc["metadata"]["stop"] == "step"  # the start is the constant root
     assert doc["u"]["min"] == pytest.approx(0.07125, rel=1e-11)
 
     metadata, columns = read_solution_csv(out_csv)
     assert metadata["solve"]["N"] == 64
+    assert metadata["solve"]["stop"] == "step"
     assert len(columns["y"]) == 65
     assert columns["u"] == pytest.approx(np.full(65, 0.07125), rel=1e-11)
     recomputed, stored = recompute_csv_residual(out_csv)

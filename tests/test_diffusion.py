@@ -1,5 +1,7 @@
 """Diffusion HJB solver: exactness, convergence, duality, CSV round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,67 @@ def test_newton_route_reaches_the_rounding_floor(n_steps):
     assert sol.metadata["iterations"] <= 10
     assert np.all(sol.u > 0.0)
     assert sol.metadata["residual"] <= residual_limit(sol, model)
+
+
+def test_newton_step_count_does_not_depend_on_the_grid():
+    # The first four log-sup steps agree across N (the fourth is about 5e-9);
+    # later ones are rounding noise that grows with N, so a stop on the step
+    # size alone would count a grid-dependent number of them.
+    model = mpr()
+    counts = set()
+    for n_steps in (1_000, 10_000, 100_000):
+        meta = solve(model, -3.0, 3.0, n_steps).metadata
+        assert (meta["method"], meta["stop"]) == ("newton", "quadratic")
+        counts.add(meta["iterations"])
+    assert counts == {4}
+
+
+@pytest.mark.parametrize(
+    "overrides, domain, max_steps",
+    [({"R": 0.49, "delta": 0.6}, (-0.5, 0.5), 5), ({"R": 10.0}, (-3.0, 3.0), 8)],
+    ids=["R_tilde_0.51", "R_10"],
+)
+def test_newton_is_fast_where_the_contraction_is_slow(overrides, domain, max_steps):
+    # |p| = 0.96 and 0.90: the fixed point takes 609 and 239 steps at N = 10^3.
+    model = mpr(**overrides)
+    coarse, fine = (solve(model, *domain, n_steps) for n_steps in (1_000, 100_000))
+    for sol in (coarse, fine):
+        assert sol.metadata["method"] == "newton"
+        assert sol.metadata["iterations"] <= max_steps
+        assert sol.metadata["residual"] <= residual_limit(sol, model)
+    work, _ = to_zero_correlation(model)
+    A_h, _ = assemble_discrete_hjb(work, *domain, 1_000)
+    fixed = regime_solver.solve_hjb_fixed_point(A_h, coarse.metadata["p"])
+    assert np.max(np.abs(np.log(fixed.f) + work.R * np.log(coarse.u))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "family, tol, stop",
+    [("mpr", 1e-10, "quadratic"), ("black_scholes", 1e-10, "step"), ("mpr", 0.0, "floor")],
+)
+def test_each_stop_rule_is_reported(bs_model, family, tol, stop):
+    # A constant-coefficient start is already the root, so its first step
+    # meets tol; tol = 0 can only end at the rounding floor.
+    model = mpr() if family == "mpr" else bs_model
+    sol = solve(model, -0.5, 0.5, 100, tol=tol)
+    assert sol.metadata["stop"] == stop
+    assert sol.metadata["residual"] <= residual_limit(sol, model)
+
+
+def test_solve_working_memory_per_node():
+    # The solve peaks at 112 B/node, during a Newton step.  Keeping A's LU
+    # through the steps (+36 B/node) or building a factor per step crosses
+    # the bound.
+    model = mpr()
+    solve(model, -3.0, 3.0, 1_000)
+    n_steps = 200_000
+    tracemalloc.start()
+    try:
+        solve(model, -3.0, 3.0, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_steps + 1) <= 125.0, f"{peak / (n_steps + 1):.1f} B/node"
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Tridiagonal kernels and M-matrix certification against dense oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -213,13 +214,49 @@ def test_tridiag_solve_matches_dense_and_meets_residual_bound():
         assert residual <= bound
 
 
+def test_solve_shifted_meets_residual_bound_and_keeps_no_factor():
+    # No diagonal dominance, so partial pivoting exchanges rows; the bands
+    # must come back untouched and no LU may be cached on the operator.
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 10, 50):
+        op = TridiagonalOperator(rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1))
+        bands = [band.copy() for band in (op.sub, op.main, op.sup)]
+        d = rng.normal(size=n)
+        rhs = rng.normal(size=n)
+        x = op.solve_shifted(d, rhs.copy())
+        shifted = op.to_dense() - np.diag(d)
+        residual = np.max(np.abs(shifted @ x - rhs))
+        norm = np.max(np.abs(shifted).sum(axis=1))
+        assert residual <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+        assert all(np.array_equal(a, b) for a, b in zip(bands, (op.sub, op.main, op.sup)))
+        assert op._lu is None
+
+
+def test_factor_holds_one_band():
+    # dgbtrf factors a Fortran-order band in place: 32 B of band and 4 B of
+    # pivots per row.  Its wrapper copies a C-order band first (68 B per row).
+    n = 200_000
+    op = TridiagonalOperator(-np.ones(n - 1), np.full(n, 3.0), -np.ones(n - 1))
+    tracemalloc.start()
+    try:
+        op.factorized()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 40.0, f"{peak / n:.1f} B per row"
+
+
 def test_tridiag_solve_raises_on_singular_system():
     op = TridiagonalOperator(np.array([-1.0]), np.array([1.0, 1.0]), np.array([-1.0]))
     with pytest.raises(SingularMatrixError):
         tridiag_solve(op, np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        op.solve_shifted(np.zeros(2), np.ones(2))
     one = TridiagonalOperator(np.array([]), np.array([0.0]), np.array([]))
     with pytest.raises(SingularMatrixError):
         tridiag_solve(one, np.ones(1))
+    with pytest.raises(SingularMatrixError):
+        one.solve_shifted(np.zeros(1), np.ones(1))
 
 
 def test_inverse_norm_bound_dominates_true_norm():

@@ -54,7 +54,7 @@ def test_solve_regime_matches_independent_root(regime2_model):
     # V(x, i) = x^(1-R)/(1-R) f_i.
     assert sol.value(1.0, 0) == pytest.approx(-expected_f[0], rel=1e-9)
     assert sol.value(2.0, 1) == pytest.approx(2.0 ** (-1.0) / (-1.0) * expected_f[1], rel=1e-9)
-    assert sol.method == "fixed_point"
+    assert sol.method == "newton"
     assert sol.residual <= 1e-10 * sol.residual_scale
 
 
@@ -76,6 +76,7 @@ def test_fixed_point_step_ratios_respect_contraction_rate():
             continue
         p = 1.0 - 1.0 / R
         sol = solve_hjb_fixed_point(A, p, tol=1e-12)
+        assert sol.stop == "step"
         steps = np.asarray(sol.trace)
         live = steps[:-1] > 0
         ratios = steps[1:][live] / steps[:-1][live]
