@@ -251,48 +251,35 @@ def proportional_bounds(model, g1, g2, grid):
         raise ValueError("at least one of g1, g2 must be given")
     grid = np.asarray(grid, dtype=float)
     eta = np.asarray(frozen_rate(model, grid), dtype=float)
-    notes = []
-
-    v1 = d1_1 = d2_1 = None
-    if g1 is not None:
-        v1, d1_1, d2_1, note = _profile_triplet(model, g1, grid, "g1")
+    notes, profiles = [], {}
+    for side, spec, violated, ordering in (
+        ("g1", g1, np.greater, "g1 > eta"),
+        ("g2", g2, np.less, "eta > g2"),
+    ):
+        if spec is None:
+            continue
+        values, d1, d2, note = _profile_triplet(model, spec, grid, side)
         if note:
             notes.append(note)
-        bad = np.flatnonzero(v1 > eta)
+        bad = np.flatnonzero(violated(values, eta))
         if bad.size:
             shown = ", ".join(f"y = {grid[i]:.6g}" for i in bad[:5])
             raise ValueError(
-                f"profile ordering violated: g1 > eta at {bad.size} node(s) ({shown}...)"
+                f"profile ordering violated: {ordering} at {bad.size} node(s) ({shown}...)"
             )
-    v2 = d1_2 = d2_2 = None
-    if g2 is not None:
-        v2, d1_2, d2_2, note = _profile_triplet(model, g2, grid, "g2")
-        if note:
-            notes.append(note)
-        bad = np.flatnonzero(eta > v2)
-        if bad.size:
-            shown = ", ".join(f"y = {grid[i]:.6g}" for i in bad[:5])
-            raise ValueError(
-                f"profile ordering violated: eta > g2 at {bad.size} node(s) ({shown}...)"
-            )
+        profiles[side] = values, d1, d2
 
-    C1 = C2 = None
-    if g1 is not None:
-        C1 = float(np.min(psi(model, v1, d1_1, d2_1, grid).psi_g))
-    if g2 is not None:
-        C2 = float(np.max(psi(model, v2, d1_2, d2_2, grid).psi_g))
-    valid = True
-    if C1 is not None and not C1 > 0.0:
-        valid = False
-    if C2 is not None and not math.isfinite(C2):
-        valid = False
+    psi_g = {side: psi(model, *profile, grid).psi_g for side, profile in profiles.items()}
+    C1 = float(np.min(psi_g["g1"])) if g1 is not None else None
+    C2 = float(np.max(psi_g["g2"])) if g2 is not None else None
+    valid = (C1 is None or C1 > 0.0) and (C2 is None or math.isfinite(C2))
     return BoundsCertificate(
         grid=grid,
         C1=C1,
         C2=C2,
         valid=valid,
-        g1_values=v1,
-        g2_values=v2,
+        g1_values=profiles["g1"][0] if g1 is not None else None,
+        g2_values=profiles["g2"][0] if g2 is not None else None,
         derivative_note="; ".join(notes),
     )
 
@@ -336,31 +323,19 @@ def _mean_reversion_check(model):
     R = model.R
     if family == "mpr":
         threshold = (1.0 - R) / R * model.rho * p["nu"]
-        return {
-            "applicable": True,
-            "family": family,
-            "kappa": p["kappa"],
-            "threshold": threshold,
-            "satisfied": bool(p["kappa"] > threshold),
-        }
-    if family == "heston":
+    elif family == "heston":
         threshold = (1.0 - R) / R * model.rho * p["lambda"] * p["nu"]
-        return {
-            "applicable": True,
-            "family": family,
-            "kappa": p["kappa"],
-            "threshold": threshold,
-            "satisfied": bool(p["kappa"] > threshold),
-        }
-    if family == "vasicek":
-        return {
-            "applicable": True,
-            "family": family,
-            "kappa": p["kappa"],
-            "threshold": 0.0,
-            "satisfied": bool(p["kappa"] > 0.0),
-        }
-    return {"applicable": False, "family": family}
+    elif family == "vasicek":
+        threshold = 0.0
+    else:
+        return {"applicable": False, "family": family}
+    return {
+        "applicable": True,
+        "family": family,
+        "kappa": p["kappa"],
+        "threshold": threshold,
+        "satisfied": bool(p["kappa"] > threshold),
+    }
 
 
 def asymptotic_report(solution, model, tail_fraction=0.1, margin_fraction=0.01):

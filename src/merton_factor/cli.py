@@ -86,7 +86,7 @@ def _split(kind):
     return lambda text: [kind(part) for part in text.split(",")]
 
 
-_POSITIVE = _flag_type("a positive number", float, lambda x: x > 0.0)
+_POSITIVE = _flag_type("a finite positive number", float, lambda x: 0.0 < x < math.inf)
 _STEPS = _flag_type("an integer >= 1", int, lambda n: n >= 1)
 _STEP_LIST = _flag_type(
     "two or more integers >= 1", _split(int), lambda ns: len(ns) > 1 and min(ns) >= 1
@@ -97,7 +97,11 @@ _INTERVAL = _flag_type(
     _split(float),
     lambda xs: len(xs) == 2 and -math.inf < xs[0] < xs[1] < math.inf,
 )
-_PROFILE = _flag_type("'eta' or a number", lambda text: text if text == "eta" else float(text))
+_PROFILE = _flag_type(
+    "'eta' or a finite number",
+    lambda text: text if text == "eta" else float(text),
+    lambda value: value == "eta" or math.isfinite(value),
+)
 
 
 def _numpy_to_python(obj):
@@ -344,8 +348,8 @@ def build_parser():
     p = commands["mc"]
     p.add_argument("--x0", type=_POSITIVE, default=1.0, help="initial wealth")
     p.add_argument("--y0", type=float, required=True, help="initial factor value or state index")
-    p.add_argument("--horizon", type=float, required=True, help="simulation horizon T")
-    p.add_argument("--dt", type=float, required=True, help="time step")
+    p.add_argument("--horizon", type=_POSITIVE, required=True, help="simulation horizon T")
+    p.add_argument("--dt", type=_POSITIVE, required=True, help="time step")
     p.add_argument("--paths", type=int, required=True, help="number of paths")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--antithetic", action="store_true", help="antithetic pairing")

@@ -105,10 +105,8 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
             report=WellPosednessReport.from_certificate(A_h.main, model.eta(grid), exc.report),
         ) from None
-    p, u, f, iterations = core.p, core.u, core.f, core.iterations
-    method, stop = core.method, core.stop
+    p, u, f = core.p, core.u, core.f
     residual, scale = core.residual, core.residual_scale
-    del core  # its certificate holds three N-vectors (ratios and witness) not needed below
     if phi != 1.0:
         # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
@@ -125,13 +123,13 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         "N": int(n_steps),
         "domain": (float(e_minus), float(e_plus)),
         "tolerance": float(tol),
-        "iterations": int(iterations),
+        "iterations": int(core.iterations),
         "scheme": scheme,
         "phi": float(phi),
         "R_tilde": float(work.R),
         "p": float(p),
-        "method": method,
-        "stop": stop,
+        "method": core.method,
+        "stop": core.stop,
         "residual": residual,
         "residual_scale": scale,
     }

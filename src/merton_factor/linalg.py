@@ -18,22 +18,25 @@ witness proves the M-matrix property of the stored entries; a matrix whose
 condition || |A| A^-1 1 ||_inf comes within about 100 of 1/eps may not be
 provable so and is then refused as numerically singular.
 
-Every operator is factored once and that factor serves both its solves and
-its certificate.  A tridiagonal operator uses LAPACK banded LU with partial
-pivoting: when no rows were exchanged, the diagonal of U is the ratio
-sequence above; an M-matrix need not be diagonally dominant, so rows can
-still be exchanged, and the recursion then recomputes the ratios.  A dense
-square matrix enters through :func:`as_operator`, whose factor is the
-elimination without row exchanges itself (an M-matrix needs none).  A
-shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps
-no factor: a tridiagonal one is one LAPACK dgtsv call.
+Nothing is factored ahead of time or kept: each call that needs a factor
+makes it and drops it on return.  The certificate reads the ratios and
+solves the witness on one factor.  A tridiagonal operator is factored by
+LAPACK dgttrf (LU with partial pivoting): when no rows were exchanged, the
+diagonal of U is the ratio sequence above; an M-matrix need not be
+diagonally dominant, so rows can still be exchanged, and the recursion then
+recomputes the ratios.  A dense square matrix enters through
+:func:`as_operator`; its certificate factor is the elimination without row
+exchanges itself (an M-matrix needs none), and its solves use LAPACK's LU
+with partial pivoting (dgetrf).  A shifted system (A - diag(d)) x = rhs,
+solved once per Newton step, keeps no factor: a tridiagonal one is one
+LAPACK dgtsv call.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrs, dgtsv
+from scipy.linalg.lapack import dgetrf, dgetrs, dgtsv, dgttrf, dgttrs
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -57,7 +60,7 @@ class TridiagonalOperator:
     length n-1 (entries (i, i+1)).
     """
 
-    __slots__ = ("sub", "main", "sup", "n", "_lu")
+    __slots__ = ("sub", "main", "sup", "n")
     row_terms = 3  # products per row of matvec, for its rounding bound
 
     def __init__(self, sub, main, sup):
@@ -77,7 +80,6 @@ class TridiagonalOperator:
         self.main = main
         self.sup = sup
         self.n = n
-        self._lu = None
 
     @property
     def is_z_matrix(self):
@@ -123,60 +125,49 @@ class TridiagonalOperator:
         SingularMatrixError.
         """
         if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
-            return TridiagonalOperator(self.sub, self.main - d, self.sup).solve(rhs)
+            return _DenseOperator(self.main[:, None] - d).factorized()(rhs)
         *_, x, info = dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
         if info > 0:
             raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
         return x
 
-    def drop_factor(self):
-        """Release the cached LU; the next certificate or solve recomputes it."""
-        self._lu = None
-
     def _factor(self):
-        # (lu, ipiv, info) of LAPACK's banded LU, cached: no code changes the
-        # bands after construction.  U's diagonal is lu[2]; ipiv is 0-based.
-        # The band is built in Fortran order, which dgbtrf factors in place.
-        if self._lu is None:
-            ab = np.zeros((4, self.n), order="F")
-            ab[1, 1:] = self.sup
-            ab[2] = self.main
-            ab[3, :-1] = self.sub
-            self._lu = dgbtrf(ab, 1, 1, overwrite_ab=1)
-        return self._lu
+        # (ratios, solve) of one LAPACK dgttrf LU on copies of the bands: 32 B
+        # of factor and 4 B of pivots per row.  The ratios are U's diagonal,
+        # or None when rows were exchanged.
+        if self.n < 3:  # the dgttrf wrapper rejects n < 3 (an empty du2)
+            return None, _DenseOperator(self.to_dense()).factorized()
+        dl, d, du, du2, ipiv, info = dgttrf(self.sub, self.main, self.sup)
+        # ipiv is 1-based and ipiv[i] is i + 1, or i + 2 after an exchange, so
+        # its sum is n (n + 1) / 2 exactly when no rows were exchanged.
+        unswapped = int(ipiv.sum(dtype=np.int64)) == self.n * (self.n + 1) // 2
 
-    def pivot_ratios(self):
-        """Leading-minor ratios: U's diagonal, or the recursion if rows were exchanged."""
-        lu, ipiv, _ = self._factor()
-        if np.array_equal(ipiv, np.arange(self.n)):
-            return lu[2].copy()  # never alias the cached LU
-        return _tridiagonal_ratios(self)
+        def solve(rhs):
+            if info > 0:
+                raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
+            return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
-    def solve(self, rhs):
-        return tridiag_solve(self, rhs)
+        return d if unswapped else None, solve
 
     def factorized(self):
-        """Return a solve closure on the operator's one LU factorization.
+        """Return a solve closure on a fresh LU factorization of the operator.
 
-        That LU is computed on first use and shared by every later solve and
-        certificate of this operator; a zero pivot raises SingularMatrixError.
+        The closure holds the only reference to that factor; solving on a
+        factor with a zero pivot raises SingularMatrixError.
         """
-        lu, ipiv, info = self._factor()
-        if info > 0:
-            raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
-        return lambda rhs: dgbtrs(lu, 1, 1, np.asarray(rhs, dtype=float), ipiv)[0]
+        return self._factor()[1]
 
 
 class _DenseOperator:
     """A dense square matrix behind the surface of :class:`TridiagonalOperator`.
 
-    Its one factor is Gaussian elimination without row exchanges, so its
-    pivots are the leading-minor ratios.  Elimination stops at the first
-    pivot that is not above 1e-300, and solving on such a factor raises
-    SingularMatrixError: every M-matrix factors to the end.
+    Its certificate is read from Gaussian elimination without row exchanges,
+    whose pivots are the leading-minor ratios; elimination stops at the
+    first pivot that is not above 1e-300, but every M-matrix factors to the
+    end.  Its solves use LAPACK's LU with partial pivoting (dgetrf).
     """
 
-    __slots__ = ("dense", "main", "n", "row_terms", "_lu")
+    __slots__ = ("dense", "main", "n", "row_terms")
 
     def __init__(self, dense):
         dense = np.asarray(dense, dtype=float)
@@ -185,7 +176,6 @@ class _DenseOperator:
         self.dense = dense
         self.main = np.diag(dense)
         self.n = self.row_terms = dense.shape[0]
-        self._lu = None
 
     def positive_off_diagonal(self):
         off = self.dense.copy()
@@ -200,39 +190,30 @@ class _DenseOperator:
         return float(np.linalg.norm(self.dense, np.inf))
 
     def solve_shifted(self, d, rhs):
-        return _DenseOperator(self.dense - np.diag(d)).solve(rhs)
-
-    def drop_factor(self):
-        self._lu = None
+        return _DenseOperator(self.dense - np.diag(d)).factorized()(rhs)
 
     def _factor(self):
-        # (lu, k): pivots 0..k-1 eliminated, unit L below the diagonal, U on
-        # and above it; k < n means pivot k is not above 1e-300.
-        if self._lu is None:
-            lu = self.dense.copy()
-            k = 0
-            while k < self.n and lu[k, k] > _SINGULAR_RATIO:
-                lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :]) / lu[k, k]
-                lu[k + 1 :, k] /= lu[k, k]
-                k += 1
-            self._lu = lu, k
-        return self._lu
-
-    def pivot_ratios(self):
-        lu, k = self._factor()
-        return np.diag(lu)[: k + 1].copy()
-
-    def solve(self, rhs):
-        return tridiag_solve(self, rhs)
+        # Pivots 0..k-1 eliminated, unit L below the diagonal, U on and above
+        # it; k < n means pivot k is not above 1e-300, and then the certificate
+        # never calls the solve.
+        lu = self.dense.copy()
+        k = 0
+        while k < self.n and lu[k, k] > _SINGULAR_RATIO:
+            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :]) / lu[k, k]
+            lu[k + 1 :, k] /= lu[k, k]
+            k += 1
+        ipiv = np.arange(self.n, dtype=np.int32)
+        return np.diag(lu)[: k + 1].copy(), lambda rhs: dgetrs(lu, ipiv, rhs)[0]
 
     def factorized(self):
-        lu, k = self._factor()
-        if k < self.n:
-            raise SingularMatrixError(
-                f"elimination without row exchanges stopped at pivot {lu[k, k]:.6g} at {k}"
-            )
-        ipiv = np.arange(self.n, dtype=np.int32)
-        return lambda rhs: dgetrs(lu, ipiv, np.asarray(rhs, dtype=float))[0]
+        lu, ipiv, info = dgetrf(self.dense)
+
+        def solve(rhs):
+            if info > 0:
+                raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
+            return dgetrs(lu, ipiv, rhs)[0]
+
+        return solve
 
 
 def as_operator(A):
@@ -248,10 +229,12 @@ class MCertificate:
     ``ratios`` are the elimination pivots, so the k-th leading minor is the
     product of the first k ratios; on a failed ratio they stop at the first
     one that is not positive.  ``witness`` = (w, Aw) with w = A^-1 1, solved
-    on the operator's cached factor once every ratio is positive; the
-    verdict also requires w > 0 and Aw above its rounding bound.
-    ``failure_index`` is the first index where positivity fails.  ``minors`` is None when the ratios
-    fail or their products overflow, in which case a note says so.
+    on the factor that gave the ratios once every ratio is positive; the
+    verdict also requires w > 0 and Aw above its rounding bound.  A factor
+    with an exact zero pivot behind positive ratios (rows were exchanged)
+    leaves no witness and a false verdict.  ``failure_index`` is the first
+    index where positivity fails.  ``minors`` is None when the ratios fail
+    or their products overflow, in which case a note says so.
     """
 
     verdict: bool
@@ -263,7 +246,7 @@ class MCertificate:
 
 
 def _tridiagonal_ratios(A):
-    # Only runs when the banded LU exchanged rows.  Plain-float loop: the
+    # Runs for n < 3 and when dgttrf exchanged rows.  Plain-float loop: the
     # recursion is sequential, and Python floats beat numpy scalars by ~5x.
     main = A.main.tolist()
     sub = A.sub.tolist()
@@ -288,14 +271,17 @@ def check_nonsingular_m_matrix(A):
     rounding bound of the product; ratios at or below 1e-300 yield a
     "numerically singular" note rather than a sign claim.
 
-    The ratios and the witness come from the operator's one cached factor
-    (see ``TridiagonalOperator.factorized``), which its solves reuse.
+    The ratios and the witness come from one factor of the operator, made
+    for this call; of that factor only the ratios (U's diagonal, when no
+    rows were exchanged) outlive it.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
     if where is not None:
         raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
-    ratios = op.pivot_ratios()
+    ratios, solve = op._factor()
+    if ratios is None:  # a tridiagonal LU that exchanged rows
+        ratios = _tridiagonal_ratios(op)
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
         i = int(failed[0])
@@ -310,7 +296,10 @@ def check_nonsingular_m_matrix(A):
     note = ""
     if not np.all(np.isfinite(minors)):
         minors, note = None, "leading minors overflow; reporting pivot ratios only"
-    w = op.factorized()(np.ones(op.n))
+    try:
+        w = solve(np.ones(op.n))
+    except SingularMatrixError as exc:  # positive ratios, yet an exact zero pivot in U
+        return MCertificate(verdict=False, ratios=ratios, minors=minors, note=f"numerically {exc}")
     image = op.matvec(w)
     # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
     # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.
@@ -329,12 +318,11 @@ def check_nonsingular_m_matrix(A):
 
 
 def tridiag_solve(A, rhs):
-    """Solve A x = rhs on the cached factor of A (see :func:`as_operator`).
+    """Solve A x = rhs on a fresh factor of A (see :func:`as_operator`).
 
-    Raises :class:`SingularMatrixError` on an exactly singular tridiagonal
-    system, and on a dense one whose elimination without row exchanges meets
-    a pivot not above 1e-300.  For a tridiagonal operator the result
-    satisfies the backward-stable residual bound
+    Raises :class:`SingularMatrixError` on an exactly singular system (a
+    zero pivot of LU with partial pivoting).  For a tridiagonal operator
+    the result satisfies the backward-stable residual bound
     ||Ax - rhs||_inf <= 1e-12 (||A||_inf ||x||_inf + ||rhs||_inf).
     """
     op = as_operator(A)

@@ -289,6 +289,14 @@ def _wealth_kernel(model, pi, xi, x0, dt, factor, dw_asset):
     return log_x, disc, _utility_flow(log_c, -disc_start, model.R) * dt
 
 
+def _step_count(T, dt):
+    """Steps of length dt over [0, T]; ValueError unless dt > 0 and T, dt, T / dt are finite."""
+    T, dt = float(T), float(dt)
+    if not (dt > 0.0 and math.isfinite(T) and math.isfinite(dt) and math.isfinite(T / dt)):
+        raise ValueError(f"need dt > 0 and finite T, dt and T / dt; got T = {T}, dt = {dt}")
+    return max(1, int(round(T / dt)))
+
+
 def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False):
     """Estimate the value of a policy by averaging path objectives.
 
@@ -307,7 +315,7 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         raise ValueError("need at least 2 paths")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic sampling needs an even path count")
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = _step_count(T, dt)
     pi_fn, xi_fn = _normalize_policy(model, policy)
 
     values = np.empty(n_paths)
@@ -381,13 +389,13 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
             raise ValueError("pre-sampled paths apply to regime models only")
         if dt is None:
             raise ValueError("dt is required with a pre-sampled path")
-        n_steps = max(1, int(round(float(path.times[-1]) / dt)))
+        n_steps = _step_count(path.times[-1], dt)
         factor = _on_grid(path.times[None, 1:-1], path.states[None, :], n_steps, dt)
         dw_asset = math.sqrt(dt) * _path_rng(seed, 0).standard_normal((1, n_steps))
     else:
         if y0 is None or T is None or dt is None:
             raise ValueError("y0, T, dt are required without a pre-sampled path")
-        n_steps = max(1, int(round(T / dt)))
+        n_steps = _step_count(T, dt)
         factor, dw_asset = _sample_block(model, y0, T, dt, n_steps, seed, np.arange(1), False)
     log_x, disc, flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor, dw_asset)
     states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))

@@ -15,8 +15,8 @@ Every R is solved by Newton's method (p = 1 - 1/R < 1) from a start on the
 side where it converges monotonically.  For R > 1/2, T x = A^-1 x^p also
 contracts the log-sup metric d(x, y) = ||log x - log y||_inf at rate |p|;
 that fixed point stays as a second route.  Both run in one driver that
-certifies A once, takes A^-1 1 from the certificate and shares the
-positive-cone check, the stop rules and the result.
+certifies A once, keeps only the certificate's witness A^-1 1 to choose the
+start, and shares the positive-cone check, the stop rules and the result.
 """
 
 import math
@@ -66,7 +66,6 @@ class HjbSolution:
     method: str
     stop: Optional[str] = None
     pi_hat: Optional[np.ndarray] = None
-    certificate: Optional[MCertificate] = None
 
     @property
     def R(self):
@@ -147,14 +146,13 @@ def check_wellposed(model):
     return WellPosednessReport.from_certificate(np.diag(A), model.eta(), certificate)
 
 
-def _hjb_solution(matvec, x, p, trace, method, stop=None, certificate=None):
+def _hjb_solution(matvec, x, p, trace, method, stop=None):
     """HjbSolution of x with the recomputed residual ||A x - x^p||_inf and scale ||x^p||_inf."""
     rhs = x**p
     residual = float(np.max(np.abs(matvec(x) - rhs)))
     scale = float(np.max(np.abs(rhs)))
     return HjbSolution(
-        x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop,
-        certificate=certificate,
+        x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop
     )
 
 
@@ -178,6 +176,16 @@ def _iteration_cap(m_box, M_box, p, tol):
     return max(1, math.ceil(bound))
 
 
+def _certified_witness(op):
+    """w = A^-1 1 of a certified A; the rest of the certificate goes only into a refusal."""
+    certificate = check_nonsingular_m_matrix(op)
+    if not certificate.verdict:
+        raise IllPosedError(
+            "matrix HJB is ill-posed: A is not a nonsingular M-matrix", report=certificate
+        )
+    return certificate.witness[0]
+
+
 def _iterate(A, p, method, plan):
     """Certify A, then solve A x = x^p by x <- step(x); the one loop behind both solvers.
 
@@ -185,8 +193,9 @@ def _iterate(A, p, method, plan):
     carrying its certificate.  ``plan(op, w)`` gets A behind the operator
     surface of :func:`as_operator` and the certificate's witness
     w = A^-1 1, and returns (start, iteration cap, step tolerance, step),
-    where step(x) returns (x_next, at_floor); a plan that solves with A
-    keeps its own ``op.factorized()``, as A's cached factor is dropped.  With
+    where step(x) returns (x_next, at_floor).  No factor of A outlives the
+    certificate and no part of it but w reaches the plan, so a plan that
+    solves with A makes its own ``op.factorized()``.  With
     log-sup steps s_k, the first rule met stops the loop and is named in
     the result: ``quadratic`` (Newton only) when s_k < s_(k-1) and the next
     step quadratic convergence predicts, s_k^3 / s_(k-1)^2, is at most the
@@ -196,13 +205,7 @@ def _iterate(A, p, method, plan):
     iterate outside the positive cone raises :class:`NotMMatrixError`.
     """
     op = as_operator(A)
-    certificate = check_nonsingular_m_matrix(op)
-    if not certificate.verdict:
-        raise IllPosedError(
-            "matrix HJB is ill-posed: A is not a nonsingular M-matrix", report=certificate
-        )
-    x, cap, step_tol, step = plan(op, certificate.witness[0])
-    op.drop_factor()
+    x, cap, step_tol, step = plan(op, _certified_witness(op))
     trace = []
     log_x = np.log(x)
     for _ in range(cap):
@@ -216,7 +219,7 @@ def _iterate(A, p, method, plan):
         quadratic = method == "newton" and s < last and s**3 <= step_tol * last**2
         if quadratic or s <= step_tol or (at_floor and s >= last):
             stop = "quadratic" if quadratic else "step" if s <= step_tol else "floor"
-            return _hjb_solution(op.matvec, x, p, trace, method, stop, certificate)
+            return _hjb_solution(op.matvec, x, p, trace, method, stop)
     raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
 
 

@@ -106,6 +106,7 @@ def test_malformed_json_reports_position(tmp_path, capsys):
 MC_RUN = ["--y0", "0", "--horizon", "20", "--dt", "0.05"]
 BS_GRID = ["--domain", "-1,1", "--n", "8"]
 EXPAND_RUN = ["--h", "0.05", "--window", "-1,1"]
+BOUNDS_GRID = ["--domain", "0,3", "--n", "9"]
 
 
 @pytest.mark.parametrize(
@@ -125,7 +126,22 @@ EXPAND_RUN = ["--h", "0.05", "--window", "-1,1"]
         pytest.param(BS, ["solve", *BS_GRID, "--tol", "0"], "--tol", id="tol"),
         pytest.param(MPR, ["expand", "--m", "2,3", "--h", "0", "--window", "-1,1"], "--h", id="h"),
         pytest.param(REGIME, ["mc", *MC_RUN, "--paths", "50", "--x0", "0"], "--x0", id="x0"),
+        pytest.param(REGIME, ["mc", *MC_RUN, "--paths", "50", "--x0", "inf"], "--x0", id="x0-inf"),
+        pytest.param(
+            REGIME,
+            ["mc", "--y0", "0", "--horizon", "inf", "--dt", "0.05", "--paths", "50"],
+            "--horizon",
+            id="horizon-inf",
+        ),
+        pytest.param(
+            REGIME,
+            ["mc", "--y0", "0", "--horizon", "20", "--dt", "nan", "--paths", "50"],
+            "--dt",
+            id="dt-nan",
+        ),
         pytest.param(MPR, ["bounds", "--domain", "0,3", "--n", "9", "--g1", "zz"], "--g1", id="g1"),
+        pytest.param(MPR, ["bounds", *BOUNDS_GRID, "--g1", "nan"], "--g1", id="g1-nan"),
+        pytest.param(MPR, ["bounds", *BOUNDS_GRID, "--g2", "inf"], "--g2", id="g2-inf"),
         pytest.param(MPR, ["expand", "--m", "2,x", *EXPAND_RUN], "--m", id="m"),
         pytest.param(MPR, ["expand", "--m", "2,3", "--window", "0"], "--window", id="window"),
     ],
@@ -145,6 +161,7 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
         (REGIME, ["mc", *MC_RUN, "--paths", "1"]),
         (REGIME, ["mc", *MC_RUN, "--paths", "11", "--antithetic"]),
         (REGIME, ["mc", "--y0", "0", "--horizon", "20", "--dt", "0", "--paths", "50"]),
+        (REGIME, ["mc", "--y0", "0", "--horizon", "1e300", "--dt", "1e-300", "--paths", "50"]),
         (MPR, ["refine", "--domain", "-2,2", "--n", "100,150"]),
         (MPR, ["expand", "--m", "3,2", *EXPAND_RUN]),
         (MPR, ["bounds", "--domain", "-3,3", "--n", "100", "--g1", "5"]),
@@ -156,6 +173,7 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
         "mc-paths",
         "mc-antithetic",
         "mc-dt",
+        "mc-steps-overflow",
         "refine-n",
         "expand-m",
         "bounds-g1",

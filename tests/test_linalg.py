@@ -16,6 +16,7 @@ from merton_factor import (
     TridiagonalOperator,
     check_nonsingular_m_matrix,
     inverse_norm_bound,
+    linalg,
     solve_matrix_hjb,
     tridiag_solve,
 )
@@ -216,7 +217,7 @@ def test_tridiag_solve_matches_dense_and_meets_residual_bound():
 
 def test_solve_shifted_meets_residual_bound_and_keeps_no_factor():
     # No diagonal dominance, so partial pivoting exchanges rows; the bands
-    # must come back untouched and no LU may be cached on the operator.
+    # must come back untouched.
     rng = np.random.default_rng(29)
     for n in (1, 2, 3, 10, 50):
         op = TridiagonalOperator(rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1))
@@ -229,12 +230,12 @@ def test_solve_shifted_meets_residual_bound_and_keeps_no_factor():
         norm = np.max(np.abs(shifted).sum(axis=1))
         assert residual <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         assert all(np.array_equal(a, b) for a, b in zip(bands, (op.sub, op.main, op.sup)))
-        assert op._lu is None
 
 
 def test_factor_holds_one_band():
-    # dgbtrf factors a Fortran-order band in place: 32 B of band and 4 B of
-    # pivots per row.  Its wrapper copies a C-order band first (68 B per row).
+    # dgttrf factors copies of the three bands: 32 B of factor and 4 B of
+    # pivots per row.  Testing for row exchanges against a pivot array built
+    # for the purpose would add 5-9 B per row.
     n = 200_000
     op = TridiagonalOperator(-np.ones(n - 1), np.full(n, 3.0), -np.ones(n - 1))
     tracemalloc.start()
@@ -244,6 +245,43 @@ def test_factor_holds_one_band():
     finally:
         tracemalloc.stop()
     assert peak / n <= 40.0, f"{peak / n:.1f} B per row"
+
+
+def test_ratios_come_from_the_factor_unless_rows_were_exchanged(monkeypatch):
+    # dgttrf's pivot indices are 1-based; misread, they would send every
+    # certificate through the Python recursion without changing a verdict.
+    calls = []
+    recursion = linalg._tridiagonal_ratios
+    monkeypatch.setattr(linalg, "_tridiagonal_ratios", lambda A: calls.append(A.n) or recursion(A))
+    n = 1000  # column diagonal dominance: partial pivoting exchanges no rows
+    dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
+    assert check_nonsingular_m_matrix(dominant).verdict is True
+    assert calls == []
+    swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
+    assert check_nonsingular_m_matrix(swapping).verdict is True
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("a, verdict", [(2.0, True), (0.0, False), (-1.0, False)])
+def test_one_node_operator(a, verdict):
+    # LAPACK's tridiagonal wrappers in scipy reject the empty off-diagonals.
+    op = TridiagonalOperator([], [a], [])
+    cert = check_nonsingular_m_matrix(op)
+    assert cert.verdict is verdict
+    assert cert.ratios.tolist() == [a]
+    assert cert.failure_index == (None if verdict else 0)
+    if a == 0.0:
+        return
+    assert tridiag_solve(op, np.array([3.0])).tolist() == [3.0 / a]
+    assert op.solve_shifted(np.array([0.5]), np.array([3.0])).tolist() == [3.0 / (a - 0.5)]
+    for R in (0.5, 2.0, 10.0):
+        if verdict:
+            p = 1.0 - 1.0 / R
+            f = solve_matrix_hjb(op, R).f
+            assert f == pytest.approx([a ** (-1.0 / (1.0 - p))], rel=1e-12)
+        else:
+            with pytest.raises(IllPosedError):
+                solve_matrix_hjb(op, R)
 
 
 def test_tridiag_solve_raises_on_singular_system():

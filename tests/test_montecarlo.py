@@ -494,6 +494,11 @@ def test_estimate_validation(bs_model):
         estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 20.0, 10, seed=1)
     with pytest.raises(ValueError, match="at least 2"):
         estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 1, seed=1)
+    for T, dt in ((math.inf, 0.1), (math.nan, 0.1), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="finite T, dt and T / dt"):
+            estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, T, dt, 10, seed=1)
+        with pytest.raises(ValueError, match="finite T, dt and T / dt"):
+            simulate_wealth(bs_model, (0.6, 0.07), 1.0, 0.0, T, dt)
     with pytest.raises(ModelError):
         estimate_value(object(), (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 10, seed=1)
 

@@ -243,6 +243,13 @@ def test_nearest_neighbour_quick_formula_matches_full_certificate():
             assert np.cumprod(ratios) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
 
+def test_nearest_neighbour_single_state():
+    # One state, no jumps: A = [eta], an M-matrix exactly when eta > 0.
+    for eta, verdict in ((0.1, True), (0.0, False), (-0.1, False)):
+        got, ratios = nearest_neighbour_wellposed([eta], [0.0], [0.0], 2.0)
+        assert got is verdict and ratios.tolist() == [eta]
+
+
 def test_solver_handles_strong_coupling_scale():
     # Fast chain, slow discounting: A is barely diagonally dominant.
     n = 6
