@@ -16,13 +16,18 @@ increments: chains exactly by uniformization, diffusions by Euler (full
 truncation at the boundary of the state space) with correlated increments
 dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no factor path for
 black_scholes.  Then one wealth kernel, shared by ``estimate_value`` and
-``simulate_wealth``, looks up the coefficients and the policy on those
-arrays and returns each step's utility flow.  Paths are sampled in blocks
-of about 10^6 path-steps; the kernel runs on row slices of at most
-``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
+``simulate_wealth``, turns those arrays into running log wealth, running
+discount and each step's utility flow.  It reads four step coefficients,
+drift * dt, pi sigma, delta * dt and log xi: per-state tables for a regime
+model, built once per call and gathered by state; one row at ``y0`` for
+black_scholes, so its discount is one cumulative sum shared by every path;
+for other diffusions, values on the clipped factor.  Paths are sampled
+in blocks of about 10^6 path-steps; the kernel runs on row slices of at
+most ``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
 
-Reproducibility: each path owns a counter-indexed block of one Philox
-stream, blocks are index-addressed and reduced in a fixed order, so
+Reproducibility: path i draws from the 2^128 counter block i of one Philox
+key (the seed); a block of paths keeps one Philox and resets its counter
+per path.  Blocks are index-addressed and reduced in a fixed order, so
 results are bitwise identical for any worker count
 (``MERTON_FACTOR_THREADS``).
 """
@@ -87,9 +92,23 @@ class ValueEstimate:
         return asdict(self)
 
 
-def _path_rng(seed, index):
-    """Independent stream for one path: a disjoint 2^128 counter block."""
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(index) << 128))
+def _path_streams(seed):
+    """``stream(index)``: one generator, reset to path ``index``'s stream.
+
+    That is ``Philox(key=seed, counter=index << 128)``, a disjoint 2^128
+    counter block; resetting the counter is much cheaper than building it.
+    Each call moves the one generator, so use one stream at a time.
+    """
+    bits = np.random.Philox(key=int(seed))
+    rng, state = np.random.Generator(bits), bits.state
+    counter = state["state"]["counter"]
+
+    def stream(index):
+        counter[2], counter[3] = int(index) & 0xFFFF_FFFF_FFFF_FFFF, int(index) >> 64
+        bits.state = state
+        return rng
+
+    return stream
 
 
 def default_horizon(min_eta, cutoff=1e-4):
@@ -167,7 +186,7 @@ def sample_ctmc_path(Q, y0, T, seed):
     if T <= 0.0:
         raise ValueError("T must be positive")
     rate, cdf = _uniformized(Q)
-    times, states = _embedded_chains([_chain_events(_path_rng(seed, 0), rate, T)], cdf, y0)
+    times, states = _embedded_chains([_chain_events(_path_streams(seed)(0), rate, T)], cdf, y0)
     times, states = times[0], states[0].astype(np.int64)
     moves = np.flatnonzero(np.diff(states))
     return PathSample(np.concatenate(([0.0], times[moves], [T])), states[np.append(0, moves + 1)])
@@ -179,8 +198,7 @@ def _normalize_policy(model, policy):
 
     def as_fn(spec, name):
         if callable(spec):
-            # Sampled chain states are small unsigned integers; callables get int64.
-            return (lambda s: spec(s.astype(np.int64))) if isinstance(model, RegimeModel) else spec
+            return spec
         arr = np.asarray(spec, dtype=float)
         if arr.ndim == 0:
             return lambda y: np.full(np.shape(y), float(arr))
@@ -198,18 +216,45 @@ def _normalize_policy(model, policy):
 _SLICE_ELEMENTS = 16_384
 
 
-def _utility_flow(log_c, discount, R):
-    """exp(discount) * c^(1-R) / (1-R) from log consumption, handling c = 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        flow = np.exp(discount + (1.0 - R) * log_c) / (1.0 - R)
-    if R < 1.0:
-        flow = np.where(np.isneginf(log_c), 0.0, flow)
-    return flow
-
-
 def _clipped(model, y):
     lo, hi = model.interval
     return np.clip(y, lo, hi) if (np.isfinite(lo) or np.isfinite(hi)) else y
+
+
+def _step_coefficients(model, policy, dt, y0, n_steps):
+    """``lookup(factor)``: (drift * dt, pi sigma, delta * dt, log xi) at a factor block.
+
+    drift = r + pi lambda sigma - xi - pi^2 sigma^2 / 2.  A regime model's
+    four form a table with one row per state (the policy is called on
+    ``arange(n_states)``), gathered by state in one pass; black_scholes has
+    one row of ``n_steps`` at ``y0``, shared by every path; other diffusions
+    evaluate the coefficients and the policy on the clipped factor.
+    """
+    pi, xi = _normalize_policy(model, policy)
+
+    def at(y, r, lam, sig, delta):
+        pi_s, xi_s = pi(y), xi(y)
+        drift = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt
+        with np.errstate(divide="ignore"):
+            return drift, pi_s * sig, delta * dt, np.log(xi_s)
+
+    if isinstance(model, RegimeModel):
+        states = np.arange(model.n_states)
+        table = np.stack(
+            np.broadcast_arrays(*at(states, model.r, model.lam, model.sigma, model.delta)), axis=1
+        )
+        return lambda factor: np.moveaxis(table.take(factor, axis=0), -1, 0)
+    if not isinstance(model, DiffusionModel):
+        raise ModelError(f"cannot simulate model of type {type(model).__name__}")
+
+    def on_factor(factor):
+        y = _clipped(model, factor)
+        return at(y, model.r(y), model.lam(y), model.sigma(y), model.delta(y))
+
+    if model.family == "black_scholes":
+        row = on_factor(np.full((1, n_steps), float(y0)))
+        return lambda factor: row
+    return on_factor
 
 
 def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
@@ -227,30 +272,31 @@ def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
     if isinstance(model, RegimeModel):
         kind, events = "chain", []
         rate, cdf = _uniformized(model.Q)
-    elif not isinstance(model, DiffusionModel):
-        raise ModelError(f"cannot simulate model of type {type(model).__name__}")
     elif model.family == "black_scholes":
         kind, factor = "constant", np.full((B, 1), float(y0))
     else:
         # Each row holds the path's factor increments until the Euler loop.
         kind, factor = "euler", np.empty((B, n_steps))
+        rho = model.rho
     dw_asset = np.empty((B, n_steps))
-    root = math.sqrt(dt)
+    stream = _path_streams(seed)
     for row, idx in enumerate(indices):
-        rng = _path_rng(seed, idx // 2 if antithetic else idx)
-        sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
+        rng = stream(idx // 2 if antithetic else idx)
         if kind == "euler":
             z_factor, z_perp = rng.standard_normal((2, n_steps))
-            rho = model.rho
-            dw_asset[row] = sign * (root * (rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp))
-            factor[row] = sign * (root * z_factor)
+            factor[row] = z_factor
+            dw_asset[row] = rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp
             continue
         if kind == "chain":
             events.append(_chain_events(rng, rate, T))
-        dw_asset[row] = sign * (root * rng.standard_normal(n_steps))
+        rng.standard_normal(out=dw_asset[row])
+    # sign * (sqrt(dt) * z) in one pass: with sign = +-1 the product is exact.
+    scale = math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
+    dw_asset *= scale
     if kind == "chain":
         factor = _on_grid(*_embedded_chains(events, cdf, y0), n_steps, dt)
     if kind == "euler":
+        factor *= scale
         y = np.full(B, float(y0))
         for k in range(n_steps):
             yc = _clipped(model, y)
@@ -260,33 +306,35 @@ def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
     return factor, dw_asset
 
 
-def _wealth_kernel(model, pi, xi, x0, dt, factor, dw_asset):
-    """Log wealth and discount exponent at the step ends, and each step's utility flow.
+def _wealth_kernel(lookup, R, x0, dt, factor, dw_asset):
+    """(log wealth, discount exponent, utility flow) of a block of paths.
 
-    ``factor`` and ``dw_asset`` come from :func:`_sample_block`; the three
-    results are (paths, n_steps) arrays like ``dw_asset``.
+    ``factor`` and ``dw_asset`` come from :func:`_sample_block` and
+    ``lookup`` from :func:`_step_coefficients`.  Column k of log wealth and
+    discount is the value at t_k, k = 0..n_steps (the discount may be one
+    row shared by every path); flow is (paths, n_steps) like ``dw_asset``.
     """
-    if isinstance(model, RegimeModel):
-        y = factor
-        r, lam, sig, delta = model.r[y], model.lam[y], model.sigma[y], model.delta[y]
-    else:
-        y = _clipped(model, factor)
-        r, lam, sig, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
-    pi_s = pi(y)
-    xi_s = xi(y)
-    drift = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt
-    log_x = np.cumsum(drift + pi_s * sig * dw_asset, axis=1)
+    drift, vol, delta_dt, log_xi = lookup(factor)
+    rows, n = dw_asset.shape
+    increments = vol * dw_asset
+    increments += drift
+    log_x = np.empty((rows, n + 1))
+    log_x[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=log_x[:, 1:])
     log_x += math.log(x0)
-    disc = np.cumsum(np.broadcast_to(delta * dt, log_x.shape), axis=1)
-    # Left-endpoint rule: step k reads wealth and discount at its start.
-    log_x_start = np.empty_like(log_x)
-    log_x_start[:, 0] = math.log(x0)
-    log_x_start[:, 1:] = log_x[:, :-1]
-    disc_start = np.zeros_like(disc)
-    disc_start[:, 1:] = disc[:, :-1]
-    with np.errstate(divide="ignore"):
-        log_c = np.log(xi_s) + log_x_start
-    return log_x, disc, _utility_flow(log_c, -disc_start, model.R) * dt
+    disc = np.zeros((delta_dt.shape[0], n + 1))
+    np.cumsum(delta_dt, axis=1, out=disc[:, 1:])
+    # Left-endpoint rule: step k reads wealth and discount at its start.  The
+    # exponent is (1-R) log c - disc; at c = 0 it is -inf for R < 1 (flow 0)
+    # and +inf for R > 1 (flow -inf).
+    log_c = log_xi + log_x[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = np.multiply(log_c, 1.0 - R, out=log_c)
+        flow -= disc[:, :-1]
+        np.exp(flow, out=flow)
+        flow /= 1.0 - R
+    flow *= dt
+    return log_x, disc, flow
 
 
 def _step_count(T, dt):
@@ -302,12 +350,13 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 
     ``policy`` is a (pi, xi) pair: scalars, per-state arrays (regime) or
     callables of the factor value, applied elementwise to arrays of any
-    shape (paths x steps).  With ``antithetic=True`` consecutive
-    paths share one noise stream with flipped signs and the standard error
-    is computed over pair averages.
+    shape (paths x steps), or once to ``arange(n_states)`` for a regime
+    model, where a scalar result holds in every state.  With
+    ``antithetic=True`` consecutive paths share one noise stream with
+    flipped signs and the standard error is computed over pair averages.
     """
-    if x0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"initial wealth must be positive and finite, got {x0}")
     if T <= 0.0 or dt <= 0.0 or dt > T:
         raise ValueError("need 0 < dt <= T")
     n_paths = int(n_paths)
@@ -316,7 +365,7 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     if antithetic and n_paths % 2 != 0:
         raise ValueError("antithetic sampling needs an even path count")
     n_steps = _step_count(T, dt)
-    pi_fn, xi_fn = _normalize_policy(model, policy)
+    lookup = _step_coefficients(model, policy, dt, y0, n_steps)
 
     values = np.empty(n_paths)
     tails = np.empty(n_paths)
@@ -333,7 +382,7 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         block_values, block_tails = values[start:stop], tails[start:stop]
         for lo in range(0, stop - start, rows):
             part = slice(lo, lo + rows)
-            flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor[part], dw_asset[part])[2]
+            flow = _wealth_kernel(lookup, model.R, x0, dt, factor[part], dw_asset[part])[2]
             block_values[part] = flow.sum(axis=1)
             block_tails[part] = flow[:, k_tail:].sum(axis=1)
 
@@ -381,28 +430,28 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
     not reported, and black_scholes reports ``y0`` throughout: its constant
     coefficients need no Brownian factor, so none is simulated.
     """
-    if x0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    pi_fn, xi_fn = _normalize_policy(model, policy)
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"initial wealth must be positive and finite, got {x0}")
     if path is not None:
         if not isinstance(model, RegimeModel):
             raise ValueError("pre-sampled paths apply to regime models only")
         if dt is None:
             raise ValueError("dt is required with a pre-sampled path")
-        n_steps = _step_count(path.times[-1], dt)
+    elif y0 is None or T is None or dt is None:
+        raise ValueError("y0, T, dt are required without a pre-sampled path")
+    n_steps = _step_count(T if path is None else path.times[-1], dt)
+    lookup = _step_coefficients(model, policy, dt, y0, n_steps)
+    if path is not None:
         factor = _on_grid(path.times[None, 1:-1], path.states[None, :], n_steps, dt)
-        dw_asset = math.sqrt(dt) * _path_rng(seed, 0).standard_normal((1, n_steps))
+        dw_asset = math.sqrt(dt) * _path_streams(seed)(0).standard_normal((1, n_steps))
     else:
-        if y0 is None or T is None or dt is None:
-            raise ValueError("y0, T, dt are required without a pre-sampled path")
-        n_steps = _step_count(T, dt)
         factor, dw_asset = _sample_block(model, y0, T, dt, n_steps, seed, np.arange(1), False)
-    log_x, disc, flow = _wealth_kernel(model, pi_fn, xi_fn, x0, dt, factor, dw_asset)
+    log_x, disc, flow = _wealth_kernel(lookup, model.R, x0, dt, factor, dw_asset)
     states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))
     return PathSample(
         times=np.arange(n_steps + 1) * dt,
         states=np.append(states, states[-1]),
-        wealth=np.exp(np.append(math.log(x0), log_x[0])),
-        discount_integral=np.append(0.0, disc[0]),
+        wealth=np.exp(log_x[0]),
+        discount_integral=disc[0],
         utility_integral=np.append(0.0, np.cumsum(flow[0])),
     )

@@ -183,13 +183,18 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
     A scalar left-endpoint recursion: ``coef(y)`` gives (r, lambda, sigma,
     delta) at the step-start factor value ``y``, the policy is (pi(y), xi(y)),
     and step k adds exp(-disc) (xi X)^(1-R) / (1-R) dt to the utility.
+    Zero consumption adds nothing for R < 1 (c^(1-R) = 0) and makes the
+    utility -inf for R > 1.
     """
     log_x, disc, util = math.log(x0), 0.0, 0.0
     wealth, discs, utils = [x0], [0.0], [0.0]
     for y, dw in zip(factor, dw_asset):
         r, lam, sigma, delta = coef(y)
         p, c = pi(y), xi(y)
-        util += math.exp(-disc + (1.0 - R) * (math.log(c) + log_x)) / (1.0 - R) * dt
+        if c > 0.0:
+            util += math.exp(-disc + (1.0 - R) * (math.log(c) + log_x)) / (1.0 - R) * dt
+        elif R > 1.0:
+            util = -math.inf
         log_x += (r + p * lam * sigma - c - 0.5 * p * p * sigma * sigma) * dt + p * sigma * dw
         disc += delta * dt
         wealth.append(math.exp(log_x))

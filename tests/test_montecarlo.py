@@ -23,7 +23,7 @@ from merton_factor._parallel import map_ordered
 from merton_factor.montecarlo import default_horizon
 
 
-def flat_regime(xi_irrelevant=None):
+def flat_regime(R=2.0):
     """Two-state model whose r and delta do not depend on the state."""
     return load_model(
         {
@@ -33,7 +33,7 @@ def flat_regime(xi_irrelevant=None):
             "lambda": [0.4, 0.1],
             "sigma": [0.25, 0.2],
             "delta": [0.1, 0.1],
-            "R": 2.0,
+            "R": R,
         }
     )
 
@@ -457,17 +457,42 @@ def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model)
     assert np.any(factor < 0.0)
 
     # Regime with a pre-sampled chain: the asset normals are the first draws.
+    # The kernel gathers per-state tables built from scalars, per-state
+    # arrays or callables of the state (also one that returns a scalar).
     path = sample_ctmc_path(regime2_model.Q, 1, T, seed=seed)
     states = path.states[np.searchsorted(path.times[1:-1], np.arange(n) * dt, side="right")]
-    m = regime2_model
-    sample = simulate_wealth(m, (0.5, 0.1), x0, dt=dt, seed=seed, path=path)
+    assert 0 < np.count_nonzero(states) < n
     dw = root * _path_zero_normals(seed, n)
+    pi_arr, xi_arr = np.array([0.7, 0.3]), np.array([0.09, 0.05])
+    low_R = flat_regime(R=0.6)
 
-    def regime_coef(s):
-        s = int(s)
-        return m.r[s], m.lam[s], m.sigma[s], m.delta[s]
+    def by_state(values):
+        return lambda s: values[int(s)]  # the loop reads states as floats
 
-    check(sample, regime_coef, m.R, (lambda s: 0.5, lambda s: 0.1), states, dw)
+    cases = (
+        (regime2_model, (0.5, 0.1), (lambda s: 0.5, lambda s: 0.1)),
+        (regime2_model, (pi_arr, xi_arr), (by_state(pi_arr), by_state(xi_arr))),
+        (regime2_model, (lambda s: 0.5, lambda s: xi_arr[s]), (lambda s: 0.5, by_state(xi_arr))),
+        # No consumption in state 0 at R < 1: that state's flow is exactly 0.
+        (low_R, (pi_arr, [0.0, 0.05]), (by_state(pi_arr), by_state([0.0, 0.05]))),
+    )
+    for m, policy, loop_policy in cases:
+        sample = simulate_wealth(m, policy, x0, dt=dt, seed=seed, path=path)
+
+        def regime_coef(s, m=m):
+            s = int(s)
+            return m.r[s], m.lam[s], m.sigma[s], m.delta[s]
+
+        check(sample, regime_coef, m.R, loop_policy, states, dw)
+    flow = np.diff(sample.utility_integral)
+    assert np.all(flow[states == 0] == 0.0) and np.all(flow[states == 1] > 0.0)
+
+
+def test_regime_policy_forms_agree_bitwise(regime2_model):
+    pi_arr, xi_arr = np.array([0.7, 0.3]), np.array([0.09, 0.05])
+    forms = ((pi_arr, xi_arr), (lambda s: pi_arr[s], lambda s: xi_arr[s]))
+    a, b = (estimate_value(regime2_model, f, 1.0, 0, 20.0, 0.05, 300, seed=8) for f in forms)
+    assert (a.mean, a.se, a.tail_mean) == (b.mean, b.se, b.tail_mean)
 
 
 def test_zero_consumption_semantics(bs_model):
@@ -501,6 +526,14 @@ def test_estimate_validation(bs_model):
             simulate_wealth(bs_model, (0.6, 0.07), 1.0, 0.0, T, dt)
     with pytest.raises(ModelError):
         estimate_value(object(), (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 10, seed=1)
+
+
+@pytest.mark.parametrize("x0", [math.inf, math.nan], ids=["inf", "nan"])
+def test_initial_wealth_must_be_finite(x0, regime2_model):
+    with pytest.raises(ValueError, match="initial wealth"):
+        estimate_value(regime2_model, (0.5, 0.1), x0, 0, 5.0, 0.05, 20, seed=1)
+    with pytest.raises(ValueError, match="initial wealth"):
+        simulate_wealth(regime2_model, (0.5, 0.1), x0, y0=0, T=5.0, dt=0.05, seed=1)
 
 
 def test_tail_share_reporting(bs_model):
