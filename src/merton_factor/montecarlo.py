@@ -8,22 +8,30 @@ and the realized objective of one path is the discounted utility integral
 
     J = int_0^T exp(-int_0^t delta ds) (xi_t X_t)^(1-R) / (1-R) dt,
 
-accumulated with the left-endpoint rule.
+accumulated with the left-endpoint rule on the grid t_k = k dt.
 
-The factor never depends on wealth, so each path is simulated in two
+The factor never depends on wealth.  A diffusion path is simulated in two
 stages.  A sampler draws the factor at the step starts and the asset
-increments: chains exactly by uniformization, diffusions by Euler (full
-truncation at the boundary of the state space) with correlated increments
-dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no factor path for
-black_scholes.  Then one wealth kernel, shared by ``estimate_value`` and
-``simulate_wealth``, turns those arrays into running log wealth, running
-discount and each step's utility flow.  It reads four step coefficients,
-drift * dt, pi sigma, delta * dt and log xi: per-state tables for a regime
-model, built once per call and gathered by state; one row at ``y0`` for
-black_scholes, so its discount is one cumulative sum shared by every path;
-for other diffusions, values on the clipped factor.  Paths are sampled
-in blocks of about 10^6 path-steps; the kernel runs on row slices of at
-most ``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
+increments: by Euler (full truncation at the boundary of the state space)
+with correlated increments dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no
+factor path for black_scholes.  Then one wealth kernel turns those arrays
+into running log wealth, running discount and each step's utility flow.
+It reads four step coefficients, drift * dt, pi sigma, delta * dt and
+log xi: one row at ``y0`` for black_scholes, so its discount is one
+cumulative sum shared by every path; for other diffusions, values on the
+clipped factor; for a regime model, per-state tables built once per call
+and gathered by state.  Paths are sampled in blocks of about 10^6
+path-steps; the kernel runs on row slices of at most ``_SLICE_ELEMENTS``
+path-steps, so its temporaries stay small.
+
+A regime chain is sampled exactly by uniformization.  Given the chain,
+each step's log-wealth increment is normal, so a regime estimate does not
+draw the asset noise: a path's value is E[J | chain], the exact
+conditional expectation of the left-endpoint objective on the same grid
+(conditional Monte Carlo).  Its mean is that of J, its variance is never
+larger, and over a stretch of steps in one state it is a geometric sum in
+closed form, so the work per path is one term per chain event.
+``simulate_wealth`` still draws the asset normals of its one path.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
@@ -140,13 +148,16 @@ def _chain_events(rng, rate, T):
     Draws batches of standard exponentials, then as many uniforms, until
     the events pass T, so the process is never truncated.
     """
-    times, uniforms = [np.zeros(1)], [np.empty(0)]
-    while rate > 0.0 and times[-1][-1] < T:
+    times, uniforms, clock = [np.empty(0)], [np.empty(0)], 0.0
+    while rate > 0.0 and clock < T:
         k = _event_batch(rate * T)
-        times.append(times[-1][-1] + np.cumsum(rng.standard_exponential(k)) / rate)
+        times.append(clock + np.cumsum(rng.standard_exponential(k)) / rate)
         uniforms.append(rng.random(k))
-    times = np.concatenate(times)[1:]
-    return times[times < T], np.concatenate(uniforms)[times < T]
+        clock = times[-1][-1]
+    if len(times) > 2:
+        times, uniforms = [np.concatenate(times)], [np.concatenate(uniforms)]
+    count = times[-1].searchsorted(T)
+    return times[-1][:count], uniforms[-1][:count]
 
 
 def _embedded_chains(events, cdf, y0):
@@ -168,10 +179,20 @@ def _embedded_chains(events, cdf, y0):
     return times, states
 
 
+def _sample_chains(Q, y0, T, rngs):
+    """:func:`_embedded_chains` of one path per generator, each drawing its events only."""
+    rate, cdf = _uniformized(Q)
+    return _embedded_chains([_chain_events(rng, rate, T) for rng in rngs], cdf, y0)
+
+
+def _grid_edges(times, n_steps, dt):
+    """Index of the first step whose start t_k = k dt is not before each event."""
+    return np.searchsorted(np.arange(n_steps) * dt, times, side="left")
+
+
 def _on_grid(times, states, n_steps, dt):
     """(paths, n_steps) state at each step start: ``states[:, e]`` up to ``times[:, e]``."""
-    edges = np.searchsorted(np.arange(n_steps) * dt, times, side="left")
-    counts = np.diff(edges, axis=1, prepend=0, append=n_steps)
+    counts = np.diff(_grid_edges(times, n_steps, dt), axis=1, prepend=0, append=n_steps)
     return np.repeat(states.ravel(), counts.ravel()).reshape(-1, n_steps)
 
 
@@ -185,8 +206,7 @@ def sample_ctmc_path(Q, y0, T, seed):
     Q = _checked_generator(Q)
     if T <= 0.0:
         raise ValueError("T must be positive")
-    rate, cdf = _uniformized(Q)
-    times, states = _embedded_chains([_chain_events(_path_streams(seed)(0), rate, T)], cdf, y0)
+    times, states = _sample_chains(Q, y0, T, [_path_streams(seed)(0)])
     times, states = times[0], states[0].astype(np.int64)
     moves = np.flatnonzero(np.diff(states))
     return PathSample(np.concatenate(([0.0], times[moves], [T])), states[np.append(0, moves + 1)])
@@ -228,7 +248,8 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     four form a table with one row per state (the policy is called on
     ``arange(n_states)``), gathered by state in one pass; black_scholes has
     one row of ``n_steps`` at ``y0``, shared by every path; other diffusions
-    evaluate the coefficients and the policy on the clipped factor.
+    evaluate the coefficients and the policy on the clipped factor.  A
+    diffusion's ``y0`` must be a finite point of the closed state interval.
     """
     pi, xi = _normalize_policy(model, policy)
 
@@ -246,6 +267,9 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
         return lambda factor: np.moveaxis(table.take(factor, axis=0), -1, 0)
     if not isinstance(model, DiffusionModel):
         raise ModelError(f"cannot simulate model of type {type(model).__name__}")
+    lo, hi = model.interval
+    if not (math.isfinite(y0) and lo <= y0 <= hi):
+        raise ValueError(f"initial factor {y0} is not a finite point of [{lo}, {hi}]")
 
     def on_factor(factor):
         y = _clipped(model, factor)
@@ -257,45 +281,33 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     return on_factor
 
 
-def _sample_block(model, y0, T, dt, n_steps, seed, indices, antithetic):
-    """(factor at the step starts, asset increments dW) of a block of paths.
+def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
+    """(factor at the step starts, asset increments dW) of a block of diffusion paths.
 
-    Path ``idx`` draws from its own Philox stream: the chain's events (see
-    :func:`_chain_events`) and then the asset normals for regime models,
-    the asset normals only for black_scholes (whose factor is one column
-    holding ``y0``), the factor and then the perpendicular normals for the
-    other diffusions.  With ``antithetic``, paths 2k and 2k+1 share stream
-    k (and so the chain) with flipped signs.  The chains' embedded steps
-    and grid mapping then run once per block, into small unsigned integers.
+    Path ``idx`` draws from its own Philox stream: the asset normals only
+    for black_scholes (whose factor is one column holding ``y0``), the
+    factor and then the perpendicular normals for the other diffusions.
+    With ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
     """
     B = indices.shape[0]
-    if isinstance(model, RegimeModel):
-        kind, events = "chain", []
-        rate, cdf = _uniformized(model.Q)
-    elif model.family == "black_scholes":
-        kind, factor = "constant", np.full((B, 1), float(y0))
-    else:
-        # Each row holds the path's factor increments until the Euler loop.
-        kind, factor = "euler", np.empty((B, n_steps))
-        rho = model.rho
+    euler = model.family != "black_scholes"
+    # An Euler row holds the path's factor increments until the Euler loop.
+    factor = np.empty((B, n_steps)) if euler else np.full((B, 1), float(y0))
     dw_asset = np.empty((B, n_steps))
+    rho = model.rho
     stream = _path_streams(seed)
     for row, idx in enumerate(indices):
         rng = stream(idx // 2 if antithetic else idx)
-        if kind == "euler":
+        if euler:
             z_factor, z_perp = rng.standard_normal((2, n_steps))
             factor[row] = z_factor
             dw_asset[row] = rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp
-            continue
-        if kind == "chain":
-            events.append(_chain_events(rng, rate, T))
-        rng.standard_normal(out=dw_asset[row])
+        else:
+            rng.standard_normal(out=dw_asset[row])
     # sign * (sqrt(dt) * z) in one pass: with sign = +-1 the product is exact.
     scale = math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
     dw_asset *= scale
-    if kind == "chain":
-        factor = _on_grid(*_embedded_chains(events, cdf, y0), n_steps, dt)
-    if kind == "euler":
+    if euler:
         factor *= scale
         y = np.full(B, float(y0))
         for k in range(n_steps):
@@ -337,6 +349,51 @@ def _wealth_kernel(lookup, R, x0, dt, factor, dw_asset):
     return log_x, disc, flow
 
 
+def _stretch_sums(log_w, a, m, start):
+    """sum_{i<m} exp(log_w + start + i a) per stretch, exactly 0 where m = 0.
+
+    That is exp(log_w + start) expm1(m a) / expm1(a), or m exp(log_w + start)
+    where a = 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.divide(np.expm1(m * a), np.expm1(a), out=m.astype(float), where=a != 0.0)
+        return np.where(m > 0, np.exp(log_w + start) * ratio, 0.0)
+
+
+def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
+    """(E[J | chain], its part from step ``k_tail`` on) for each embedded chain.
+
+    Given the chain, each step's log-wealth increment is normal, so
+    E[flow_k | chain] = dt / (1-R) exp(log w_{s_k} + sum_{j<k} a_{s_j}) with
+    a = (1-R)(drift dt + (1-R)(pi sigma)^2 dt / 2) - delta dt and
+    log w = (1-R)(log xi + log x0), from the per-state tables of ``lookup``.
+    ``times`` and ``states`` come from :func:`_embedded_chains`.  The events
+    cut the grid into stretches (step counts from the edges of
+    :func:`_on_grid`), each summed in closed form.  An event that leaves
+    (a, log w) unchanged does not cut, so chains with equal coefficient
+    paths give bitwise equal values; the sums run in sequence, where the
+    zero terms of uncut events and padding add exactly nothing.
+    """
+    R = model.R
+    drift, vol, delta_dt, log_xi = lookup(np.arange(model.n_states))
+    a = ((1.0 - R) * (drift + 0.5 * (1.0 - R) * vol * vol * dt) - delta_dt)[states]
+    log_w = ((1.0 - R) * (log_xi + math.log(x0)))[states]
+    cut = (a[:, 1:] != a[:, :-1]) | (log_w[:, 1:] != log_w[:, :-1])
+    starts = np.zeros(states.shape, np.intp)
+    edges = np.where(cut, _grid_edges(times, n_steps, dt), 0)
+    np.maximum.accumulate(edges, axis=1, out=starts[:, 1:])
+    counts = np.diff(starts, axis=1, append=n_steps)
+    exponent = np.zeros(a.shape)
+    np.cumsum(counts[:, :-1] * a[:, :-1], axis=1, out=exponent[:, 1:])
+    tail_starts = np.maximum(starts, k_tail)
+    tail_counts = np.maximum(starts + counts - tail_starts, 0)
+    tail_exponent = exponent + (tail_starts - starts) * a
+    return tuple(
+        np.cumsum(_stretch_sums(log_w, a, m, e), axis=1)[:, -1] / (1.0 - R) * dt
+        for m, e in ((counts, exponent), (tail_counts, tail_exponent))
+    )
+
+
 def _step_count(T, dt):
     """Steps of length dt over [0, T]; ValueError unless dt > 0 and T, dt, T / dt are finite."""
     T, dt = float(T), float(dt)
@@ -354,6 +411,14 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     model, where a scalar result holds in every state.  With
     ``antithetic=True`` consecutive paths share one noise stream with
     flipped signs and the standard error is computed over pair averages.
+
+    A diffusion path's value is its realized objective J.  A regime path's
+    value is E[J | chain] on the same grid, in closed form: it has the same
+    mean and no more variance, and draws no asset normals.  An antithetic
+    pair shares its chain, so both values are equal and antithetic buys
+    nothing for a regime model.  When every regime path value is equal
+    (one state, an absorbing ``y0``, or state-independent coefficients)
+    the estimate is reported with SE exactly 0.
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
@@ -366,6 +431,7 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         raise ValueError("antithetic sampling needs an even path count")
     n_steps = _step_count(T, dt)
     lookup = _step_coefficients(model, policy, dt, y0, n_steps)
+    regime = isinstance(model, RegimeModel)
 
     values = np.empty(n_paths)
     tails = np.empty(n_paths)
@@ -376,10 +442,17 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 
     def run(bounds):
         start, stop = bounds
-        factor, dw_asset = _sample_block(
-            model, y0, T, dt, n_steps, seed, np.arange(start, stop), antithetic
-        )
+        indices = np.arange(start, stop)
         block_values, block_tails = values[start:stop], tails[start:stop]
+        if regime:
+            stream = _path_streams(seed)
+            rngs = (stream(idx // 2 if antithetic else idx) for idx in indices)
+            chains = _sample_chains(model.Q, y0, T, rngs)
+            block_values[:], block_tails[:] = _conditional_values(
+                model, lookup, x0, dt, n_steps, k_tail, *chains
+            )
+            return
+        factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, indices, antithetic)
         for lo in range(0, stop - start, rows):
             part = slice(lo, lo + rows)
             flow = _wealth_kernel(lookup, model.R, x0, dt, factor[part], dw_asset[part])[2]
@@ -390,9 +463,13 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 
     mean = float(np.mean(values))
     # Infinite path values (zero consumption with R > 1) make the standard
-    # error undefined; report NaN quietly instead of warning.
+    # error undefined; report NaN quietly instead of warning.  Equal regime
+    # values come from chains that cannot change the coefficients: their SE
+    # is 0, where np.std of equal values may leave a rounding residue.
     with np.errstate(invalid="ignore"):
-        if antithetic:
+        if regime and np.ptp(values) == 0.0:
+            se = 0.0
+        elif antithetic:
             pair_means = values.reshape(-1, 2).mean(axis=1)
             se = float(np.std(pair_means, ddof=1) / math.sqrt(pair_means.shape[0]))
         else:
@@ -419,11 +496,13 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=None):
     """Simulate one wealth path; returns the full :class:`PathSample`.
 
-    The path is path 0 of :func:`estimate_value` with the same seed: the
-    same sampler and the same wealth kernel, run on one path.  For regime
-    models a pre-sampled factor path may be passed via ``path`` (as
-    returned by :func:`sample_ctmc_path`); the asset normals are then the
-    first draws of the stream.
+    The path is path 0 of :func:`estimate_value` with the same seed.  For a
+    diffusion it is the same sampler and wealth kernel, so its utility
+    integral at T is the estimator's path-0 value.  For a regime model it
+    shares path 0's chain, not its value: it then draws the asset normals
+    that the estimator integrates out.  A pre-sampled chain may be passed
+    via ``path`` (as returned by :func:`sample_ctmc_path`); the asset
+    normals are then the first draws of the stream.
 
     ``states`` holds the factor at each step start, with the last one
     repeated at T, for every model type.  A diffusion's Euler value at T is
@@ -441,11 +520,16 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
         raise ValueError("y0, T, dt are required without a pre-sampled path")
     n_steps = _step_count(T if path is None else path.times[-1], dt)
     lookup = _step_coefficients(model, policy, dt, y0, n_steps)
-    if path is not None:
-        factor = _on_grid(path.times[None, 1:-1], path.states[None, :], n_steps, dt)
-        dw_asset = math.sqrt(dt) * _path_streams(seed)(0).standard_normal((1, n_steps))
+    if isinstance(model, RegimeModel):
+        rng = _path_streams(seed)(0)
+        if path is None:
+            times, chain = _sample_chains(model.Q, y0, T, [rng])
+        else:
+            times, chain = path.times[None, 1:-1], path.states[None, :]
+        factor = _on_grid(times, chain, n_steps, dt)
+        dw_asset = math.sqrt(dt) * rng.standard_normal((1, n_steps))
     else:
-        factor, dw_asset = _sample_block(model, y0, T, dt, n_steps, seed, np.arange(1), False)
+        factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, np.arange(1), False)
     log_x, disc, flow = _wealth_kernel(lookup, model.R, x0, dt, factor, dw_asset)
     states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))
     return PathSample(

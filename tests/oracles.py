@@ -3,13 +3,16 @@
 Everything here is derived from first principles with dense numpy/scipy
 primitives and deliberately shares no code or algorithm with the package:
 determinant-based minor checks, inverse-nonnegativity M-matrix checks, a
-log-space damped Newton root-finder, and closed-form value formulas for
-constant-coefficient markets.
+log-space damped Newton root-finder, closed-form value formulas for
+constant-coefficient markets, scalar per-step loops of the Monte Carlo
+objective, and exact regime policy values (a matrix-power recursion on the
+estimator's grid and a Feynman-Kac linear solve).
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 
@@ -201,6 +204,62 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
         discs.append(disc)
         utils.append(util)
     return np.array(wealth), np.array(discs), np.array(utils)
+
+
+def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor):
+    """E[J | factor path] of the left-endpoint objective, one step at a time.
+
+    Given the step-start factor values, step k's log-wealth increment is
+    normal with mean mu_k dt and variance (pi sigma)^2 dt, so
+    E[exp((1-R) log X_k - disc_k)] multiplies by
+    exp((1-R) mu dt + (1-R)^2 (pi sigma)^2 dt / 2 - delta dt) per step, and
+    step k adds dt (xi x0)^(1-R) / (1-R) times that mean.
+    """
+    log_mean, total = 0.0, 0.0
+    for y in factor:
+        r, lam, sigma, delta = coef(y)
+        p, c = pi(y), xi(y)
+        total += math.exp(log_mean + (1.0 - R) * math.log(c * x0)) / (1.0 - R) * dt
+        mu = r + p * lam * sigma - c - 0.5 * p * p * sigma * sigma
+        log_mean += ((1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * p * p * sigma * sigma - delta) * dt
+    return total
+
+
+def _regime_policy_rates(model, policy):
+    """Per-state (k, xi): k = -delta + (1-R) mu + (1-R)^2 (pi sigma)^2 / 2."""
+    n = model.Q.shape[0]
+    pi, xi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in policy)
+    R, sigma = model.R, model.sigma
+    mu = model.r + pi * model.lam * sigma - xi - 0.5 * pi**2 * sigma**2
+    return -model.delta + (1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * pi**2 * sigma**2, xi
+
+
+def regime_grid_value(model, policy, x0, y0, T, dt):
+    """Exact mean of the left-endpoint Monte Carlo estimate of a per-state policy.
+
+    With D = diag(exp(k dt)), P = expm(Q dt) and w = dt (xi x0)^(1-R) / (1-R),
+    the estimator's mean is (sum_{j<n} (D P)^j w)[y0], n = round(T / dt):
+    step j's conditional mean is w at its state times the product of
+    exp(k dt) over the states of the earlier steps.  ``policy`` holds
+    scalars or one value per state.
+    """
+    k, xi = _regime_policy_rates(model, policy)
+    w = dt * (xi * x0) ** (1.0 - model.R) / (1.0 - model.R)
+    DP = np.exp(k * dt)[:, None] * scipy.linalg.expm(np.asarray(model.Q) * dt)
+    total = w.copy()
+    for _ in range(int(round(T / dt)) - 1):
+        total = w + DP @ total
+    return float(total[int(y0)])
+
+
+def regime_policy_value(model, policy):
+    """g with value x^(1-R) / (1-R) g of a per-state policy on the infinite horizon.
+
+    Feynman-Kac: (diag(-k) - Q) g = xi^(1-R), with k from the policy's
+    wealth drift and variance; at the optimal policy g is the HJB's f.
+    """
+    k, xi = _regime_policy_rates(model, policy)
+    return np.linalg.solve(np.diag(-k) - np.asarray(model.Q), xi ** (1.0 - model.R))
 
 
 def uniformized_chain_by_loop(Q, y0, T, batch, rng):

@@ -10,7 +10,9 @@ import scipy.linalg
 
 import oracles
 from merton_factor import (
+    IllPosedError,
     ModelError,
+    RegimeModel,
     estimate_value,
     load_model,
     sample_ctmc_path,
@@ -51,6 +53,13 @@ def three_state_regime():
             "R": 2.0,
         }
     )
+
+
+def _grid_chains(model, y0, T, dt, n_steps, seed, n_paths):
+    """The estimator's chains of paths 0..n_paths-1 at the step starts."""
+    stream = montecarlo._path_streams(seed)
+    chains = montecarlo._sample_chains(model.Q, y0, T, (stream(i) for i in range(n_paths)))
+    return montecarlo._on_grid(*chains, n_steps, dt)
 
 
 def test_zero_investment_policy_is_deterministic_on_all_routes(bs_model, mpr_model):
@@ -227,9 +236,7 @@ def test_uniformized_states_follow_the_transition_law():
     # The estimator's chains at several grid times against expm(Q t)[y0].
     model = three_state_regime()
     n_paths, T, dt, n_steps = 20_000, 3.0, 0.25, 12
-    factor, _ = montecarlo._sample_block(
-        model, 0, T, dt, n_steps, 2027, np.arange(n_paths), False
-    )
+    factor = _grid_chains(model, 0, T, dt, n_steps, 2027, n_paths)
     assert np.all(factor[:, 0] == 0)
     for k in (1, 2, 4, 8, 11):
         law = scipy.linalg.expm(model.Q * (k * dt))[0]
@@ -238,9 +245,9 @@ def test_uniformized_states_follow_the_transition_law():
         assert np.all(np.abs(freq - law) <= 4.0 * se), (k, freq, law)
 
 
-def test_single_state_chain_is_constant(bs_model):
-    # Lambda = 0: no events are drawn, and nothing divides by it.  The
-    # asset normals are then the first draws, as for black_scholes.
+def test_single_state_chain_is_constant():
+    # Lambda = 0: no events are drawn, and nothing divides by it.  Every
+    # path is then one stretch with the same closed-form conditional value.
     one = load_model(
         {
             "family": "regime",
@@ -254,13 +261,15 @@ def test_single_state_chain_is_constant(bs_model):
     )
     with np.errstate(divide="raise", invalid="raise"):
         path = sample_ctmc_path(one.Q, 0, 5.0, seed=1)
-        factor, _ = montecarlo._sample_block(one, 0, 5.0, 0.5, 10, 1, np.arange(3), False)
+        factor = _grid_chains(one, 0, 5.0, 0.5, 10, 1, 3)
+        est = estimate_value(one, (0.6, 0.07125), 1.0, 0, 20.0, 0.05, 200, seed=4)
     assert np.array_equal(path.times, [0.0, 5.0]) and np.array_equal(path.states, [0])
     assert np.all(factor == 0)
-    est = estimate_value(one, (0.6, 0.07125), 1.0, 0, 20.0, 0.05, 200, seed=4)
-    ref = estimate_value(bs_model, (0.6, 0.07125), 1.0, 0.0, 20.0, 0.05, 200, seed=4)
-    assert est.mean == pytest.approx(ref.mean, rel=1e-12)
-    assert est.se == pytest.approx(ref.se, rel=1e-12)
+    exact = oracles.gbm_policy_expected_value(
+        1.0, 2.0, 0.1, 0.02, 0.3, 0.25, 0.6, 0.07125, 20.0, 0.05
+    )
+    assert est.mean == pytest.approx(exact, rel=1e-12)
+    assert est.se == 0.0
 
 
 def test_event_batches_are_topped_up_until_T(regime2_model, monkeypatch):
@@ -268,9 +277,7 @@ def test_event_batches_are_topped_up_until_T(regime2_model, monkeypatch):
     # its stream until its events pass T; nothing is truncated.
     monkeypatch.setattr(montecarlo, "_event_batch", lambda mean: 1)
     T, dt, n_paths = 40.0, 0.05, 400
-    factor, _ = montecarlo._sample_block(
-        regime2_model, 0, T, dt, 800, 3, np.arange(n_paths), False
-    )
+    factor = _grid_chains(regime2_model, 0, T, dt, 800, 3, n_paths)
     # Every event of this chain switches state (P = [[0, 1], [1, 0]], rate
     # 0.5), so one batch alone would allow at most one switch per path.
     switches = np.count_nonzero(np.diff(factor.astype(int), axis=1), axis=1)
@@ -391,9 +398,38 @@ def test_simulate_wealth_is_path_zero_of_the_estimator(fixture, request):
     sample = simulate_wealth(model, policy, 1.5, y0=y0, T=10.0, dt=0.05, seed=9)
     est = estimate_value(model, policy, 1.5, y0, 10.0, 0.05, 2, seed=9)
     # With two paths the estimate is mean = (J0 + J1) / 2, se = |J0 - J1| / 2.
-    final = sample.utility_integral[-1]
-    assert min(abs(final - (est.mean + s * est.se)) for s in (-1.0, 1.0)) <= 1e-12 * abs(final)
+    values = sorted(est.mean + s * est.se for s in (-1.0, 1.0))
     assert est.se > 0.0
+    if fixture != "regime2_model":
+        final = sample.utility_integral[-1]
+        assert min(abs(final - value) for value in values) <= 1e-12 * abs(final)
+        return
+    # A regime path value is E[J | chain]: the per-step loop on the chains
+    # of paths 0 and 1; simulate_wealth shares path 0's chain, not its value.
+    # The tail is the part from step round(0.9 n) on.
+    n, k_tail = 200, 180
+    expected, tails = [], []
+    for index in (0, 1):
+        rng = np.random.Generator(np.random.Philox(key=9, counter=index << 128))
+        times, states = oracles.uniformized_chain_by_loop(
+            model.Q, 0, 10.0, montecarlo._event_batch(0.5 * 10.0), rng
+        )
+        chain = np.concatenate(([0], states))
+        on_grid = [chain[np.sum(times <= k * 0.05)] for k in range(n)]
+        if index == 0:
+            assert np.array_equal(sample.states[:-1], on_grid)
+
+        def coef(s):
+            return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
+
+        def by_loop(steps):
+            pi, xi = (lambda s: policy[0]), (lambda s: policy[1])
+            return oracles.conditional_value_by_loop(coef, model.R, pi, xi, 1.5, 0.05, steps)
+
+        expected.append(by_loop(on_grid))
+        tails.append(expected[-1] - by_loop(on_grid[:k_tail]))
+    np.testing.assert_allclose(values, sorted(expected), rtol=1e-12)
+    assert est.tail_mean == pytest.approx(np.mean(tails), rel=1e-10)
 
 
 def _path_zero_normals(seed, count):
@@ -511,6 +547,18 @@ def test_zero_consumption_semantics(bs_model):
     est = estimate_value(low, (0.0, 0.0), 1.0, 0.0, 5.0, 0.25, 8, seed=1)
     assert est.mean == 0.0 and est.se == 0.0
 
+    # Regime stretches without consumption add exactly 0 for R < 1 and make
+    # the path value -inf for R > 1.
+    policy = ([0.7, 0.3], [0.0, 0.05])
+    est = estimate_value(flat_regime(R=0.6), policy, 1.0, 1, 20.0, 0.05, 400, seed=2)
+    exact = oracles.regime_grid_value(flat_regime(R=0.6), policy, 1.0, 1, 20.0, 0.05)
+    assert 0.0 < exact and abs(est.mean - exact) <= 4.0 * est.se
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_value(flat_regime(), policy, 1.0, 0, 20.0, 0.05, 40, seed=2)
+    assert est.mean == -math.inf
+    assert math.isnan(est.se)
+
 
 def test_estimate_validation(bs_model):
     with pytest.raises(ValueError, match="initial wealth"):
@@ -556,3 +604,115 @@ def test_default_horizon_formula():
     assert default_horizon(0.1, cutoff=1e-3) == pytest.approx(math.log(1e3) / 0.1, rel=0)
     with pytest.raises(ValueError):
         default_horizon(0.0)
+
+
+@pytest.mark.parametrize(
+    "fixture, y0",
+    [
+        ("mpr_model", math.nan),
+        ("mpr_model", math.inf),
+        ("mpr_model", -math.inf),
+        ("heston_model", math.nan),
+        ("heston_model", math.inf),
+        ("heston_model", -1.0),
+    ],
+)
+def test_diffusion_initial_factor_must_be_a_finite_point_of_the_interval(fixture, y0, request):
+    model = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match="initial factor"):
+        estimate_value(model, (0.5, 0.1), 1.0, y0, 5.0, 0.05, 20, seed=1)
+    with pytest.raises(ValueError, match="initial factor"):
+        simulate_wealth(model, (0.5, 0.1), 1.0, y0=y0, T=5.0, dt=0.05, seed=1)
+
+
+def test_regime_policy_value_reproduces_the_solver_f():
+    # AC4's random instances, given markets whose frozen rates are theirs:
+    # at the optimal policy the Feynman-Kac value is the HJB's f.
+    rng, market = np.random.default_rng(44), np.random.default_rng(7)
+    checked = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        Q, eta, R = oracles.random_regime_instance(rng, n)
+        r, lam = market.uniform(0.0, 0.05, n), market.uniform(-0.5, 0.5, n)
+        sigma = market.uniform(0.1, 0.4, n)
+        delta = R * eta + (1.0 - R) * (r + lam**2 / (2.0 * R))
+        model = RegimeModel(Q, r, lam, sigma, delta, R)
+        np.testing.assert_allclose(model.eta(), eta, rtol=1e-12, atol=1e-15)
+        try:
+            sol = solve_regime(model, tol=1e-12)
+        except IllPosedError:
+            continue
+        g = oracles.regime_policy_value(model, (sol.pi_hat, sol.u))
+        np.testing.assert_allclose(g, sol.f, rtol=1e-8)
+        checked += 1
+    assert checked >= 30
+
+
+def _ac10_cases(model):
+    """AC10's regime estimates: the optimum, then its four perturbations."""
+    sol = solve_regime(model)
+    T = default_horizon(float(np.min(model.eta())))
+    pi_hat, u_hat = np.asarray(sol.pi_hat), np.asarray(sol.u)
+    cases = [((pi_hat, u_hat), T, 0.02, 30_000, 2026)]
+    perturbed = [
+        (pi_hat + 0.15, u_hat),
+        (pi_hat - 0.15, u_hat),
+        (pi_hat, u_hat * 1.2),
+        (pi_hat, u_hat * 0.8),
+    ]
+    cases += [(policy, T, 0.05, 4000, 500 + k) for k, policy in enumerate(perturbed)]
+    return sol, cases
+
+
+@pytest.mark.parametrize(
+    "case", range(7), ids=["optimum", "pi+", "pi-", "xi*1.2", "xi*0.8", "three_state", "flat"]
+)
+def test_regime_estimates_lie_within_4_se_of_the_grid_value(case, regime2_model):
+    # Two-sided: the estimator's exact mean on its grid is known.
+    if case < 5:
+        model, y0 = regime2_model, 0
+        policy, T, dt, n_paths, seed = _ac10_cases(regime2_model)[1][case]
+    elif case == 5:
+        model, y0 = three_state_regime(), 0
+        policy = ([0.5, 0.4, 0.3], [0.1, 0.12, 0.08])
+        T, dt, n_paths, seed = 20.0, 0.05, 4000, 31
+    else:
+        model, y0 = flat_regime(), 1
+        policy, T, dt, n_paths, seed = ([0.7, 0.3], 0.06), 30.0, 0.05, 4000, 32
+    exact = oracles.regime_grid_value(model, policy, 1.0, y0, T, dt)
+    est = estimate_value(model, policy, 1.0, y0, T, dt, n_paths, seed=seed)
+    assert est.se > 0.0
+    assert abs(est.mean - exact) <= 4.0 * est.se, (est.mean - exact) / est.se
+
+
+def test_grid_value_approaches_the_policy_value(regime2_model):
+    # The two oracles agree up to the grid's O(dt) bias and the horizon.
+    cases = _ac10_cases(regime2_model)[1]
+    for policy, T, dt, _, _ in cases:
+        g = oracles.regime_policy_value(regime2_model, policy)
+        grid = oracles.regime_grid_value(regime2_model, policy, 1.0, 0, T, dt)
+        assert grid == pytest.approx(-g[0], rel=0.02)
+    assert -oracles.regime_policy_value(regime2_model, cases[0][0])[0] > max(
+        -oracles.regime_policy_value(regime2_model, case[0])[0] for case in cases[1:]
+    )
+
+
+def test_absorbed_regime_estimate_is_exact():
+    # From the absorbing state every path has one coefficient stretch.
+    model = three_state_regime()
+    policy = ([0.5, 0.4, 0.3], [0.1, 0.12, 0.08])
+    est = estimate_value(model, policy, 1.0, 2, 20.0, 0.05, 300, seed=5)
+    assert est.se == 0.0
+    exact = oracles.regime_grid_value(model, policy, 1.0, 2, 20.0, 0.05)
+    assert est.mean == pytest.approx(exact, rel=1e-12)
+
+
+def test_regime_antithetic_pairs_share_their_value(regime2_model):
+    # A pair shares its chain, so its two conditional values are equal and
+    # the pair SE is the SE of half as many plain paths.
+    plain = estimate_value(regime2_model, (0.5, 0.1), 1.0, 0, 20.0, 0.05, 150, seed=8)
+    anti = estimate_value(
+        regime2_model, (0.5, 0.1), 1.0, 0, 20.0, 0.05, 300, seed=8, antithetic=True
+    )
+    assert anti.mean == pytest.approx(plain.mean, rel=1e-12)
+    assert anti.se == pytest.approx(plain.se, rel=1e-12)
