@@ -20,16 +20,14 @@ provable so and is then refused as numerically singular.
 
 Nothing is factored ahead of time or kept: each call that needs a factor
 makes it and drops it on return.  The certificate reads the ratios and
-solves the witness on one factor.  A tridiagonal operator is factored by
-LAPACK dgttrf (LU with partial pivoting): when no rows were exchanged, the
+solves the witness on one factor: LAPACK's LU with partial pivoting, dgttrf
+for a tridiagonal operator and dgetrf for a dense square matrix (which
+enters through :func:`as_operator`).  When no rows were exchanged, the
 diagonal of U is the ratio sequence above; an M-matrix need not be
-diagonally dominant, so rows can still be exchanged, and the recursion then
-recomputes the ratios.  A dense square matrix enters through
-:func:`as_operator`; its certificate factor is the elimination without row
-exchanges itself (an M-matrix needs none), and its solves use LAPACK's LU
-with partial pivoting (dgetrf).  A shifted system (A - diag(d)) x = rhs,
-solved once per Newton step, keeps no factor: a tridiagonal one is one
-LAPACK dgtsv call.
+diagonally dominant, so rows can still be exchanged, and elimination
+without row exchanges (``pivot_ratios``) then recomputes the ratios.  A
+shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps no
+factor: a tridiagonal one is one LAPACK dgtsv call.
 """
 
 from dataclasses import dataclass
@@ -136,7 +134,7 @@ class TridiagonalOperator:
         # of factor and 4 B of pivots per row.  The ratios are U's diagonal,
         # or None when rows were exchanged.
         if self.n < 3:  # the dgttrf wrapper rejects n < 3 (an empty du2)
-            return None, _DenseOperator(self.to_dense()).factorized()
+            return _DenseOperator(self.to_dense())._factor()
         dl, d, du, du2, ipiv, info = dgttrf(self.sub, self.main, self.sup)
         # ipiv is 1-based and ipiv[i] is i + 1, or i + 2 after an exchange, so
         # its sum is n (n + 1) / 2 exactly when no rows were exchanged.
@@ -157,14 +155,26 @@ class TridiagonalOperator:
         """
         return self._factor()[1]
 
+    def pivot_ratios(self):
+        """The ratio recursion, up to the first ratio not above 1e-300."""
+        # Plain-float loop: the recursion is sequential, and Python floats
+        # beat numpy scalars by ~5x.
+        main, sub, sup = self.main.tolist(), self.sub.tolist(), self.sup.tolist()
+        ratios = [main[0]]
+        r = main[0]
+        for i in range(1, self.n):
+            if not r > _SINGULAR_RATIO:
+                break
+            r = main[i] - sub[i - 1] * sup[i - 1] / r
+            ratios.append(r)
+        return np.array(ratios)
+
 
 class _DenseOperator:
     """A dense square matrix behind the surface of :class:`TridiagonalOperator`.
 
-    Its certificate is read from Gaussian elimination without row exchanges,
-    whose pivots are the leading-minor ratios; elimination stops at the
-    first pivot that is not above 1e-300, but every M-matrix factors to the
-    end.  Its solves use LAPACK's LU with partial pivoting (dgetrf).
+    It is factored by LAPACK's LU with partial pivoting (dgetrf), whose U
+    diagonal holds the leading-minor ratios when no rows were exchanged.
     """
 
     __slots__ = ("dense", "main", "n", "row_terms")
@@ -193,19 +203,9 @@ class _DenseOperator:
         return _DenseOperator(self.dense - np.diag(d)).factorized()(rhs)
 
     def _factor(self):
-        # Pivots 0..k-1 eliminated, unit L below the diagonal, U on and above
-        # it; k < n means pivot k is not above 1e-300, and then the certificate
-        # never calls the solve.
-        lu = self.dense.copy()
-        k = 0
-        while k < self.n and lu[k, k] > _SINGULAR_RATIO:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :]) / lu[k, k]
-            lu[k + 1 :, k] /= lu[k, k]
-            k += 1
-        ipiv = np.arange(self.n, dtype=np.int32)
-        return np.diag(lu)[: k + 1].copy(), lambda rhs: dgetrs(lu, ipiv, rhs)[0]
-
-    def factorized(self):
+        # (ratios, solve) of one dgetrf LU.  The ratios are a copy of U's
+        # diagonal (they outlive the factor), or None when rows were
+        # exchanged (scipy's ipiv is 0-based).
         lu, ipiv, info = dgetrf(self.dense)
 
         def solve(rhs):
@@ -213,12 +213,27 @@ class _DenseOperator:
                 raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
             return dgetrs(lu, ipiv, rhs)[0]
 
-        return solve
+        unswapped = np.array_equal(ipiv, np.arange(self.n))
+        return np.diag(lu).copy() if unswapped else None, solve
+
+    def factorized(self):
+        return self._factor()[1]
+
+    def pivot_ratios(self):
+        """Pivots of elimination without row exchanges, up to the first not above 1e-300."""
+        work = self.dense.copy()
+        ratios = []
+        for k in range(self.n):
+            ratios.append(work[k, k])
+            if not work[k, k] > _SINGULAR_RATIO:
+                break
+            work[k + 1 :, k + 1 :] -= np.outer(work[k + 1 :, k], work[k, k + 1 :]) / work[k, k]
+        return np.array(ratios)
 
 
 def as_operator(A):
     """``A`` behind the operator surface: a :class:`TridiagonalOperator` as
-    it is, a dense square matrix through its no-row-exchange adapter."""
+    it is, a dense square matrix through its dgetrf adapter."""
     return A if isinstance(A, (TridiagonalOperator, _DenseOperator)) else _DenseOperator(A)
 
 
@@ -245,22 +260,6 @@ class MCertificate:
     note: str = ""
 
 
-def _tridiagonal_ratios(A):
-    # Runs for n < 3 and when dgttrf exchanged rows.  Plain-float loop: the
-    # recursion is sequential, and Python floats beat numpy scalars by ~5x.
-    main = A.main.tolist()
-    sub = A.sub.tolist()
-    sup = A.sup.tolist()
-    ratios = [main[0]]
-    r = main[0]
-    for i in range(1, A.n):
-        if not r > _SINGULAR_RATIO:
-            break
-        r = main[i] - sub[i - 1] * sup[i - 1] / r
-        ratios.append(r)
-    return np.array(ratios)
-
-
 def check_nonsingular_m_matrix(A):
     """Certify that a Z-matrix is a nonsingular M-matrix.
 
@@ -280,8 +279,8 @@ def check_nonsingular_m_matrix(A):
     if where is not None:
         raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
     ratios, solve = op._factor()
-    if ratios is None:  # a tridiagonal LU that exchanged rows
-        ratios = _tridiagonal_ratios(op)
+    if ratios is None:  # the LU exchanged rows
+        ratios = op.pivot_ratios()
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
         i = int(failed[0])

@@ -35,9 +35,12 @@ closed form, so the work per path is one term per chain event.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
-per path.  Blocks are index-addressed and reduced in a fixed order, so
-results are bitwise identical for any worker count
-(``MERTON_FACTOR_THREADS``).
+per path.  A regime path's stream holds, in order, its event count
+N ~ Poisson(Lambda T), N uniforms for the event times, N uniforms for the
+moves and (``simulate_wealth`` only) the asset normals; a diffusion path's
+holds its factor normals (none for black_scholes), then its asset normals.
+Blocks are index-addressed and reduced in a fixed order, so results are
+bitwise identical for any worker count (``MERTON_FACTOR_THREADS``).
 """
 
 import math
@@ -137,27 +140,17 @@ def _uniformized(Q):
     return rate, np.cumsum(P, axis=1)[:, :-1]
 
 
-def _event_batch(mean):
-    """Events drawn per batch when ``mean`` are expected: mean + 8 sd + 16."""
-    return math.ceil(mean + 8.0 * math.sqrt(mean)) + 16
-
-
 def _chain_events(rng, rate, T):
     """Event times in [0, T) of a rate-``rate`` Poisson process, one uniform each.
 
-    Draws batches of standard exponentials, then as many uniforms, until
-    the events pass T, so the process is never truncated.
+    Draws the count N ~ Poisson(rate T), then N uniforms that, scaled by T
+    and sorted, are the event times (given N, the times of a Poisson process
+    are N sorted uniforms), then N uniforms for the moves.  A time that
+    rounds up to T is dropped with the last move.
     """
-    times, uniforms, clock = [np.empty(0)], [np.empty(0)], 0.0
-    while rate > 0.0 and clock < T:
-        k = _event_batch(rate * T)
-        times.append(clock + np.cumsum(rng.standard_exponential(k)) / rate)
-        uniforms.append(rng.random(k))
-        clock = times[-1][-1]
-    if len(times) > 2:
-        times, uniforms = [np.concatenate(times)], [np.concatenate(uniforms)]
-    count = times[-1].searchsorted(T)
-    return times[-1][:count], uniforms[-1][:count]
+    times = np.sort(T * rng.random(rng.poisson(rate * T)))
+    count = times.searchsorted(T)
+    return times[:count], rng.random(times.size)[:count]
 
 
 def _embedded_chains(events, cdf, y0):
@@ -416,9 +409,9 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     value is E[J | chain] on the same grid, in closed form: it has the same
     mean and no more variance, and draws no asset normals.  An antithetic
     pair shares its chain, so both values are equal and antithetic buys
-    nothing for a regime model.  When every regime path value is equal
-    (one state, an absorbing ``y0``, or state-independent coefficients)
-    the estimate is reported with SE exactly 0.
+    nothing for a regime model.  When every path value is equal (say, a
+    policy that invests nothing, or a chain that cannot change the
+    coefficients) the estimate is reported with SE exactly 0.
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
@@ -463,11 +456,10 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 
     mean = float(np.mean(values))
     # Infinite path values (zero consumption with R > 1) make the standard
-    # error undefined; report NaN quietly instead of warning.  Equal regime
-    # values come from chains that cannot change the coefficients: their SE
-    # is 0, where np.std of equal values may leave a rounding residue.
+    # error undefined; report NaN quietly instead of warning.  Equal values
+    # have SE 0, where np.std of them may leave a rounding residue.
     with np.errstate(invalid="ignore"):
-        if regime and np.ptp(values) == 0.0:
+        if np.ptp(values) == 0.0:
             se = 0.0
         elif antithetic:
             pair_means = values.reshape(-1, 2).mean(axis=1)

@@ -262,34 +262,35 @@ def regime_policy_value(model, policy):
     return np.linalg.solve(np.diag(-k) - np.asarray(model.Q), xi ** (1.0 - model.R))
 
 
-def uniformized_chain_by_loop(Q, y0, T, batch, rng):
+def uniformized_chain_by_loop(Q, y0, T, rng):
     """Event times in [0, T) and the chain state after each, one event at a time.
 
-    Draws ``batch`` standard exponentials and then ``batch`` uniforms from
-    ``rng``.  Event i comes after the first i exponentials over
-    Lambda = max_i |Q_ii| and moves the chain by inverse-CDF sampling of the
-    current row of I + Q / Lambda with the i-th uniform (self-moves kept).
+    Draws from ``rng`` the event count N ~ Poisson(Lambda T) with
+    Lambda = max_i |Q_ii|, then N uniforms, one at a time, whose multiples
+    of T sorted are the event times, then N uniforms for the moves.  Event i
+    moves the chain by inverse-CDF sampling of the current row of
+    I + Q / Lambda with the i-th move uniform (self-moves kept).
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     rate = max(-Q[i, i] for i in range(n))
     P = np.eye(n) + Q / rate
-    gaps = rng.standard_exponential(batch)
-    uniforms = rng.random(batch)
-    clock, state, times, states = 0.0, int(y0), [], []
-    for gap, u in zip(gaps, uniforms):
-        clock += gap
-        if clock / rate >= T:
-            return np.array(times), np.array(states)
+    count = rng.poisson(rate * T)
+    clocks = sorted(T * rng.random() for _ in range(count))
+    moves = [rng.random() for _ in range(count)]
+    state, times, states = int(y0), [], []
+    for clock, u in zip(clocks, moves):
+        if clock >= T:
+            break
         cdf, target = 0.0, 0
         for j in range(n - 1):
             cdf += P[state, j]
             if cdf <= u:
                 target = j + 1
         state = target
-        times.append(clock / rate)
+        times.append(clock)
         states.append(state)
-    raise AssertionError("the batch of events ended before T")
+    return np.array(times), np.array(states)
 
 
 def ctmc_stationary(Q):

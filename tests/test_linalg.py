@@ -49,12 +49,13 @@ def test_operator_dense_matvec_norm_consistency():
 def test_certificate_minors_match_determinant_oracle():
     rng = np.random.default_rng(11)
     # An M-matrix that is not diagonally dominant: partial pivoting exchanges
-    # rows on it (minors 1, 1.25, 1.75), so its ratios cannot be read off U.
+    # rows on it (minors 1, 1.25, 1.75) in both of its forms, so its ratios
+    # cannot be read off U.
     swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
-    for op in (random_tridiagonal(rng, 7), swapping):
+    for op in (random_tridiagonal(rng, 7), swapping, swapping.to_dense()):
         cert = check_nonsingular_m_matrix(op)
         assert cert.verdict is True
-        expected = oracles.leading_minors(op.to_dense())
+        expected = oracles.leading_minors(op if isinstance(op, np.ndarray) else op.to_dense())
         assert cert.minors == pytest.approx(expected, rel=1e-12, abs=1e-300)
         assert np.cumprod(cert.ratios) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
@@ -248,18 +249,24 @@ def test_factor_holds_one_band():
 
 
 def test_ratios_come_from_the_factor_unless_rows_were_exchanged(monkeypatch):
-    # dgttrf's pivot indices are 1-based; misread, they would send every
-    # certificate through the Python recursion without changing a verdict.
+    # dgttrf's pivot indices are 1-based and scipy's dgetrf ones 0-based;
+    # misread, they would send every certificate through the Python
+    # elimination without changing a verdict.
     calls = []
-    recursion = linalg._tridiagonal_ratios
-    monkeypatch.setattr(linalg, "_tridiagonal_ratios", lambda A: calls.append(A.n) or recursion(A))
-    n = 1000  # column diagonal dominance: partial pivoting exchanges no rows
-    dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
-    assert check_nonsingular_m_matrix(dominant).verdict is True
-    assert calls == []
+    for kind in (TridiagonalOperator, linalg._DenseOperator):
+        elimination = kind.pivot_ratios
+        monkeypatch.setattr(
+            kind, "pivot_ratios", lambda A, e=elimination: calls.append(A.n) or e(A)
+        )
     swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
-    assert check_nonsingular_m_matrix(swapping).verdict is True
-    assert calls == [3]
+    for n, form in ((1000, lambda op: op), (50, TridiagonalOperator.to_dense)):
+        # Column diagonal dominance: partial pivoting exchanges no rows.
+        dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
+        assert check_nonsingular_m_matrix(form(dominant)).verdict is True
+        assert calls == []
+        assert check_nonsingular_m_matrix(form(swapping)).verdict is True
+        assert calls == [3]
+        calls.clear()
 
 
 @pytest.mark.parametrize("a, verdict", [(2.0, True), (0.0, False), (-1.0, False)])

@@ -65,9 +65,12 @@ def _grid_chains(model, y0, T, dt, n_steps, seed, n_paths):
 def test_zero_investment_policy_is_deterministic_on_all_routes(bs_model, mpr_model):
     T, dt, xi = 25.0, 0.05, 0.05
     expected = oracles.deterministic_policy_value(1.0, 2.0, 0.1, 0.02, xi, T, dt)
-    est = estimate_value(bs_model, (0.0, xi), 1.0, 0.0, T, dt, 16, seed=3)
-    assert est.mean == pytest.approx(expected, rel=1e-10)
-    assert est.se == 0.0
+    # np.std of equal values leaves a rounding residue unless the path count
+    # is a power of two; the SE must be exactly 0 at every count.
+    for n_paths in (16, 200, 1000):
+        est = estimate_value(bs_model, (0.0, xi), 1.0, 0.0, T, dt, n_paths, seed=3)
+        assert est.mean == pytest.approx(expected, rel=1e-10)
+        assert est.se == 0.0, n_paths
 
     reg = flat_regime()
     est = estimate_value(reg, (0.0, xi), 1.0, 0, T, dt, 16, seed=3)
@@ -77,9 +80,10 @@ def test_zero_investment_policy_is_deterministic_on_all_routes(bs_model, mpr_mod
     # Diffusion route: the factor path moves but cannot influence wealth
     # or discounting for the mpr family (constant r and delta).
     expected_mpr = oracles.deterministic_policy_value(1.0, 1.5, 0.05, 0.02, xi, T, dt)
-    est = estimate_value(mpr_model, (0.0, xi), 1.0, 0.0, T, dt, 16, seed=3)
-    assert est.mean == pytest.approx(expected_mpr, rel=1e-10)
-    assert est.se == 0.0
+    for n_paths in (16, 200, 1000):
+        est = estimate_value(mpr_model, (0.0, xi), 1.0, 0.0, T, dt, n_paths, seed=3)
+        assert est.mean == pytest.approx(expected_mpr, rel=1e-10)
+        assert est.se == 0.0, n_paths
 
 
 def test_constant_policy_estimator_is_unbiased(bs_model):
@@ -272,35 +276,48 @@ def test_single_state_chain_is_constant():
     assert est.se == 0.0
 
 
-def test_event_batches_are_topped_up_until_T(regime2_model, monkeypatch):
-    # With one event per batch, every path must keep drawing batches from
-    # its stream until its events pass T; nothing is truncated.
-    monkeypatch.setattr(montecarlo, "_event_batch", lambda mean: 1)
-    T, dt, n_paths = 40.0, 0.05, 400
-    factor = _grid_chains(regime2_model, 0, T, dt, 800, 3, n_paths)
-    # Every event of this chain switches state (P = [[0, 1], [1, 0]], rate
-    # 0.5), so one batch alone would allow at most one switch per path.
-    switches = np.count_nonzero(np.diff(factor.astype(int), axis=1), axis=1)
-    assert np.all(switches > 1)
-    # Over the second half, a step sees a switch after an odd event count.
-    late = np.count_nonzero(np.diff(factor[:, 400:].astype(int), axis=1), axis=1)
-    expected = 399 * (1.0 - math.exp(-2.0 * 0.5 * dt)) / 2.0
-    assert abs(late.mean() - expected) <= 4.0 * math.sqrt(expected / n_paths)
-    est = estimate_value(regime2_model, (0.5, 0.1), 1.0, 0, T, dt, 200, seed=3)
-    assert math.isfinite(est.mean) and math.isfinite(est.se)
+def test_chain_event_counts_follow_the_poisson_law(regime2_model):
+    # Each path's event count is Poisson(Lambda T), here Lambda T = 20, so
+    # its mean and its variance are both Lambda T; the sample variance of
+    # Poisson counts has variance (Lambda T + 2 (Lambda T)^2) / n.
+    T, n_paths = 40.0, 2000
+    stream = montecarlo._path_streams(3)
+    rngs = (stream(i) for i in range(n_paths))
+    times, _ = montecarlo._sample_chains(regime2_model.Q, 0, T, rngs)
+    events = np.isfinite(times)
+    counts = events.sum(axis=1)
+    mean = 0.5 * T
+    assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / n_paths)
+    assert abs(counts.var(ddof=1) - mean) <= 4.0 * math.sqrt((mean + 2.0 * mean**2) / n_paths)
+    assert np.all(times[:, 1:] >= times[:, :-1])
+    assert np.all((times[events] >= 0.0) & (times[events] < T))
+
+
+def test_an_event_time_rounded_up_to_T_is_dropped():
+    # T u can round up to T for a uniform u < 1 (with a subnormal T); a stub
+    # stream stands in for such a draw.  Its event and the last move go.
+    class Stream:
+        draws = [np.array([0.5, 1.0, 0.25]), np.array([0.1, 0.2, 0.3])]
+
+        def poisson(self, mean):
+            return 3
+
+        def random(self, size):
+            return self.draws.pop(0)[:size].copy()
+
+    times, moves = montecarlo._chain_events(Stream(), 1.0, 2.0)
+    assert times.tolist() == [0.5, 1.0] and moves.tolist() == [0.1, 0.2]
 
 
 def test_regime_path_zero_follows_its_stream_by_loop():
-    # Path 0 draws one batch of exponentials, then as many uniforms, then
-    # the asset normals; sample_ctmc_path is the same chain without its
+    # Path 0 draws its event count, the time uniforms, the move uniforms,
+    # then the asset normals; sample_ctmc_path is the same chain without its
     # self-events.
     model = three_state_regime()
     T, dt, seed, x0 = 2.0, 0.05, 17, 1.5
     n = int(round(T / dt))
     rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
-    times, states = oracles.uniformized_chain_by_loop(
-        model.Q, 0, T, montecarlo._event_batch(3.0 * T), rng
-    )
+    times, states = oracles.uniformized_chain_by_loop(model.Q, 0, T, rng)
     chain = np.concatenate(([0], states))
     assert np.any(chain[1:] == chain[:-1])  # self-events occur
     on_grid = [chain[np.sum(times <= k * dt)] for k in range(n)]
@@ -411,9 +428,7 @@ def test_simulate_wealth_is_path_zero_of_the_estimator(fixture, request):
     expected, tails = [], []
     for index in (0, 1):
         rng = np.random.Generator(np.random.Philox(key=9, counter=index << 128))
-        times, states = oracles.uniformized_chain_by_loop(
-            model.Q, 0, 10.0, montecarlo._event_batch(0.5 * 10.0), rng
-        )
+        times, states = oracles.uniformized_chain_by_loop(model.Q, 0, 10.0, rng)
         chain = np.concatenate(([0], states))
         on_grid = [chain[np.sum(times <= k * 0.05)] for k in range(n)]
         if index == 0:
