@@ -19,22 +19,23 @@ condition || |A| A^-1 1 ||_inf comes within about 100 of 1/eps may not be
 provable so and is then refused as numerically singular.
 
 Nothing is factored ahead of time or kept: each call that needs a factor
-makes it and drops it on return.  The certificate reads the ratios and
-solves the witness on one factor: LAPACK's LU with partial pivoting, dgttrf
-for a tridiagonal operator and dgetrf for a dense square matrix (which
-enters through :func:`as_operator`).  When no rows were exchanged, the
-diagonal of U is the ratio sequence above; an M-matrix need not be
-diagonally dominant, so rows can still be exchanged, and elimination
-without row exchanges (``pivot_ratios``) then recomputes the ratios.  A
-shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps no
-factor: a tridiagonal one is one LAPACK dgtsv call.
+makes it and drops it on return.  Solves use LAPACK's LU with partial
+pivoting, dgttrf for a tridiagonal operator and dgetrf for a dense square
+matrix (which enters through :func:`as_operator`).  The certificate solves
+the witness first, drops that factor, then computes the ratios.  Those of
+a tridiagonal depend on its off-diagonals only through the products
+sub_i sup_i >= 0, so they are the pivots of LAPACK's dpttrf on
+(main, sqrt(sub sup)); a dense matrix's are U's diagonal when dgetrf
+exchanged no rows, else those of elimination without row exchanges.  A
+shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps
+no factor: a tridiagonal one is one LAPACK dgtsv call.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dgtsv, dgttrf, dgttrs, dpttrf
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -129,45 +130,38 @@ class TridiagonalOperator:
             raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
         return x
 
-    def _factor(self):
-        # (ratios, solve) of one LAPACK dgttrf LU on copies of the bands: 32 B
-        # of factor and 4 B of pivots per row.  The ratios are U's diagonal,
-        # or None when rows were exchanged.
+    def factorized(self):
+        """Return a solve closure on a fresh LU factorization of the operator.
+
+        The closure holds the only reference to that factor (dgttrf on copies
+        of the bands: 36 B per row); solving on a factor with a zero pivot
+        raises SingularMatrixError.
+        """
         if self.n < 3:  # the dgttrf wrapper rejects n < 3 (an empty du2)
-            return _DenseOperator(self.to_dense())._factor()
+            return _DenseOperator(self.to_dense()).factorized()
         dl, d, du, du2, ipiv, info = dgttrf(self.sub, self.main, self.sup)
-        # ipiv is 1-based and ipiv[i] is i + 1, or i + 2 after an exchange, so
-        # its sum is n (n + 1) / 2 exactly when no rows were exchanged.
-        unswapped = int(ipiv.sum(dtype=np.int64)) == self.n * (self.n + 1) // 2
 
         def solve(rhs):
             if info > 0:
                 raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
             return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
-        return d if unswapped else None, solve
-
-    def factorized(self):
-        """Return a solve closure on a fresh LU factorization of the operator.
-
-        The closure holds the only reference to that factor; solving on a
-        factor with a zero pivot raises SingularMatrixError.
-        """
-        return self._factor()[1]
+        return solve
 
     def pivot_ratios(self):
-        """The ratio recursion, up to the first ratio not above 1e-300."""
-        # Plain-float loop: the recursion is sequential, and Python floats
-        # beat numpy scalars by ~5x.
-        main, sub, sup = self.main.tolist(), self.sub.tolist(), self.sup.tolist()
-        ratios = [main[0]]
-        r = main[0]
-        for i in range(1, self.n):
-            if not r > _SINGULAR_RATIO:
-                break
-            r = main[i] - sub[i - 1] * sup[i - 1] / r
-            ratios.append(r)
-        return np.array(ratios)
+        """The ratios by one dpttrf (module docstring), up to the first not positive."""
+        if self.n == 1:  # the dpttrf wrapper rejects an empty off-diagonal
+            return self.main.copy()
+        # sqrt(sub_i sup_i) with both factors scaled by a power of two c near
+        # their largest magnitude (off-diagonals of a Z-matrix are <= 0): the
+        # scaling is exact, and the product cannot overflow.
+        c = 2.0 ** (np.frexp(max(-self.sub.min(), -self.sup.min()))[1] - 1)
+        e = self.sub / c
+        e *= self.sup / c
+        np.sqrt(e, out=e)
+        e *= c
+        d, _, info = dpttrf(self.main, e, overwrite_e=1)
+        return d[:info] if info > 0 else d
 
 
 class _DenseOperator:
@@ -202,10 +196,7 @@ class _DenseOperator:
     def solve_shifted(self, d, rhs):
         return _DenseOperator(self.dense - np.diag(d)).factorized()(rhs)
 
-    def _factor(self):
-        # (ratios, solve) of one dgetrf LU.  The ratios are a copy of U's
-        # diagonal (they outlive the factor), or None when rows were
-        # exchanged (scipy's ipiv is 0-based).
+    def factorized(self):
         lu, ipiv, info = dgetrf(self.dense)
 
         def solve(rhs):
@@ -213,14 +204,15 @@ class _DenseOperator:
                 raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
             return dgetrs(lu, ipiv, rhs)[0]
 
-        unswapped = np.array_equal(ipiv, np.arange(self.n))
-        return np.diag(lu).copy() if unswapped else None, solve
-
-    def factorized(self):
-        return self._factor()[1]
+        return solve
 
     def pivot_ratios(self):
-        """Pivots of elimination without row exchanges, up to the first not above 1e-300."""
+        """U's diagonal when dgetrf exchanged no rows (scipy's ipiv is 0-based), else
+        elimination without row exchanges, up to the first pivot not above 1e-300."""
+        lu, ipiv, _ = dgetrf(self.dense)
+        if np.array_equal(ipiv, np.arange(self.n)):
+            return np.diag(lu).copy()
+        del lu
         work = self.dense.copy()
         ratios = []
         for k in range(self.n):
@@ -244,12 +236,12 @@ class MCertificate:
     ``ratios`` are the elimination pivots, so the k-th leading minor is the
     product of the first k ratios; on a failed ratio they stop at the first
     one that is not positive.  ``witness`` = (w, Aw) with w = A^-1 1, solved
-    on the factor that gave the ratios once every ratio is positive; the
-    verdict also requires w > 0 and Aw above its rounding bound.  A factor
-    with an exact zero pivot behind positive ratios (rows were exchanged)
-    leaves no witness and a false verdict.  ``failure_index`` is the first
-    index where positivity fails.  ``minors`` is None when the ratios fail
-    or their products overflow, in which case a note says so.
+    on a pivoting LU of A and kept once every ratio is positive; the verdict
+    also requires w > 0 and Aw above its rounding bound.  A factor with an
+    exact zero pivot behind positive ratios (rows were exchanged) leaves no
+    witness and a false verdict.  ``failure_index`` is the first index
+    where positivity fails.  ``minors`` is None when the ratios fail or
+    their products overflow, in which case a note says so.
     """
 
     verdict: bool
@@ -270,17 +262,19 @@ def check_nonsingular_m_matrix(A):
     rounding bound of the product; ratios at or below 1e-300 yield a
     "numerically singular" note rather than a sign claim.
 
-    The ratios and the witness come from one factor of the operator, made
-    for this call; of that factor only the ratios (U's diagonal, when no
-    rows were exchanged) outlive it.
+    The witness is solved first, on an LU factor of the operator made for
+    this call and dropped once w is out; only then are the ratios
+    computed, so the two never hold memory at the same time.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
     if where is not None:
         raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
-    ratios, solve = op._factor()
-    if ratios is None:  # the LU exchanged rows
-        ratios = op.pivot_ratios()
+    try:
+        w = op.factorized()(np.ones(op.n))
+    except SingularMatrixError as exc:
+        w, singular = None, f"numerically {exc}"
+    ratios = op.pivot_ratios()
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
         i = int(failed[0])
@@ -295,10 +289,8 @@ def check_nonsingular_m_matrix(A):
     note = ""
     if not np.all(np.isfinite(minors)):
         minors, note = None, "leading minors overflow; reporting pivot ratios only"
-    try:
-        w = solve(np.ones(op.n))
-    except SingularMatrixError as exc:  # positive ratios, yet an exact zero pivot in U
-        return MCertificate(verdict=False, ratios=ratios, minors=minors, note=f"numerically {exc}")
+    if w is None:  # positive ratios, yet an exact zero pivot in U
+        return MCertificate(verdict=False, ratios=ratios, minors=minors, note=singular)
     image = op.matvec(w)
     # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
     # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.

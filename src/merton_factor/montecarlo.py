@@ -402,8 +402,9 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     callables of the factor value, applied elementwise to arrays of any
     shape (paths x steps), or once to ``arange(n_states)`` for a regime
     model, where a scalar result holds in every state.  With
-    ``antithetic=True`` consecutive paths share one noise stream with
-    flipped signs and the standard error is computed over pair averages.
+    ``antithetic=True`` (an even count of at least 4 paths) consecutive
+    paths share one noise stream with flipped signs and the standard error
+    is computed over pair averages.
 
     A diffusion path's value is its realized objective J.  A regime path's
     value is E[J | chain] on the same grid, in closed form: it has the same
@@ -420,8 +421,8 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     n_paths = int(n_paths)
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling needs an even path count")
+    if antithetic and (n_paths % 2 != 0 or n_paths < 4):
+        raise ValueError("antithetic sampling needs an even path count of at least 4")
     n_steps = _step_count(T, dt)
     lookup = _step_coefficients(model, policy, dt, y0, n_steps)
     regime = isinstance(model, RegimeModel)

@@ -2,7 +2,8 @@
 
 Everything here is derived from first principles with dense numpy/scipy
 primitives and deliberately shares no code or algorithm with the package:
-determinant-based minor checks, inverse-nonnegativity M-matrix checks, a
+determinant-based minor checks, the leading-minor ratio recursion of a
+tridiagonal in plain floats, inverse-nonnegativity M-matrix checks, a
 log-space damped Newton root-finder, closed-form value formulas for
 constant-coefficient markets, scalar per-step loops of the Monte Carlo
 objective, and exact regime policy values (a matrix-power recursion on the
@@ -20,6 +21,18 @@ def leading_minors(A):
     """Leading principal minors det(A[:k, :k]) for k = 1..n via np.linalg.det."""
     A = np.asarray(A, dtype=float)
     return np.array([np.linalg.det(A[:k, :k]) for k in range(1, A.shape[0] + 1)])
+
+
+def tridiagonal_ratios(main, sub, sup):
+    """Leading-minor ratios r_1 = main_1, r_i = main_i - sub_(i-1) sup_(i-1) / r_(i-1),
+    up to and including the first not above 1e-300, by a plain-float loop."""
+    main, sub, sup = (np.asarray(band, dtype=float).tolist() for band in (main, sub, sup))
+    ratios = [main[0]]
+    for i in range(1, len(main)):
+        if not ratios[-1] > 1e-300:
+            break
+        ratios.append(main[i] - sub[i - 1] * sup[i - 1] / ratios[-1])
+    return np.array(ratios)
 
 
 def is_m_matrix_by_minors(A):

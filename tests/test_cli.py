@@ -160,6 +160,7 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
     [
         (REGIME, ["mc", *MC_RUN, "--paths", "1"]),
         (REGIME, ["mc", *MC_RUN, "--paths", "11", "--antithetic"]),
+        (REGIME, ["mc", *MC_RUN, "--paths", "2", "--antithetic"]),
         (REGIME, ["mc", "--y0", "0", "--horizon", "20", "--dt", "0", "--paths", "50"]),
         (REGIME, ["mc", "--y0", "0", "--horizon", "1e300", "--dt", "1e-300", "--paths", "50"]),
         (MPR, ["refine", "--domain", "-2,2", "--n", "100,150"]),
@@ -172,6 +173,7 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
     ids=[
         "mc-paths",
         "mc-antithetic",
+        "mc-antithetic-one-pair",
         "mc-dt",
         "mc-steps-overflow",
         "refine-n",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from merton_factor import (
     TridiagonalOperator,
     check_nonsingular_m_matrix,
     inverse_norm_bound,
-    linalg,
     solve_matrix_hjb,
     tridiag_solve,
 )
@@ -235,8 +235,7 @@ def test_solve_shifted_meets_residual_bound_and_keeps_no_factor():
 
 def test_factor_holds_one_band():
     # dgttrf factors copies of the three bands: 32 B of factor and 4 B of
-    # pivots per row.  Testing for row exchanges against a pivot array built
-    # for the purpose would add 5-9 B per row.
+    # pivots per row; nothing else is built for the factor.
     n = 200_000
     op = TridiagonalOperator(-np.ones(n - 1), np.full(n, 3.0), -np.ones(n - 1))
     tracemalloc.start()
@@ -248,25 +247,90 @@ def test_factor_holds_one_band():
     assert peak / n <= 40.0, f"{peak / n:.1f} B per row"
 
 
-def test_ratios_come_from_the_factor_unless_rows_were_exchanged(monkeypatch):
-    # dgttrf's pivot indices are 1-based and scipy's dgetrf ones 0-based;
-    # misread, they would send every certificate through the Python
-    # elimination without changing a verdict.
+def _exchanges_rows(op):
+    """True when LAPACK's pivoting LU of a tridiagonal (n >= 3) exchanges rows."""
+    ipiv = scipy.linalg.lapack.dgttrf(op.sub, op.main, op.sup)[4]
+    return not np.array_equal(ipiv, np.arange(1, op.n + 1))
+
+
+def test_pivot_ratios_hold_two_bands():
+    # dpttrf works in place on the scaled main band and sqrt(sub sup): 16 B
+    # per row, on an operator whose pivoting LU exchanges rows.
+    n = 200_000
+    op = TridiagonalOperator(np.full(n - 1, -3.0), np.full(n, 2.0), np.full(n - 1, -0.1))
+    assert _exchanges_rows(op)
+    tracemalloc.start()
+    try:
+        ratios = op.pivot_ratios()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratios.shape == (n,) and np.all(ratios > 0.0)
+    assert peak / n <= 24.0, f"{peak / n:.1f} B per row"
+
+
+def _tridiagonal_from_ratios(rng, ratios):
+    """Z-tridiagonal whose pivots are ``ratios`` up to the rounding of its main band."""
+    n = ratios.shape[0]
+    sub = -np.exp(rng.uniform(-1.0, 1.8, n - 1))
+    sup = -np.exp(rng.uniform(-4.0, -1.5, n - 1))
+    main = ratios.copy()
+    main[1:] += sub * sup / ratios[:-1]
+    return TridiagonalOperator(sub, main, sup)
+
+
+def test_certificate_ratios_match_the_recursion_whatever_rows_are_exchanged():
+    # The certificate's ratios against the plain-float recursion of the
+    # oracle, on M-matrices with and without row exchanges in their pivoting
+    # LU and on refusals, whose ratio prefix must stop at the same index.
+    rng = np.random.default_rng(61)
+    exchanged = refused = 0
+    for n in (1, 2, 3, 50, 1000):
+        for trial in range(16):
+            ratios = rng.uniform(0.5, 2.0, n)
+            if trial % 4 == 3:
+                ratios[rng.integers(n)] *= -1.0
+            op = _tridiagonal_from_ratios(rng, ratios)
+            expected = oracles.tridiagonal_ratios(op.main, op.sub, op.sup)
+            cert = check_nonsingular_m_matrix(op)
+            assert len(cert.ratios) == len(expected)
+            assert cert.ratios == pytest.approx(expected, rel=1e-12)
+            if not np.all(expected > 0.0):
+                refused += 1
+                assert cert.verdict is False
+                assert cert.failure_index == len(expected) - 1
+            elif n >= 3 and _exchanges_rows(op):
+                exchanged += 1
+    assert exchanged >= 10 and refused == 20
+
+
+def test_dense_ratios_skip_the_elimination_without_row_exchanges(monkeypatch):
+    # In linalg only the elimination without row exchanges calls np.outer: it
+    # must not run when dgetrf exchanged no rows, and must when it did.
     calls = []
-    for kind in (TridiagonalOperator, linalg._DenseOperator):
-        elimination = kind.pivot_ratios
-        monkeypatch.setattr(
-            kind, "pivot_ratios", lambda A, e=elimination: calls.append(A.n) or e(A)
-        )
+    outer = np.outer
+    monkeypatch.setattr(np, "outer", lambda *args: calls.append(1) or outer(*args))
+    n = 50
+    dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
+    assert check_nonsingular_m_matrix(dominant.to_dense()).verdict is True
+    assert calls == []
     swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
-    for n, form in ((1000, lambda op: op), (50, TridiagonalOperator.to_dense)):
-        # Column diagonal dominance: partial pivoting exchanges no rows.
-        dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
-        assert check_nonsingular_m_matrix(form(dominant)).verdict is True
-        assert calls == []
-        assert check_nonsingular_m_matrix(form(swapping)).verdict is True
-        assert calls == [3]
-        calls.clear()
+    cert = check_nonsingular_m_matrix(swapping.to_dense())
+    assert cert.verdict is True and calls
+    assert cert.ratios == pytest.approx([1.0, 1.25, 1.4], rel=1e-15)
+
+
+def test_overflowing_minors_keep_finite_ratios():
+    # Minors 1e200, 1e400, 1e600 overflow; the ratios and the witness do not,
+    # nor, in the second operator, the products sub_i sup_i = 1e320.
+    op = TridiagonalOperator([-1.0, -1.0], [1e200] * 3, [-1.0, -1.0])
+    wide = TridiagonalOperator([-1e160] * 2, [3e160] * 3, [-1e160] * 2)
+    for A in (op, op.to_dense(), wide, wide.to_dense()):
+        cert = check_nonsingular_m_matrix(A)
+        assert cert.verdict is True
+        assert cert.minors is None
+        assert "minors overflow" in cert.note
+        assert np.all(np.isfinite(cert.ratios))
 
 
 @pytest.mark.parametrize("a, verdict", [(2.0, True), (0.0, False), (-1.0, False)])

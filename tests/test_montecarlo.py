@@ -582,6 +582,15 @@ def test_estimate_validation(bs_model):
         estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 20.0, 10, seed=1)
     with pytest.raises(ValueError, match="at least 2"):
         estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 1, seed=1)
+    for n_paths in (2, 5):  # SE over pair averages needs two pairs
+        with pytest.raises(ValueError, match="antithetic"):
+            estimate_value(
+                bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, n_paths, seed=1, antithetic=True
+            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_value(bs_model, (0.4, 0.06), 1.0, 0.0, 10.0, 0.05, 4, seed=7, antithetic=True)
+    assert math.isfinite(est.se) and est.se > 0.0
     for T, dt in ((math.inf, 0.1), (math.nan, 0.1), (1e300, 1e-300)):
         with pytest.raises(ValueError, match="finite T, dt and T / dt"):
             estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, T, dt, 10, seed=1)
