@@ -25,8 +25,11 @@ matrix (which enters through :func:`as_operator`).  The certificate solves
 the witness first, drops that factor, then computes the ratios.  Those of
 a tridiagonal depend on its off-diagonals only through the products
 sub_i sup_i >= 0, so they are the pivots of LAPACK's dpttrf on
-(main, sqrt(sub sup)); a dense matrix's are U's diagonal when dgetrf
-exchanged no rows, else those of elimination without row exchanges.  A
+(main, sqrt(sub sup)).  A dense matrix's are U's diagonal divided by w from
+dgetrf on W A^T, W = diag(w): its k-th leading minor is w_1 ... w_k times
+A's, and it is strictly column diagonally dominant exactly when Aw > 0, so
+on a certified matrix partial pivoting exchanges no rows.  When rows are
+exchanged all the same, elimination without row exchanges gives them.  A
 shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps
 no factor: a tridiagonal one is one LAPACK dgtsv call.
 """
@@ -148,8 +151,9 @@ class TridiagonalOperator:
 
         return solve
 
-    def pivot_ratios(self):
-        """The ratios by one dpttrf (module docstring), up to the first not positive."""
+    def pivot_ratios(self, w=None):
+        """The ratios by one dpttrf (module docstring), up to the first not
+        positive; the witness ``w`` of the dense surface is not needed."""
         if self.n == 1:  # the dpttrf wrapper rejects an empty off-diagonal
             return self.main.copy()
         # sqrt(sub_i sup_i) with both factors scaled by a power of two c near
@@ -167,8 +171,7 @@ class TridiagonalOperator:
 class _DenseOperator:
     """A dense square matrix behind the surface of :class:`TridiagonalOperator`.
 
-    It is factored by LAPACK's LU with partial pivoting (dgetrf), whose U
-    diagonal holds the leading-minor ratios when no rows were exchanged.
+    It is factored by LAPACK's LU with partial pivoting (dgetrf).
     """
 
     __slots__ = ("dense", "main", "n", "row_terms")
@@ -206,12 +209,16 @@ class _DenseOperator:
 
         return solve
 
-    def pivot_ratios(self):
-        """U's diagonal when dgetrf exchanged no rows (scipy's ipiv is 0-based), else
-        elimination without row exchanges, up to the first pivot not above 1e-300."""
-        lu, ipiv, _ = dgetrf(self.dense)
+    def pivot_ratios(self, w=None):
+        """diag(U) / w from dgetrf on W A^T (module docstring) when it exchanged no
+        rows (scipy's ipiv is 0-based), else elimination without row exchanges,
+        up to the first pivot not above 1e-300.  ``w`` is the witness when it
+        is finite and nonzero, else ones."""
+        if w is None or not np.all(np.isfinite(w) & (w != 0.0)):
+            w = np.ones(self.n)
+        lu, ipiv, _ = dgetrf(w[:, None] * self.dense.T, overwrite_a=1)
         if np.array_equal(ipiv, np.arange(self.n)):
-            return np.diag(lu).copy()
+            return np.diag(lu) / w
         del lu
         work = self.dense.copy()
         ratios = []
@@ -264,7 +271,8 @@ def check_nonsingular_m_matrix(A):
 
     The witness is solved first, on an LU factor of the operator made for
     this call and dropped once w is out; only then are the ratios
-    computed, so the two never hold memory at the same time.
+    computed (a dense operator's with w as its scaling), so the two never
+    hold memory at the same time.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
@@ -274,7 +282,7 @@ def check_nonsingular_m_matrix(A):
         w = op.factorized()(np.ones(op.n))
     except SingularMatrixError as exc:
         w, singular = None, f"numerically {exc}"
-    ratios = op.pivot_ratios()
+    ratios = op.pivot_ratios(w)
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
         i = int(failed[0])
@@ -294,7 +302,8 @@ def check_nonsingular_m_matrix(A):
     image = op.matvec(w)
     # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
     # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.
-    rounding = op.row_terms * np.finfo(float).eps * (2.0 * op.main * w - image)
+    # diag(A) w is formed first: 2 diag(A) alone can overflow.
+    rounding = op.row_terms * np.finfo(float).eps * (2.0 * (op.main * w) - image)
     bad = np.flatnonzero(~((w > 0.0) & (image > rounding)))
     if bad.size:
         note = "witness w = A^-1 1 fails w > 0, Aw > 0 beyond rounding: not an M-matrix or singular"

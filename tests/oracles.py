@@ -340,6 +340,29 @@ def dense_upwind_operator(eta, a, b, R, h):
     return np.diag(eta) - Q / R
 
 
+def dense_central_operator(eta, a, b, R, h):
+    """Literal node-by-node transcription of the central discrete HJB matrix.
+
+    Interior rows use the (b^2/(2h^2) - a/(2h), -b^2/h^2, b^2/(2h^2) + a/(2h))
+    stencil, boundary rows the mirror rate b^2/h^2; returns diag(eta) - Q/R
+    as a dense array.
+    """
+    eta = np.asarray(eta, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = eta.shape[0]
+    Q = np.zeros((n, n))
+    Q[0, 1] = b[0] ** 2 / (h * h)
+    Q[0, 0] = -Q[0, 1]
+    for i in range(1, n - 1):
+        Q[i, i - 1] = b[i] ** 2 / (2 * h * h) - a[i] / (2 * h)
+        Q[i, i + 1] = b[i] ** 2 / (2 * h * h) + a[i] / (2 * h)
+        Q[i, i] = -(b[i] ** 2) / (h * h)
+    Q[n - 1, n - 2] = b[n - 1] ** 2 / (h * h)
+    Q[n - 1, n - 1] = -Q[n - 1, n - 2]
+    return np.diag(eta) - Q / R
+
+
 def random_regime_instance(rng, n_states, well_posed_bias=0.5):
     """Random regime-model ingredients (Q, eta, R) mixing verdicts.
 

@@ -1,5 +1,7 @@
 """Finite-difference generators: stencils, monotonicity, conservation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,9 +44,10 @@ def tabulated(y, a, b, lam=None, R=2.0):
     )
 
 
-def test_upwind_operator_matches_dense_transcription(mpr_model):
-    A_h, grid = assemble_discrete_hjb(mpr_model, -3.0, 3.0, 24, scheme="upwind")
-    expected = oracles.dense_upwind_operator(
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_operator_matches_dense_transcription(mpr_model, scheme):
+    A_h, grid = assemble_discrete_hjb(mpr_model, -3.0, 3.0, 24, scheme=scheme)
+    expected = getattr(oracles, f"dense_{scheme}_operator")(
         mpr_model.eta(grid),
         mpr_model.a(grid),
         mpr_model.b(grid),
@@ -58,6 +61,27 @@ def test_upwind_operator_matches_dense_transcription(mpr_model):
     # The diagonal uses the conservative form -(sub + sup) instead of the
     # written-out stencil, so agreement is to rounding only.
     assert np.diag(got) == pytest.approx(np.diag(expected), rel=5e-15, abs=0)
+
+
+def test_unknown_scheme_is_refused_before_coefficients(mpr_model, monkeypatch):
+    monkeypatch.setattr(mpr_model, "a", lambda y: pytest.fail("drift evaluated"))
+    with pytest.raises(DiscretizationError, match="unknown scheme 'spectral'"):
+        assemble_discrete_hjb(mpr_model, -3.0, 3.0, 24, scheme="spectral")
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "central"])
+def test_assembly_fills_bands_in_place(mpr_model, scheme):
+    # Q_h's bands are scaled into A_h in place and a, b are dropped before
+    # eta is evaluated: the peak is 56 B per node (80 with fresh A_h bands).
+    work, _ = to_zero_correlation(mpr_model)
+    n_steps = 200_000
+    tracemalloc.start()
+    try:
+        assemble_discrete_hjb(work, -3.0, 3.0, n_steps, scheme=scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n_steps + 1) <= 64.0, f"{peak / (n_steps + 1):.1f} B/node"
 
 
 def test_two_node_generator_is_symmetric_half_rate():

@@ -304,28 +304,55 @@ def test_certificate_ratios_match_the_recursion_whatever_rows_are_exchanged():
     assert exchanged >= 10 and refused == 20
 
 
+def _entered_faster_than_left(n):
+    """diag(eta) - Q/2 for a random generator whose state 0 is left at rate 0.5
+    and entered at rate 5 from states 1-3: dgetrf on it exchanges rows."""
+    rng = np.random.default_rng(3)
+    Q = rng.uniform(0.0, 1.0, (n, n)) / n
+    Q[0] *= 0.5 / (Q[0].sum() - Q[0, 0])
+    Q[1:4, 0] = 5.0
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return np.diag(rng.uniform(0.05, 0.5, n)) - Q / 2.0
+
+
 def test_dense_ratios_skip_the_elimination_without_row_exchanges(monkeypatch):
-    # In linalg only the elimination without row exchanges calls np.outer: it
-    # must not run when dgetrf exchanged no rows, and must when it did.
+    # In linalg only the elimination without row exchanges calls np.outer.
+    # The ratios come from the LU of W A^T, W = diag(w), which is strictly
+    # column diagonally dominant when Aw > 0: no certified operator may reach
+    # the elimination, even one whose own LU exchanges rows.  A refusal whose
+    # scaled LU exchanges rows still needs it.
     calls = []
     outer = np.outer
     monkeypatch.setattr(np, "outer", lambda *args: calls.append(1) or outer(*args))
     n = 50
     dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
     assert check_nonsingular_m_matrix(dominant.to_dense()).verdict is True
-    assert calls == []
     swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
     cert = check_nonsingular_m_matrix(swapping.to_dense())
-    assert cert.verdict is True and calls
+    assert cert.verdict is True
     assert cert.ratios == pytest.approx([1.0, 1.25, 1.4], rel=1e-15)
+    generator = _entered_faster_than_left(60)
+    assert not np.array_equal(scipy.linalg.lapack.dgetrf(generator)[1], np.arange(60))
+    cert = check_nonsingular_m_matrix(generator)
+    minors = oracles.leading_minors(generator)
+    assert cert.verdict is True
+    assert cert.ratios == pytest.approx(minors / np.concatenate([[1.0], minors[:-1]]), rel=1e-10)
+    assert calls == []
+    cert = check_nonsingular_m_matrix(np.array([[0.01, -0.5], [-0.5, 0.01]]))
+    assert cert.verdict is False and calls
+    assert cert.ratios == pytest.approx([0.01, 0.01 - 25.0], rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_minors_keep_finite_ratios():
     # Minors 1e200, 1e400, 1e600 overflow; the ratios and the witness do not,
-    # nor, in the second operator, the products sub_i sup_i = 1e320.
+    # nor, in the second operator, the products sub_i sup_i = 1e320, nor, in
+    # the third, the rounding bound of Aw, although 2 diag(A) is 3e308.
     op = TridiagonalOperator([-1.0, -1.0], [1e200] * 3, [-1.0, -1.0])
     wide = TridiagonalOperator([-1e160] * 2, [3e160] * 3, [-1e160] * 2)
-    for A in (op, op.to_dense(), wide, wide.to_dense()):
+    edge = TridiagonalOperator([-1e307] * 2, [1.5e308] * 3, [-1e307] * 2)
+    for A in (op, op.to_dense(), wide, wide.to_dense(), edge, edge.to_dense()):
         cert = check_nonsingular_m_matrix(A)
         assert cert.verdict is True
         assert cert.minors is None
