@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("y", "u", "f", "xi", "pi", "eta", "psi_eta", "du_over_u")
+# Rows per formatting step of the CSV writer.  One row per step (np.savetxt)
+# costs a Python call per row; blocks much above 1024 rows raise peak memory
+# without saving time.
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -333,10 +337,20 @@ def write_solution_csv(path, solution, model, tolerance=None):
         f"# solve: {json.dumps(meta)}",
         ",".join(CSV_COLUMNS),
     ]
-    body = np.column_stack([columns[name] for name in CSV_COLUMNS])
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-        np.savetxt(handle, body, fmt="%.17g", delimiter=",")
+        _write_csv_rows(handle, [columns[name] for name in CSV_COLUMNS])
+
+
+def _write_csv_rows(handle, columns):
+    """Write the table with these columns as ``np.savetxt(fmt="%.17g",
+    delimiter=",")`` does, byte for byte, formatting a block of rows at a
+    time: the same C conversion applies the same row template to the same
+    doubles, so only the number of Python steps changes."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start : start + _CSV_BLOCK_ROWS] for column in columns])
+        handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_solution_csv(path):
@@ -361,7 +375,18 @@ def read_solution_csv(path):
                         meta[key] = json.loads(value)
                 continue
             header = [name.strip() for name in line.split(",")]
+        # loadtxt only warns on a table without rows, so look for a first row
+        # (as loadtxt does: skipping blank and comment lines) and rewind.
+        start = handle.tell()
+        if not any(line.partition("#")[0].strip() for line in iter(handle.readline, "")):
+            raise ValueError(f"{path} has no data rows under its {len(header)}-column header")
+        handle.seek(start)
         matrix = np.loadtxt(handle, delimiter=",", ndmin=2)
+    if matrix.shape[1] != len(header):
+        raise ValueError(
+            f"{path} has {matrix.shape[0]} rows of {matrix.shape[1]} values"
+            f" under its {len(header)}-column header"
+        )
     columns = {name: matrix[:, i] for i, name in enumerate(header)}
     return meta, columns
 

@@ -6,10 +6,12 @@ determinant-based minor checks, the leading-minor ratio recursion of a
 tridiagonal in plain floats, inverse-nonnegativity M-matrix checks, a
 log-space damped Newton root-finder, closed-form value formulas for
 constant-coefficient markets, scalar per-step loops of the Monte Carlo
-objective, and exact regime policy values (a matrix-power recursion on the
-estimator's grid and a Feynman-Kac linear solve).
+objective, exact regime policy values (a matrix-power recursion on the
+estimator's grid and a Feynman-Kac linear solve), and numpy's own row-by-row
+text writer for solution tables.
 """
 
+import io
 import math
 
 import numpy as np
@@ -379,3 +381,10 @@ def random_regime_instance(rng, n_states, well_posed_bias=0.5):
     else:
         eta = rng.normal(0.02, 0.12, n_states)
     return Q, eta, R
+
+
+def savetxt_body(body):
+    """The text ``np.savetxt(fmt="%.17g", delimiter=",")`` writes for a 2-D body."""
+    text = io.StringIO()
+    np.savetxt(text, body, fmt="%.17g", delimiter=",")
+    return text.getvalue()

@@ -1,6 +1,9 @@
 """Diffusion HJB solver: exactness, convergence, duality, CSV round-trips."""
 
+import io
+import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -25,6 +28,7 @@ from merton_factor import (
     load_model,
     model_to_dict,
     monotone_step_limit,
+    psi_eta_profile,
     read_solution_csv,
     recompute_csv_residual,
     regime_solver,
@@ -282,6 +286,73 @@ def test_csv_rejects_tampered_content(tmp_path, mpr_model):
     path.write_text("\n".join(text) + "\n")
     recomputed, stored = recompute_csv_residual(path)
     assert recomputed > 100 * stored
+
+
+def test_csv_reader_refuses_malformed_tables_by_name(tmp_path, mpr_model):
+    sol = solve(mpr_model, -3.0, 3.0, 60)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, sol, mpr_model)
+    lines = path.read_text().splitlines()
+    header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    head, rows = lines[: header_at + 1], lines[header_at + 1 :]
+    cases = [
+        ([], "no data rows under its 8-column header"),
+        (["", "# a comment, then a blank line", "  "], "no data rows under its 8-column header"),
+        ([row.rpartition(",")[0] for row in rows], "61 rows of 7 values under its 8-column header"),
+        ([row + ",0" for row in rows], "61 rows of 9 values under its 8-column header"),
+    ]
+    for body, message in cases:
+        path.write_text("\n".join(head + body) + "\n")
+        for reader in (read_solution_csv, recompute_csv_residual):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{path} has {message}')}$"):
+                    reader(path)
+
+
+def test_csv_rows_match_savetxt():
+    block = diffusion_solver._CSV_BLOCK_ROWS
+    rng = np.random.default_rng(18)
+    bodies = [
+        rng.standard_normal((rows, 8)) * 10.0 ** rng.integers(-300, 300, (rows, 8))
+        for rows in (1, block - 1, block, block + 1, 2 * block + 3)
+    ]
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308]
+    special += [1.7976931348623157e308, 0.1]
+    bodies.append(np.array([np.roll(special, shift) for shift in range(len(special))]))
+    for body in bodies:
+        text = io.StringIO()
+        diffusion_solver._write_csv_rows(text, list(body.T))
+        assert text.getvalue() == oracles.savetxt_body(body)
+
+
+def _csv_body_text(path):
+    lines = path.read_text().splitlines(keepends=True)
+    header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "".join(lines[header_at + 1 :])
+
+
+def test_written_tables_match_savetxt(tmp_path, regime2_model, vasicek_model):
+    regime = solve_regime(regime2_model, tol=1e-12)
+    path = tmp_path / "regime.csv"
+    write_solution_csv(path, regime, regime2_model, 1e-12)
+    nan = np.full(regime2_model.n_states, np.nan)
+    body = np.column_stack(
+        [np.arange(regime2_model.n_states), regime.u, regime.f, regime.u, regime.pi_hat]
+        + [regime2_model.eta(), nan, nan]
+    )
+    assert _csv_body_text(path) == oracles.savetxt_body(body)
+
+    sol = solve(vasicek_model, -0.3, 0.3, 300)
+    path = tmp_path / "vasicek.csv"
+    write_solution_csv(path, sol, vasicek_model)
+    eta = vasicek_model.eta(sol.grid)
+    positive = eta > 0.0
+    assert 0 < np.count_nonzero(positive) < positive.size  # psi_eta is partly NaN
+    psi_eta = np.full(eta.shape, np.nan)
+    psi_eta[positive] = psi_eta_profile(vasicek_model, sol.grid[positive])
+    body = np.column_stack([sol.grid, sol.u, sol.f, sol.u, sol.pi_hat, eta, psi_eta, sol.du_over_u])
+    assert _csv_body_text(path) == oracles.savetxt_body(body)
 
 
 def test_heston_solves_on_positive_truncation(heston_model):
