@@ -25,7 +25,7 @@ from .discretizer import assemble_discrete_hjb
 from .errors import IllPosedError, ModelError
 from .linalg import check_nonsingular_m_matrix  # unused; perfbench/tracing.py hooks this name
 from .model import DiffusionModel, RegimeModel, model_to_dict, to_zero_correlation
-from .regime_solver import WellPosednessReport, assemble_A, solve_matrix_hjb
+from .regime_solver import WellPosednessReport, _hjb_residual, assemble_A, solve_matrix_hjb
 
 __all__ = [
     "DiffusionSolution",
@@ -114,9 +114,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
     if phi != 1.0:
         # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
-        check = u ** (-work.R)
-        rhs = check**p
-        residual, scale = float(np.max(np.abs(A_h.matvec(check) - rhs))), float(np.max(rhs))
+        residual, scale = _hjb_residual(A_h.matvec, u ** (-work.R), p)
 
     du = np.gradient(u, float(grid[1] - grid[0]))
     du_over_u = du / u
@@ -381,7 +379,11 @@ def read_solution_csv(path):
         if not any(line.partition("#")[0].strip() for line in iter(handle.readline, "")):
             raise ValueError(f"{path} has no data rows under its {len(header)}-column header")
         handle.seek(start)
-        matrix = np.loadtxt(handle, delimiter=",", ndmin=2)
+        try:
+            matrix = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            handle.seek(start)
+            raise ValueError(_bad_row(path, handle, header) or f"{path}: {exc}") from None
     if matrix.shape[1] != len(header):
         raise ValueError(
             f"{path} has {matrix.shape[0]} rows of {matrix.shape[1]} values"
@@ -389,6 +391,25 @@ def read_solution_csv(path):
         )
     columns = {name: matrix[:, i] for i, name in enumerate(header)}
     return meta, columns
+
+
+def _bad_row(path, lines, header):
+    """Message naming the first data row in ``lines`` that is not one number
+    per header column (rows counted as loadtxt reads them), or None when
+    Python's float() reads every cell (it also takes 1_000, which loadtxt
+    refuses)."""
+    rows = filter(None, (line.partition("#")[0].strip() for line in lines))
+    for k, row in enumerate(rows, 1):
+        cells = row.split(",")
+        if len(cells) != len(header):
+            width = len(header)
+            return f"{path}: data row {k} has {len(cells)} values under its {width}-column header"
+        for name, cell in zip(header, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path}: data row {k} has {cell.strip()!r} in column {name}, not a number"
+    return None
 
 
 def recompute_csv_residual(path):
@@ -402,17 +423,14 @@ def recompute_csv_residual(path):
     meta, columns = read_solution_csv(path)
     solve_meta = meta["solve"]
     model = load_model(meta["model"])
+    check = columns["f"]
     if isinstance(model, RegimeModel):
-        A = assemble_A(model)
-        check = columns["f"]
-        residual = float(np.max(np.abs(A @ check - check ** solve_meta["p"])))
-        return residual, float(solve_meta["residual"])
-    work, phi = to_zero_correlation(model)
-    lo, hi = solve_meta["domain"]
-    A_h, _ = assemble_discrete_hjb(work, lo, hi, solve_meta["N"], scheme=solve_meta["scheme"])
-    if solve_meta["phi"] == 1.0:
-        check = columns["f"]
+        matvec = assemble_A(model).dot
     else:
-        check = columns["u"] ** (-solve_meta["R_tilde"])
-    residual = float(np.max(np.abs(A_h.matvec(check) - check ** solve_meta["p"])))
-    return residual, float(solve_meta["residual"])
+        work, _ = to_zero_correlation(model)
+        lo, hi = solve_meta["domain"]
+        A_h, _ = assemble_discrete_hjb(work, lo, hi, solve_meta["N"], scheme=solve_meta["scheme"])
+        matvec = A_h.matvec
+        if solve_meta["phi"] != 1.0:
+            check = columns["u"] ** (-solve_meta["R_tilde"])
+    return _hjb_residual(matvec, check, solve_meta["p"])[0], float(solve_meta["residual"])

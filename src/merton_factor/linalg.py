@@ -18,27 +18,27 @@ witness proves the M-matrix property of the stored entries; a matrix whose
 condition || |A| A^-1 1 ||_inf comes within about 100 of 1/eps may not be
 provable so and is then refused as numerically singular.
 
-Nothing is factored ahead of time or kept: each call that needs a factor
-makes it and drops it on return.  Solves use LAPACK's LU with partial
-pivoting, dgttrf for a tridiagonal operator and dgetrf for a dense square
-matrix (which enters through :func:`as_operator`).  The certificate solves
-the witness first, drops that factor, then computes the ratios.  Those of
-a tridiagonal depend on its off-diagonals only through the products
-sub_i sup_i >= 0, so they are the pivots of LAPACK's dpttrf on
-(main, sqrt(sub sup)).  A dense matrix's are U's diagonal divided by w from
-dgetrf on W A^T, W = diag(w): its k-th leading minor is w_1 ... w_k times
-A's, and it is strictly column diagonally dominant exactly when Aw > 0, so
-on a certified matrix partial pivoting exchanges no rows.  When rows are
-exchanged all the same, elimination without row exchanges gives them.  A
-shifted system (A - diag(d)) x = rhs, solved once per Newton step, keeps
-no factor: a tridiagonal one is one LAPACK dgtsv call.
+Nothing is factored ahead of time or kept.  Every solve is one LAPACK call,
+LU with partial pivoting, that makes its factor and drops it on return:
+dgtsv for a tridiagonal operator, dgesv for a dense square matrix (which
+enters through :func:`as_operator`).  The certificate's witness, a step of
+the fixed point and a Newton step's shifted system (A - diag(d)) x = rhs all
+take this route, the first two with d = 0.  The certificate solves the
+witness first, then computes the ratios.  Those of a tridiagonal depend on
+its off-diagonals only through the products sub_i sup_i >= 0, so they are
+the pivots of LAPACK's dpttrf on (main, sqrt(sub sup)).  A dense matrix's
+are U's diagonal divided by w from dgetrf on W A^T, W = diag(w): its k-th
+leading minor is w_1 ... w_k times A's, and it is strictly column
+diagonally dominant exactly when Aw > 0, so on a certified matrix partial
+pivoting exchanges no rows.  When rows are exchanged all the same,
+elimination without row exchanges gives them.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dgtsv, dgttrf, dgttrs, dpttrf
+from scipy.linalg.lapack import dgesv, dgetrf, dgtsv, dpttrf
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -120,36 +120,21 @@ class TridiagonalOperator:
         return float(row.max())
 
     def solve_shifted(self, d, rhs):
-        """Solve (A - diag(d)) x = rhs once, keeping no factor.
-
-        One LAPACK dgtsv call (LU with partial pivoting) on copies of the
-        bands; ``rhs`` may be overwritten with x.  A zero pivot raises
+        """Solve (A - diag(d)) x = rhs by one LAPACK dgtsv call on copies of
+        the bands; ``rhs`` may be overwritten with x.  A zero pivot raises
         SingularMatrixError.
         """
         if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
-            return _DenseOperator(self.main[:, None] - d).factorized()(rhs)
+            return _DenseOperator(self.main[:, None]).solve_shifted(d, rhs)
         *_, x, info = dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
         if info > 0:
             raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
         return x
 
     def factorized(self):
-        """Return a solve closure on a fresh LU factorization of the operator.
-
-        The closure holds the only reference to that factor (dgttrf on copies
-        of the bands: 36 B per row); solving on a factor with a zero pivot
-        raises SingularMatrixError.
-        """
-        if self.n < 3:  # the dgttrf wrapper rejects n < 3 (an empty du2)
-            return _DenseOperator(self.to_dense()).factorized()
-        dl, d, du, du2, ipiv, info = dgttrf(self.sub, self.main, self.sup)
-
-        def solve(rhs):
-            if info > 0:
-                raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
-            return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-
-        return solve
+        """Solve closure for A x = rhs: :meth:`solve_shifted` with no shift, on
+        a copy of ``rhs``, so no factor outlives a call."""
+        return lambda rhs: self.solve_shifted(0.0, np.array(rhs, dtype=float))
 
     def pivot_ratios(self, w=None):
         """The ratios by one dpttrf (module docstring), up to the first not
@@ -169,10 +154,7 @@ class TridiagonalOperator:
 
 
 class _DenseOperator:
-    """A dense square matrix behind the surface of :class:`TridiagonalOperator`.
-
-    It is factored by LAPACK's LU with partial pivoting (dgetrf).
-    """
+    """A dense square matrix behind the surface of :class:`TridiagonalOperator`."""
 
     __slots__ = ("dense", "main", "n", "row_terms")
 
@@ -197,17 +179,16 @@ class _DenseOperator:
         return float(np.linalg.norm(self.dense, np.inf))
 
     def solve_shifted(self, d, rhs):
-        return _DenseOperator(self.dense - np.diag(d)).factorized()(rhs)
+        """Solve (A - diag(d)) x = rhs by one LAPACK dgesv call on a copy of A
+        whose diagonal is shifted in place; ``rhs`` may be overwritten with x."""
+        shifted = self.dense.copy(order="F")
+        shifted[np.diag_indices(self.n)] -= d
+        *_, x, info = dgesv(shifted, rhs, overwrite_a=1, overwrite_b=1)
+        if info > 0:
+            raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
+        return x
 
-    def factorized(self):
-        lu, ipiv, info = dgetrf(self.dense)
-
-        def solve(rhs):
-            if info > 0:
-                raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
-            return dgetrs(lu, ipiv, rhs)[0]
-
-        return solve
+    factorized = TridiagonalOperator.factorized
 
     def pivot_ratios(self, w=None):
         """diag(U) / w from dgetrf on W A^T (module docstring) when it exchanged no
@@ -232,7 +213,7 @@ class _DenseOperator:
 
 def as_operator(A):
     """``A`` behind the operator surface: a :class:`TridiagonalOperator` as
-    it is, a dense square matrix through its dgetrf adapter."""
+    it is, a dense square matrix through its dense adapter."""
     return A if isinstance(A, (TridiagonalOperator, _DenseOperator)) else _DenseOperator(A)
 
 
@@ -243,17 +224,15 @@ class MCertificate:
     ``ratios`` are the elimination pivots, so the k-th leading minor is the
     product of the first k ratios; on a failed ratio they stop at the first
     one that is not positive.  ``witness`` = (w, Aw) with w = A^-1 1, solved
-    on a pivoting LU of A and kept once every ratio is positive; the verdict
-    also requires w > 0 and Aw above its rounding bound.  A factor with an
-    exact zero pivot behind positive ratios (rows were exchanged) leaves no
-    witness and a false verdict.  ``failure_index`` is the first index
-    where positivity fails.  ``minors`` is None when the ratios fail or
-    their products overflow, in which case a note says so.
+    by the operator's one dgtsv or dgesv call and kept once every ratio is
+    positive; the verdict also requires w > 0 and Aw above its rounding
+    bound.  An exact zero pivot of that solve behind positive ratios (rows
+    were exchanged) leaves no witness and a false verdict.
+    ``failure_index`` is the first index where positivity fails.
     """
 
     verdict: bool
     ratios: Optional[np.ndarray] = None
-    minors: Optional[np.ndarray] = None
     witness: Optional[tuple] = None
     failure_index: Optional[int] = None
     note: str = ""
@@ -269,10 +248,9 @@ def check_nonsingular_m_matrix(A):
     rounding bound of the product; ratios at or below 1e-300 yield a
     "numerically singular" note rather than a sign claim.
 
-    The witness is solved first, on an LU factor of the operator made for
-    this call and dropped once w is out; only then are the ratios
-    computed (a dense operator's with w as its scaling), so the two never
-    hold memory at the same time.
+    The witness is solved first, by one solve call that keeps no factor;
+    only then are the ratios computed (a dense operator's with w as its
+    scaling), so the two never hold memory at the same time.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
@@ -292,25 +270,20 @@ def check_nonsingular_m_matrix(A):
         else:
             note = f"numerically singular: pivot ratio {r:.6g} at index {i}"
         return MCertificate(verdict=False, ratios=ratios[: i + 1], failure_index=i, note=note)
-    with np.errstate(over="ignore", invalid="ignore"):
-        minors = np.cumprod(ratios)
-    note = ""
-    if not np.all(np.isfinite(minors)):
-        minors, note = None, "leading minors overflow; reporting pivot ratios only"
     if w is None:  # positive ratios, yet an exact zero pivot in U
-        return MCertificate(verdict=False, ratios=ratios, minors=minors, note=singular)
+        return MCertificate(verdict=False, ratios=ratios, note=singular)
     image = op.matvec(w)
     # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
     # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.
     # diag(A) w is formed first: 2 diag(A) alone can overflow.
     rounding = op.row_terms * np.finfo(float).eps * (2.0 * (op.main * w) - image)
     bad = np.flatnonzero(~((w > 0.0) & (image > rounding)))
+    note = ""
     if bad.size:
         note = "witness w = A^-1 1 fails w > 0, Aw > 0 beyond rounding: not an M-matrix or singular"
     return MCertificate(
         verdict=not bad.size,
         ratios=ratios,
-        minors=minors,
         witness=(w, image),
         failure_index=int(bad[0]) if bad.size else None,
         note=note,
@@ -318,7 +291,8 @@ def check_nonsingular_m_matrix(A):
 
 
 def tridiag_solve(A, rhs):
-    """Solve A x = rhs on a fresh factor of A (see :func:`as_operator`).
+    """Solve A x = rhs by A's one solve call (see :func:`as_operator`),
+    leaving ``rhs`` untouched.
 
     Raises :class:`SingularMatrixError` on an exactly singular system (a
     zero pivot of LU with partial pivoting).  For a tridiagonal operator

@@ -146,11 +146,16 @@ def check_wellposed(model):
     return WellPosednessReport.from_certificate(np.diag(A), model.eta(), certificate)
 
 
-def _hjb_solution(matvec, x, p, trace, method, stop=None):
-    """HjbSolution of x with the recomputed residual ||A x - x^p||_inf and scale ||x^p||_inf."""
+def _hjb_residual(matvec, x, p):
+    """(||A x - x^p||_inf, ||x^p||_inf) of an x > 0: the residual every
+    solution logs and every CSV reader recomputes, so the two agree bitwise."""
     rhs = x**p
-    residual = float(np.max(np.abs(matvec(x) - rhs)))
-    scale = float(np.max(np.abs(rhs)))
+    return float(np.max(np.abs(matvec(x) - rhs))), float(np.max(rhs))
+
+
+def _hjb_solution(matvec, x, p, trace, method, stop=None):
+    """HjbSolution of x with its residual and scale from :func:`_hjb_residual`."""
+    residual, scale = _hjb_residual(matvec, x, p)
     return HjbSolution(
         x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop
     )

@@ -94,6 +94,42 @@ def test_illposed_regime_exits_2(model_file, capsys):
     assert doc["certificate"]["verdict"] is False
 
 
+def test_wellposed_diffusion_document(model_file, capsys):
+    argv = ["wellposed", "--model", model_file(MPR), "--domain", "-3,3", "--n", "200"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert set(doc) == {
+        "model_type",
+        "family",
+        "verdict",
+        "certificate",
+        "domain",
+        "n",
+        "scheme",
+        "distortion",
+        "eta_min",
+        "eta_max",
+    }
+    assert doc["model_type"] == "diffusion" and doc["family"] == "mpr"
+    assert doc["verdict"] is True
+    assert doc["certificate"]["note"] == ""
+    assert doc["domain"] == [-3.0, 3.0] and doc["n"] == 200
+
+
+def test_illposed_diffusion_wellposed_exits_2(model_file, capsys):
+    bad = {
+        "family": "black_scholes",
+        "params": {"R": 2.0, "delta": -0.2, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
+    }
+    argv = ["wellposed", "--model", model_file(bad), "--domain", "-1,1", "--n", "16"]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["verdict"] is False
+    assert doc["certificate"]["failure_index"] == 16
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"family": "regime",\n "Q": [[-1, 1], [1, -1]],\n "r": [0.02 0.01]}\n')
@@ -238,6 +274,30 @@ def test_solve_diffusion_writes_csv_roundtrip(model_file, tmp_path, capsys):
     assert columns["u"] == pytest.approx(np.full(65, 0.07125), rel=1e-11)
     recomputed, stored = recompute_csv_residual(out_csv)
     assert recomputed == stored
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (6, lambda cells: cells[:-1], "data row 3 has 7 values under its 8-column header"),
+        (5, lambda cells: [*cells[:3], "abc", *cells[4:]], "data row 2 has 'abc' in column xi"),
+        (5, lambda cells: [*cells[:3], "1_000", *cells[4:]], ""),  # float() reads it, loadtxt not
+    ],
+)
+def test_malformed_csv_row_is_named(model_file, tmp_path, capsys, line, edit, message):
+    out_csv = tmp_path / "mpr.csv"
+    argv = ["solve", "--model", model_file(MPR), "--domain", "-3,3", "--n", "20"]
+    assert run_cli(capsys, argv + ["--out", str(out_csv)])[0] == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[3].split(",") == list(CSV_COLUMNS)  # three comment lines, then the header
+    lines[line] = ",".join(edit(lines[line].split(",")))
+    out_csv.write_text("\n".join(lines) + "\n")
+    for read in (read_solution_csv, recompute_csv_residual):
+        with pytest.raises(ValueError) as caught:
+            read(str(out_csv))
+        assert str(caught.value).startswith(f"{out_csv}: {message}")
+        assert "usecols" not in str(caught.value)
 
 
 def test_solve_regime_writes_csv_roundtrip(model_file, tmp_path, capsys):
@@ -438,6 +498,17 @@ def test_mc_document(model_file, capsys):
     assert math.isfinite(doc["z_score"])
     assert abs(doc["z_score"]) < 6.0
     assert doc["seed"] == 3
+
+
+def test_mc_diffusion_document_is_reproducible(model_file, capsys):
+    argv = ["mc", "--model", model_file(MPR), "--domain", "-3,3", "--n", "600", "--y0", "0"]
+    argv += ["--horizon", "40", "--dt", "0.05", "--paths", "400", "--seed", "3"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["estimate"]["paths"] == 400
+    assert math.isfinite(doc["z_score"])
+    assert run_cli(capsys, argv) == (0, out, err)
 
 
 def test_mc_refuses_diffusion_start_outside_domain(model_file, capsys):

@@ -20,6 +20,7 @@ from merton_factor import (
     solve_matrix_hjb,
     solve_regime,
     to_zero_correlation,
+    value_and_policies,
 )
 
 
@@ -62,6 +63,26 @@ def test_solved_root_satisfies_equation_componentwise(regime2_model):
     sol = solve_regime(regime2_model, tol=1e-13)
     A = assemble_A(regime2_model)
     assert A @ sol.f == pytest.approx(sol.f**sol.p, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("R", [0.4, 2.0, 3.0, 10.0])
+def test_value_and_policies_reproduce_the_solution(R):
+    Q = [[-0.5, 0.5], [0.5, -0.5]]
+    model = make_regime(Q, [0.02, 0.01], [0.4, 0.1], [0.25, 0.2], [0.3, 0.18], R)
+    sol = solve_regime(model)
+    again = value_and_policies(model, sol.f)
+    for name in ("u", "pi_hat"):
+        assert np.array_equal(getattr(again, name), getattr(sol, name))
+    assert (again.residual, again.residual_scale) == (sol.residual, sol.residual_scale)
+
+
+def test_value_and_policies_refuse_bad_input(regime2_model, mpr_model):
+    with pytest.raises(ValueError):
+        value_and_policies(regime2_model, np.ones(3))
+    with pytest.raises(ValueError):
+        value_and_policies(regime2_model, np.array([1.0, 0.0]))
+    with pytest.raises(TypeError):
+        value_and_policies(mpr_model, np.ones(2))
 
 
 def test_fixed_point_step_ratios_respect_contraction_rate():
