@@ -183,7 +183,9 @@ def _cmd_solve(args, model):
             "iterations": solution.iterations,
             "method": solution.method,
             "stop": solution.stop,
+            "trace": solution.trace,
             "residual": solution.residual,
+            "residual_scale": solution.residual_scale,
         }
     else:
         lo, hi, n = _diffusion_grid(args, model)

@@ -56,7 +56,8 @@ class DiffusionSolution:
     weight (lambda - R rho b u'/u) / (R sigma).
 
     ``metadata`` records N (steps), domain, tolerance, iterations, the stop
-    rule that ended them (see :class:`HjbSolution`), scheme,
+    rule that ended them and their log-sup steps ``trace`` (see
+    :class:`HjbSolution`), scheme,
     the distortion data (phi, R_tilde, p) and the recomputed residual of the
     solved system together with its scale ||x^p||_inf.  The residual is
     computed on the vector x = u^(-R_tilde) so that a reader of the emitted
@@ -132,6 +133,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         "p": float(p),
         "method": core.method,
         "stop": core.stop,
+        "trace": core.trace.tolist(),
         "residual": residual,
         "residual_scale": scale,
     }

@@ -179,8 +179,13 @@ def _sample_chains(Q, y0, T, rngs):
 
 
 def _grid_edges(times, n_steps, dt):
-    """Index of the first step whose start t_k = k dt is not before each event."""
-    return np.searchsorted(np.arange(n_steps) * dt, times, side="left")
+    """Index of the first step whose start t_k = k dt is not before each event
+    (n_steps where none is): ceil(t / dt), moved by one step where rounding of
+    the quotient or of k dt put it off that step."""
+    k = np.ceil(np.minimum(times / dt, n_steps)).astype(np.intp)
+    k -= (k > 0) & ((k - 1) * dt >= times)
+    k += (k < n_steps) & (k * dt < times)
+    return k
 
 
 def _on_grid(times, states, n_steps, dt):

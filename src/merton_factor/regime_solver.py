@@ -253,25 +253,41 @@ def solve_hjb_fixed_point(A, p, tol=1e-10):
     return _iterate(A, p, "fixed_point", plan)
 
 
+def _newton_start(op, w, p):
+    """Newton's start for A x = x^p from the witness w = A^-1 1, on the safe
+    side of the root (see :func:`solve_hjb_newton`)."""
+    x0 = float(w.max()) ** (p / (1.0 - p)) * w
+    if p <= 0.0:
+        image = op.matvec(np.ones(op.n))
+        positive = image[image > 0.0]
+        m = float(np.min(positive ** (-1.0 / (1.0 - p)))) if positive.size else 1.0
+        np.maximum(x0, m, out=x0)
+    return x0
+
+
 def solve_hjb_newton(A, p, tol=1e-10):
     """Newton's method for A x = x^p, any p < 1: the route of every solve.
 
-    For p <= 0 the map F(x) = A x - x^p is componentwise concave and the
-    Jacobian A - diag(p x^(p-1)) adds a positive diagonal to A, hence stays
-    a nonsingular M-matrix on the positive cone.  Started from a point with
-    F(x0) <= 0, the Newton sequence is then monotonically increasing and
-    converges to the minimal positive root; the start m * 1 with m = min
-    over rows i with (A 1)_i > 0 of (A 1)_i^(-1/(1-p)) satisfies
-    F(m 1) <= 0 by construction.
+    It starts from the certificate's witness w = A^-1 1 scaled by
+    lambda = (max w)^(p/(1-p)).  As A w = 1, F(x) = A x - x^p has
+    F(lambda w) = lambda 1 - lambda^p w^p: >= 0 for p in (0, 1) and <= 0
+    for p < 0, the sides from which Newton converges monotonically.
 
-    For p in (0, 1), F is componentwise convex instead, and the safe side
-    flips: starting from the upper corner M * 1 of the contraction's
-    invariant box, F(x0) >= 0 holds, every iterate stays a supersolution
-    above the root, and there the Jacobian keeps the root as a positive
-    image (J(x) x* >= (1 - p) x*^p > 0), so it remains a nonsingular
-    M-matrix and the sequence decreases monotonically to the root.  A
-    lower start is unsafe in this regime: x^(p-1) blows up near 0 and
-    Newton can stall at a spurious small-component point.
+    For p <= 0, F is componentwise concave and the Jacobian
+    A - diag(p x^(p-1)) stays a nonsingular M-matrix on the positive cone,
+    so the iterates increase monotonically to the root.  The start is
+    max(lambda w, m 1), where m = min over rows i with (A 1)_i > 0 of
+    (A 1)_i^(-1/(1-p)) gives F(m 1) <= 0: the maximum of two subsolutions
+    of a Z-matrix system is one, and m lifts the rows where lambda w alone
+    sits far below the root (small w_i, large |p|).
+
+    For p in (0, 1), F is componentwise convex.  Every iterate from the
+    supersolution lambda w (at most the invariant box's corner
+    (max w)^(1/(1-p))) stays a supersolution above the root, where
+    J(x) x* >= (1 - p) x*^p > 0 keeps the Jacobian a nonsingular M-matrix,
+    so the iterates decrease monotonically.  A lower start is unsafe here:
+    x^(p-1) blows up near 0 and Newton can stall at a spurious
+    small-component point.
 
     Newton stops once the log-sup step that quadratic convergence predicts
     next is at most tol, in the same number of steps at every grid size;
@@ -287,12 +303,6 @@ def solve_hjb_newton(A, p, tol=1e-10):
         raise ValueError(f"p = {p} must be < 1")
 
     def plan(op, w):
-        if p > 0.0:
-            m = _fixed_point_box(float(w.min()), float(w.max()), p)[1]
-        else:
-            image = op.matvec(np.ones(op.n))
-            positive = image[image > 0.0]
-            m = float(np.min(positive ** (-1.0 / (1.0 - p)))) if positive.size else 1.0
         rounding = np.finfo(float).eps * op.norm_inf()
 
         def step(x):
@@ -302,7 +312,7 @@ def solve_hjb_newton(A, p, tol=1e-10):
             rhs *= p / x  # now the Jacobian's diagonal shift p x^(p-1)
             return x - op.solve_shifted(rhs, fx), at_floor
 
-        return np.full(op.n, m), 100, tol, step
+        return _newton_start(op, w, p), 100, tol, step
 
     return _iterate(A, p, "newton", plan)
 

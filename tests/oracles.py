@@ -4,11 +4,13 @@ Everything here is derived from first principles with dense numpy/scipy
 primitives and deliberately shares no code or algorithm with the package:
 determinant-based minor checks, the leading-minor ratio recursion of a
 tridiagonal in plain floats, inverse-nonnegativity M-matrix checks, a
-log-space damped Newton root-finder, closed-form value formulas for
-constant-coefficient markets, scalar per-step loops of the Monte Carlo
-objective, exact regime policy values (a matrix-power recursion on the
-estimator's grid and a Feynman-Kac linear solve), and numpy's own row-by-row
-text writer for solution tables.
+log-space damped Newton root-finder, the constant Newton start that the
+witness start replaced and plain dense Newton iterates, closed-form value
+formulas for constant-coefficient markets, scalar per-step loops of the
+Monte Carlo objective, exact regime policy values (a matrix-power recursion
+on the estimator's grid and a Feynman-Kac linear solve), a binary search
+for the step grid's event edges, and numpy's own row-by-row text writer for
+solution tables.
 """
 
 import io
@@ -136,6 +138,34 @@ def root_solve_dense(A, p, tol=1e-12, max_iterations=200):
         if float(np.max(np.abs(x_cross - x))) > 1e-8 * max(1.0, float(np.max(np.abs(x)))):
             raise RuntimeError("oracle hybr and Newton disagree")
     return x
+
+
+def constant_newton_start(A, p, w):
+    """The constant Newton start m 1 for A x = x^p that the witness start replaced.
+
+    For p in (0, 1) it is the upper corner max(w)^(1/(1-p)) of the
+    fixed point's invariant box, w = A^-1 1; for p <= 0 it is the minimum
+    over rows i with (A 1)_i > 0 of (A 1)_i^(-1/(1-p)) (1 when there is
+    none).  Either makes F(m 1) = A m 1 - m^p 1 >= 0 or <= 0, respectively.
+    """
+    A = np.asarray(A, dtype=float)
+    if p > 0.0:
+        return np.full(A.shape[0], float(np.max(w)) ** (1.0 / (1.0 - p)))
+    image = A.sum(axis=1)
+    positive = image[image > 0.0]
+    m = float(np.min(positive ** (-1.0 / (1.0 - p)))) if positive.size else 1.0
+    return np.full(A.shape[0], m)
+
+
+def newton_iterates(A, p, x0, steps):
+    """x0 and the next ``steps`` plain Newton iterates for A x = x^p (dense solves)."""
+    A = np.asarray(A, dtype=float)
+    iterates = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        x = iterates[-1]
+        jacobian = A - np.diag(p * x ** (p - 1.0))
+        iterates.append(x - np.linalg.solve(jacobian, A @ x - x**p))
+    return np.array(iterates)
 
 
 def frozen_rate_scalar(R, delta, r, lam):
@@ -317,6 +347,12 @@ def ctmc_stationary(Q):
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     return pi
+
+
+def grid_edges_by_search(times, n_steps, dt):
+    """Binary search for the first k in 0..n_steps-1 with k dt >= t, per event
+    time t (n_steps where there is none)."""
+    return np.searchsorted(np.arange(n_steps) * dt, times, side="left")
 
 
 def dense_upwind_operator(eta, a, b, R, h):

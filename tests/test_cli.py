@@ -240,6 +240,8 @@ def test_solve_regime_document(model_file, capsys):
     assert doc["pi_hat"] == pytest.approx([0.8, 0.25], rel=0, abs=1e-12)
     assert doc["method"] == "newton"
     assert doc["stop"] == "quadratic"
+    assert len(doc["trace"]) == doc["iterations"] and doc["trace"][-1] < doc["trace"][0]
+    assert 0.0 <= doc["residual"] <= 1e-10 * doc["residual_scale"]
     assert doc["csv"] is None
 
 
@@ -270,6 +272,8 @@ def test_solve_diffusion_writes_csv_roundtrip(model_file, tmp_path, capsys):
     metadata, columns = read_solution_csv(out_csv)
     assert metadata["solve"]["N"] == 64
     assert metadata["solve"]["stop"] == "step"
+    assert metadata["solve"]["trace"] == doc["metadata"]["trace"]
+    assert len(doc["metadata"]["trace"]) == doc["metadata"]["iterations"]
     assert len(columns["y"]) == 65
     assert columns["u"] == pytest.approx(np.full(65, 0.07125), rel=1e-11)
     recomputed, stored = recompute_csv_residual(out_csv)

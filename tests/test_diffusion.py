@@ -412,7 +412,7 @@ def test_newton_route_reaches_the_rounding_floor(n_steps):
 
 
 def test_newton_step_count_does_not_depend_on_the_grid():
-    # The first four log-sup steps agree across N (the fourth is about 5e-9);
+    # The first three log-sup steps agree across N (the third is about 7e-7);
     # later ones are rounding noise that grows with N, so a stop on the step
     # size alone would count a grid-dependent number of them.
     model = mpr()
@@ -421,7 +421,7 @@ def test_newton_step_count_does_not_depend_on_the_grid():
         meta = solve(model, -3.0, 3.0, n_steps).metadata
         assert (meta["method"], meta["stop"]) == ("newton", "quadratic")
         counts.add(meta["iterations"])
-    assert counts == {4}
+    assert counts == {3}
 
 
 @pytest.mark.parametrize(

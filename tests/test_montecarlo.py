@@ -309,6 +309,26 @@ def test_an_event_time_rounded_up_to_T_is_dropped():
     assert times.tolist() == [0.5, 1.0] and moves.tolist() == [0.1, 0.2]
 
 
+def test_grid_edges_match_a_binary_search():
+    # 300 random grids; the event times include grid points, their
+    # neighbours one ulp away, the end of the horizon and +inf pads.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_steps, dt = int(rng.integers(1, 5000)), float(rng.uniform(1e-3, 2.0))
+        on_grid = np.arange(n_steps)[rng.integers(0, n_steps, 64)] * dt
+        times = np.concatenate(
+            [
+                rng.uniform(0.0, 1.05 * n_steps * dt, 256),
+                on_grid,
+                np.nextafter(on_grid, np.inf),
+                np.nextafter(on_grid, -np.inf).clip(0.0),
+                [0.0, n_steps * dt, np.inf],
+            ]
+        ).reshape(11, -1)
+        expected = oracles.grid_edges_by_search(times, n_steps, dt)
+        assert np.array_equal(montecarlo._grid_edges(times, n_steps, dt), expected)
+
+
 def test_regime_path_zero_follows_its_stream_by_loop():
     # Path 0 draws its event count, the time uniforms, the move uniforms,
     # then the asset normals; sample_ctmc_path is the same chain without its

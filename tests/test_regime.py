@@ -22,6 +22,8 @@ from merton_factor import (
     to_zero_correlation,
     value_and_policies,
 )
+from merton_factor import regime_solver
+from merton_factor.linalg import as_operator
 
 
 def make_regime(Q, r, lam, sigma, delta, R):
@@ -149,6 +151,32 @@ def test_newton_and_fixed_point_agree_where_both_apply(seed, n, R):
     assert fixed.f == pytest.approx(newton.f, rel=1e-10, abs=0)
     assert newton.iterations <= 12
 
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), p=st.floats(-3.0, 0.95))
+def test_witness_start_is_on_the_safe_side_and_never_slower(seed, n, p):
+    # p in (0, 1): F(x0) >= 0 and the iterates decrease; p <= 0: F(x0) <= 0
+    # and they increase; both up to a few ulps.
+    A = _random_operator(seed, n, 1.0 / (1.0 - p))
+    assume(oracles.is_m_matrix_by_minors(A))
+    ulps = 64.0 * np.finfo(float).eps
+    side = 1.0 if p > 0.0 else -1.0
+    w = check_nonsingular_m_matrix(A).witness[0]
+    x0 = regime_solver._newton_start(as_operator(A), w, p)
+    image = A @ x0 - x0**p
+    assert np.all(side * image >= -ulps * (np.abs(A) @ x0 + x0**p))
+    iterates = oracles.newton_iterates(A, p, x0, 8)
+    assert np.all(side * np.diff(iterates, axis=0) <= ulps * iterates[:-1])
+
+    newton = solve_hjb_newton(A, p, tol=1e-13)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            regime_solver, "_newton_start", lambda op, w, p: oracles.constant_newton_start(A, p, w)
+        )
+        constant = solve_hjb_newton(A, p, tol=1e-13)
+    assert newton.iterations <= constant.iterations
+    assert newton.f == pytest.approx(constant.f, rel=1e-10, abs=0)
 
 
 def test_p_zero_reduces_to_one_linear_solve():
