@@ -318,7 +318,9 @@ def write_solution_csv(path, solution, model, tolerance=None):
             "method": solution.method,
             "stop": solution.stop,
             "iterations": solution.iterations,
+            "trace": solution.trace.tolist(),
             "residual": solution.residual,
+            "residual_scale": solution.residual_scale,
         }
     else:
         grid = solution.grid

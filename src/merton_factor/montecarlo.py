@@ -22,7 +22,11 @@ cumulative sum shared by every path; for other diffusions, values on the
 clipped factor; for a regime model, per-state tables built once per call
 and gathered by state.  Paths are sampled in blocks of about 10^6
 path-steps; the kernel runs on row slices of at most ``_SLICE_ELEMENTS``
-path-steps, so its temporaries stay small.
+path-steps, so its temporaries stay small.  A callable policy, and a
+tabulated model's coefficients, see each slice's factor values in sorted
+order, so a search such as ``np.interp`` finds each key next to the last.
+Policy and coefficient functions are applied elementwise: they may receive
+any permutation of the factor values, and the results do not depend on it.
 
 A regime chain is sampled exactly by uniformization.  Given the chain,
 each step's log-wealth increment is normal, so a regime estimate does not
@@ -211,7 +215,7 @@ def sample_ctmc_path(Q, y0, T, seed):
 
 
 def _normalize_policy(model, policy):
-    """Return (pi_fn, xi_fn) mapping factor values/states to policy values."""
+    """(pi, xi): each a float (a scalar spec) or a function of factor values/states."""
     pi_spec, xi_spec = policy
 
     def as_fn(spec, name):
@@ -219,7 +223,7 @@ def _normalize_policy(model, policy):
             return spec
         arr = np.asarray(spec, dtype=float)
         if arr.ndim == 0:
-            return lambda y: np.full(np.shape(y), float(arr))
+            return float(arr)
         if not isinstance(model, RegimeModel):
             raise ValueError(f"{name} must be scalar or callable for diffusion models")
         if arr.shape != (model.n_states,):
@@ -246,14 +250,22 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     four form a table with one row per state (the policy is called on
     ``arange(n_states)``), gathered by state in one pass; black_scholes has
     one row of ``n_steps`` at ``y0``, shared by every path; other diffusions
-    evaluate the coefficients and the policy on the clipped factor.  A
-    diffusion's ``y0`` must be a finite point of the closed state interval.
+    evaluate the coefficients and the policy on the clipped factor.  There,
+    when a policy is a callable or the model is tabulated, they see the
+    slice's values in sorted order (one argsort) and the four results are
+    put back in path order: a search such as ``np.interp`` then finds each
+    key next to the previous one, and as every callable is elementwise the
+    results are the same bits.  A scalar policy stays a float and is never
+    called.  A diffusion's ``y0`` must be a finite point of the closed
+    state interval.
     """
     pi, xi = _normalize_policy(model, policy)
 
     def at(y, r, lam, sig, delta):
-        pi_s, xi_s = pi(y), xi(y)
-        drift = (r + pi_s * lam * sig - xi_s - 0.5 * pi_s**2 * sig**2) * dt
+        pi_s = pi(y) if callable(pi) else pi
+        xi_s = xi(y) if callable(xi) else xi
+        # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
+        drift = (r + pi_s * lam * sig - xi_s - 0.5 * (pi_s * pi_s) * sig**2) * dt
         with np.errstate(divide="ignore"):
             return drift, pi_s * sig, delta * dt, np.log(xi_s)
 
@@ -269,14 +281,29 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     if not (math.isfinite(y0) and lo <= y0 <= hi):
         raise ValueError(f"initial factor {y0} is not a finite point of [{lo}, {hi}]")
 
-    def on_factor(factor):
-        y = _clipped(model, factor)
+    def on_clipped(y):
         return at(y, model.r(y), model.lam(y), model.sigma(y), model.delta(y))
 
     if model.family == "black_scholes":
-        row = on_factor(np.full((1, n_steps), float(y0)))
+        row = on_clipped(np.full((1, n_steps), float(y0)))
         return lambda factor: row
-    return on_factor
+    if not (callable(pi) or callable(xi) or model.family == "tabulated"):
+        return lambda factor: on_clipped(_clipped(model, factor))
+
+    def in_sorted_order(factor):
+        y = _clipped(model, factor)
+        order = np.argsort(y, axis=None)
+
+        def in_path_order(values):
+            if np.ndim(values) == 0:
+                return values
+            out = np.empty(y.shape)
+            out.reshape(-1)[order] = values
+            return out
+
+        return tuple(map(in_path_order, on_clipped(y.reshape(-1)[order])))
+
+    return in_sorted_order
 
 
 def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
@@ -404,9 +431,12 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     """Estimate the value of a policy by averaging path objectives.
 
     ``policy`` is a (pi, xi) pair: scalars, per-state arrays (regime) or
-    callables of the factor value, applied elementwise to arrays of any
-    shape (paths x steps), or once to ``arange(n_states)`` for a regime
-    model, where a scalar result holds in every state.  With
+    callables of the factor value.  A diffusion's callable must act
+    elementwise: it is called on arrays of factor values of any shape, and
+    on the Euler route on each slice's values in sorted order, so it may
+    receive any permutation of them.  A regime model calls it once on
+    ``arange(n_states)``, where a scalar result holds in every state.  A
+    scalar is used as it is and never called.  With
     ``antithetic=True`` (an even count of at least 4 paths) consecutive
     paths share one noise stream with flipped signs and the standard error
     is computed over pair averages.
@@ -502,6 +532,8 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
     via ``path`` (as returned by :func:`sample_ctmc_path`); the asset
     normals are then the first draws of the stream.
 
+    ``policy`` is as for :func:`estimate_value`: a diffusion's callables
+    act elementwise and may receive the path's factor values in any order.
     ``states`` holds the factor at each step start, with the last one
     repeated at T, for every model type.  A diffusion's Euler value at T is
     not reported, and black_scholes reports ``y0`` throughout: its constant

@@ -7,7 +7,8 @@ tridiagonal in plain floats, inverse-nonnegativity M-matrix checks, a
 log-space damped Newton root-finder, the constant Newton start that the
 witness start replaced and plain dense Newton iterates, closed-form value
 formulas for constant-coefficient markets, scalar per-step loops of the
-Monte Carlo objective, exact regime policy values (a matrix-power recursion
+Monte Carlo objective, the step coefficients evaluated on a factor slice in
+its path order, exact regime policy values (a matrix-power recursion
 on the estimator's grid and a Feynman-Kac linear solve), a binary search
 for the step grid's event edges, and numpy's own row-by-row text writer for
 solution tables.
@@ -249,6 +250,24 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
         discs.append(disc)
         utils.append(util)
     return np.array(wealth), np.array(discs), np.array(utils)
+
+
+def step_coefficients_in_path_order(model, policy, dt, factor):
+    """(drift * dt, pi sigma, delta * dt, log xi) on a diffusion factor slice as given.
+
+    The factor is clipped to the model's state interval and every
+    coefficient and policy function sees the slice in its own (path)
+    order; scalar policy entries are broadcast.  drift is
+    r + pi lambda sigma - xi - pi^2 sigma^2 / 2, grouped as
+    0.5 (pi pi) (sigma sigma) so that it rounds like the package.
+    """
+    lo, hi = model.interval
+    y = np.clip(np.asarray(factor, dtype=float), lo, hi)
+    p, c = (f(y) if callable(f) else np.full(y.shape, float(f)) for f in policy)
+    r, lam, sigma, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
+    drift = (r + p * lam * sigma - c - 0.5 * (p * p) * (sigma * sigma)) * dt
+    with np.errstate(divide="ignore"):
+        return drift, p * sigma, delta * dt, np.log(c)
 
 
 def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor):

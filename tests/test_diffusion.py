@@ -357,6 +357,16 @@ def test_written_tables_match_savetxt(tmp_path, regime2_model, vasicek_model):
     assert _csv_body_text(path) == oracles.savetxt_body(body)
 
 
+def test_regime_csv_logs_trace_and_residual_scale(tmp_path, regime2_model):
+    regime = solve_regime(regime2_model, tol=1e-12)
+    path = tmp_path / "regime.csv"
+    write_solution_csv(path, regime, regime2_model, 1e-12)
+    logged = read_solution_csv(path)[0]["solve"]
+    assert logged["trace"] == regime.trace.tolist() and len(logged["trace"]) > 0
+    assert logged["residual_scale"] == regime.residual_scale
+    assert recompute_csv_residual(path) == (regime.residual, regime.residual)
+
+
 def test_heston_solves_on_positive_truncation(heston_model):
     lo, hi = expansion_domain(heston_model, 8.0)
     sol = solve(heston_model, lo, hi, 800)

@@ -152,17 +152,32 @@ def test_antithetic_pairing_reduces_variance(bs_model):
     assert again.mean == anti.mean and again.se == anti.se
 
 
+_POLICY_GRID = np.linspace(-3.0, 3.0, 1201)
+
+
+def _interp_policy():
+    """Search-based policy functions, like the ``mc`` CLI's tables on a solver grid."""
+    pi_table = 0.5 + 0.1 * np.tanh(_POLICY_GRID)
+    xi_table = 0.06 + 0.01 * np.cos(_POLICY_GRID)
+    return (
+        lambda y: np.interp(y, _POLICY_GRID, pi_table),
+        lambda y: np.interp(y, _POLICY_GRID, xi_table),
+    )
+
+
 def _route_policy(fixture):
     """A scalar policy, or a callable one for the Euler-factor route."""
     if fixture == "mpr_model":
         return (lambda y: 0.5 + 0.1 * np.tanh(y), lambda y: 0.06 + 0.01 * np.cos(y))
+    if fixture == "mpr_interp":
+        return _interp_policy()
     return (0.6, 0.07125)
 
 
-@pytest.mark.parametrize("fixture", ["bs_model", "regime2_model", "mpr_model"])
+@pytest.mark.parametrize("fixture", ["bs_model", "regime2_model", "mpr_model", "mpr_interp"])
 def test_results_do_not_depend_on_worker_count(fixture, request, monkeypatch):
     # 1100 paths x 2000 steps make three blocks, so two workers really fan out.
-    model = request.getfixturevalue(fixture)
+    model = request.getfixturevalue("mpr_model" if fixture == "mpr_interp" else fixture)
     fanned_out = []
 
     def spy(fn, items):
@@ -178,6 +193,102 @@ def test_results_do_not_depend_on_worker_count(fixture, request, monkeypatch):
         results.append((est.mean, est.se, est.tail_mean))
     assert min(fanned_out) >= 2
     assert results[0] == results[1]
+
+
+def _bits(values, shape):
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(values, float), shape)).view(np.uint64)
+
+
+def _tabulated_model():
+    y = np.linspace(-2.0, 3.0, 41)
+    return load_model(
+        {
+            "family": "tabulated",
+            "params": {
+                "R": 0.5,
+                "y": y.tolist(),
+                "r": (0.02 + 0.005 * np.sin(y)).tolist(),
+                "lambda": (0.3 + 0.1 * y).tolist(),
+                "sigma": (0.2 + 0.02 * y**2).tolist(),
+                "delta": (0.08 + 0.01 * np.cos(y)).tolist(),
+                "a": (-0.5 * y).tolist(),
+                "b": np.full(y.shape, 0.4).tolist(),
+                "rho": 0.3,
+            },
+        }
+    )
+
+
+@pytest.mark.parametrize("case", ["mpr", "heston", "tabulated", "tabulated_scalar"])
+def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model):
+    # The Euler-factor lookup evaluates its callables on each slice in
+    # sorted order; put back in path order, all four coefficients must be
+    # the bits of the same formula evaluated on the slice as given.
+    rng = np.random.default_rng(21)
+    grid = np.linspace(0.0, 0.2, 301)
+    models = {
+        "mpr": (mpr_model, _interp_policy(), 0.0, 1.5),
+        "heston": (
+            heston_model,
+            (lambda y: np.interp(y, grid, 0.5 + grid), lambda y: np.interp(y, grid, 0.05 + grid)),
+            0.04,
+            0.05,
+        ),
+        "tabulated": (_tabulated_model(), _interp_policy(), 0.1, 1.5),
+        "tabulated_scalar": (_tabulated_model(), (0.4, 0.06), 0.1, 1.5),
+    }
+    model, policy, y0, spread = models[case]
+    for _ in range(40):
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 300))
+        factor = y0 + spread * rng.standard_normal((rows, n))
+        # Repeated keys: ties in the sort must not matter.
+        factor.ravel()[::3] = np.round(factor.ravel()[::3], 1)
+        lookup = montecarlo._step_coefficients(model, policy, 0.05, y0, n)
+        expected = oracles.step_coefficients_in_path_order(model, policy, 0.05, factor)
+        for got, want in zip(lookup(factor), expected, strict=True):
+            assert np.array_equal(_bits(got, factor.shape), _bits(want, factor.shape))
+
+
+def test_callable_policies_see_each_slice_in_sorted_order(mpr_model):
+    calls = []
+
+    def recording(fn):
+        def policy(y):
+            calls.append(bool(y.ndim == 1 and np.all(np.diff(y) >= 0.0)))
+            return fn(y)
+
+        return policy
+
+    pi_fn, xi_fn = _interp_policy()
+    policy = (recording(pi_fn), recording(xi_fn))
+    # 300 paths x 400 steps: several kernel slices of one block.
+    estimate_value(mpr_model, policy, 1.0, 0.0, 20.0, 0.05, 300, seed=4)
+    simulate_wealth(mpr_model, policy, 1.0, 0.0, 20.0, 0.05, seed=4)
+    assert len(calls) > 4 and all(calls)
+
+
+def test_scalar_policy_is_never_called_per_slice(mpr_model, monkeypatch):
+    assert montecarlo._normalize_policy(mpr_model, (0.2, np.float32(0.5))) == (0.2, 0.5)
+    argsorts = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        argsorts.append(1)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    scalar = estimate_value(mpr_model, (0.2, 0.05), 1.0, 0.0, 20.0, 0.05, 300, seed=4)
+    assert argsorts == []
+    # The same constants as per-slice arrays take the sorted route, and give
+    # the same bits.
+    full = (lambda y: np.full(np.shape(y), 0.2), lambda y: np.full(np.shape(y), 0.05))
+    as_arrays = estimate_value(mpr_model, full, 1.0, 0.0, 20.0, 0.05, 300, seed=4)
+    assert argsorts
+    assert (scalar.mean, scalar.se, scalar.tail_mean) == (
+        as_arrays.mean,
+        as_arrays.se,
+        as_arrays.tail_mean,
+    )
 
 
 @pytest.mark.parametrize("fixture", ["regime2_model", "bs_model", "mpr_model"])
