@@ -121,20 +121,6 @@ def _emit(document, out_path):
         sys.stdout.write(text)
 
 
-def _certificate_summary(cert):
-    summary = {
-        "verdict": cert.verdict,
-        "failure_index": cert.failure_index,
-        "note": cert.note,
-    }
-    if cert.ratios is not None:
-        ratios = np.asarray(cert.ratios)
-        summary["n_ratios"] = int(ratios.size)
-        if ratios.size:
-            summary["ratio_min"] = float(ratios.min())
-    return summary
-
-
 def _diffusion_grid(args, model, grid=True):
     """Refuse a regime model; with ``grid``, return ``(lo, hi, n)`` from --domain and --n."""
     if not isinstance(model, DiffusionModel):
@@ -147,9 +133,7 @@ def _diffusion_grid(args, model, grid=True):
 def _cmd_wellposed(args, model):
     if isinstance(model, RegimeModel):
         report = check_wellposed(model)
-        document = {"model_type": "regime", **report.to_dict()}
-        document["certificate"] = _certificate_summary(report.certificate)
-        return document, report.verdict
+        return {"model_type": "regime", **report.to_dict()}, report.verdict
     lo, hi, n = _diffusion_grid(args, model)
     work, phi = to_zero_correlation(model)
     A_h, grid = assemble_discrete_hjb(work, lo, hi, n, scheme=args.scheme)
@@ -159,7 +143,7 @@ def _cmd_wellposed(args, model):
         "model_type": "diffusion",
         "family": model.family,
         "verdict": cert.verdict,
-        "certificate": _certificate_summary(cert),
+        "certificate": cert.to_dict(),
         "domain": [lo, hi],
         "n": n,
         "scheme": args.scheme,
@@ -180,12 +164,7 @@ def _cmd_solve(args, model):
             "f": solution.f,
             "u": solution.u,
             "pi_hat": solution.pi_hat,
-            "iterations": solution.iterations,
-            "method": solution.method,
-            "stop": solution.stop,
-            "trace": solution.trace,
-            "residual": solution.residual,
-            "residual_scale": solution.residual_scale,
+            **solution.metadata,
         }
     else:
         lo, hi, n = _diffusion_grid(args, model)
@@ -209,7 +188,7 @@ def _cmd_solve(args, model):
             },
         }
     if args.out:
-        write_solution_csv(args.out, solution, model, args.tol)
+        write_solution_csv(args.out, solution, model)
     document["csv"] = args.out or None
     return document, True
 
@@ -362,13 +341,7 @@ def build_parser():
 def _illposed_document(exc):
     # Every IllPosedError that reaches main comes from solve or solve_regime,
     # which attach a WellPosednessReport.
-    report = exc.report
-    document = {"verdict": False, "error": str(exc), **report.to_dict()}
-    document["certificate"] = _certificate_summary(report.certificate)
-    eta = document.get("eta")
-    if isinstance(eta, list) and len(eta) > 64:
-        document["eta"] = {"min": min(eta), "max": max(eta), "n": len(eta)}
-    return document
+    return {"verdict": False, "error": str(exc), **exc.report.to_dict()}
 
 
 _NUMERIC_LIST_FLAGS = ("--domain", "--window", "--m", "--y0")

@@ -55,11 +55,11 @@ class DiffusionSolution:
     differences inside, one-sided at the ends) and ``pi_hat`` the risky
     weight (lambda - R rho b u'/u) / (R sigma).
 
-    ``metadata`` records N (steps), domain, tolerance, iterations, the stop
-    rule that ended them and their log-sup steps ``trace`` (see
-    :class:`HjbSolution`), scheme,
-    the distortion data (phi, R_tilde, p) and the recomputed residual of the
-    solved system together with its scale ||x^p||_inf.  The residual is
+    ``metadata`` records N (steps), domain, scheme and the distortion data
+    (phi, R_tilde), then the solve's record :attr:`HjbSolution.metadata`:
+    tolerance, p, method, the stop rule, iterations, their log-sup steps
+    ``trace``, and the recomputed residual of the solved system together
+    with its scale ||x^p||_inf.  The residual is
     computed on the vector x = u^(-R_tilde) so that a reader of the emitted
     CSV can reproduce it bitwise from the stored u column; it meets
     tol * scale up to a floor of order eps_mach * ||A_h||_inf * ||x||_inf
@@ -110,12 +110,11 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
             report=WellPosednessReport.from_certificate(A_h.main, model.eta(grid), exc.report),
         ) from None
-    p, u, f = core.p, core.u, core.f
-    residual, scale = core.residual, core.residual_scale
+    u, f = core.u, core.f
     if phi != 1.0:
         # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
-        residual, scale = _hjb_residual(A_h.matvec, u ** (-work.R), p)
+        core.residual, core.residual_scale = _hjb_residual(A_h.matvec, u ** (-work.R), core.p)
 
     du = np.gradient(u, float(grid[1] - grid[0]))
     du_over_u = du / u
@@ -125,17 +124,10 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
     metadata = {
         "N": int(n_steps),
         "domain": (float(e_minus), float(e_plus)),
-        "tolerance": float(tol),
-        "iterations": int(core.iterations),
         "scheme": scheme,
         "phi": float(phi),
         "R_tilde": float(work.R),
-        "p": float(p),
-        "method": core.method,
-        "stop": core.stop,
-        "trace": core.trace.tolist(),
-        "residual": residual,
-        "residual_scale": scale,
+        **core.metadata,
     }
     return DiffusionSolution(
         grid=grid,
@@ -288,16 +280,16 @@ def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12)
 # -- CSV I/O -------------------------------------------------------------------
 
 
-def write_solution_csv(path, solution, model, tolerance=None):
+def write_solution_csv(path, solution, model):
     """Write the solution table with machine-precision (17 digit) values.
 
     Comment lines carry the model JSON and solve parameters, so the file is
     self-contained: a reader can rebuild the discrete operator and reproduce
     the logged residual exactly from the stored u column.  For a regime
-    model, ``solution`` is the :class:`HjbSolution` of ``solve_regime``
-    solved with ``tolerance``; its table has one row per state, ``y`` holds
-    the state index and the diffusion-only columns are NaN.  ``psi_eta`` is
-    also NaN at the nodes where eta <= 0.
+    model, ``solution`` is the :class:`HjbSolution` of ``solve_regime``,
+    which records its own tolerance; its table has one row per state, ``y``
+    holds the state index and the diffusion-only columns are NaN.
+    ``psi_eta`` is also NaN at the nodes where eta <= 0.
     """
     from .analysis import psi_eta_profile
 
@@ -310,18 +302,7 @@ def write_solution_csv(path, solution, model, tolerance=None):
             "psi_eta": nan_column,
             "du_over_u": nan_column,
         }
-        meta = {
-            "model_type": "regime",
-            "n_states": n,
-            "tolerance": tolerance,
-            "p": solution.p,
-            "method": solution.method,
-            "stop": solution.stop,
-            "iterations": solution.iterations,
-            "trace": solution.trace.tolist(),
-            "residual": solution.residual,
-            "residual_scale": solution.residual_scale,
-        }
+        meta = {"model_type": "regime", "n_states": n, **solution.metadata}
     else:
         grid = solution.grid
         eta = model.eta(grid)
@@ -330,8 +311,7 @@ def write_solution_csv(path, solution, model, tolerance=None):
         positive = eta > 0.0
         psi_eta[positive] = psi_eta_profile(model, grid[positive])
         columns = {"y": grid, "eta": eta, "psi_eta": psi_eta, "du_over_u": solution.du_over_u}
-        meta = dict(solution.metadata)
-        meta["domain"] = list(meta["domain"])
+        meta = solution.metadata  # json writes the domain tuple as a list
     columns.update(u=solution.u, f=solution.f, xi=solution.u, pi=solution.pi_hat)
     lines = [
         "# merton-factor solution v1",

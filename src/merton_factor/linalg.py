@@ -47,7 +47,6 @@ __all__ = [
     "MCertificate",
     "check_nonsingular_m_matrix",
     "tridiag_solve",
-    "inverse_norm_bound",
 ]
 
 # Ratios at or below this magnitude are treated as numerically singular
@@ -237,6 +236,17 @@ class MCertificate:
     failure_index: Optional[int] = None
     note: str = ""
 
+    def to_dict(self):
+        """JSON record: verdict, failure index and note, and the ratios by
+        their count and minimum (the array stays on ``ratios``)."""
+        record = {"verdict": self.verdict, "failure_index": self.failure_index, "note": self.note}
+        if self.ratios is not None:
+            ratios = np.asarray(self.ratios)
+            record["n_ratios"] = int(ratios.size)
+            if ratios.size:
+                record["ratio_min"] = float(ratios.min())
+        return record
+
 
 def check_nonsingular_m_matrix(A):
     """Certify that a Z-matrix is a nonsingular M-matrix.
@@ -305,16 +315,3 @@ def tridiag_solve(A, rhs):
         raise ValueError(f"rhs must have shape ({op.n},), got {rhs.shape}")
     return op.factorized()(rhs)
 
-
-def inverse_norm_bound(A, x):
-    """Upper bound ||A^-1||_inf <= ||x||_inf / min_j (Ax)_j for x > 0, Ax > 0.
-
-    Valid for M-matrices; the preconditions on x are checked.
-    """
-    x = np.asarray(x, dtype=float)
-    image = as_operator(A).matvec(x)
-    if not np.all(x > 0.0):
-        raise ValueError("witness x must be strictly positive")
-    if not np.all(image > 0.0):
-        raise ValueError("witness image Ax must be strictly positive")
-    return float(np.max(np.abs(x)) / np.min(image))

@@ -53,7 +53,8 @@ class HjbSolution:
     attached), ``trace`` the per-iteration log-sup step sizes, ``stop`` the
     rule that ended them (``quadratic``, ``step`` or ``floor``; None when
     nothing was iterated), ``residual`` the recomputed ||A f - f^p||_inf
-    with scale ``residual_scale`` = ||f^p||_inf.
+    with scale ``residual_scale`` = ||f^p||_inf, and ``tolerance`` the
+    tolerance it was solved with (None when nothing was iterated).
     """
 
     f: np.ndarray
@@ -65,11 +66,27 @@ class HjbSolution:
     residual_scale: float
     method: str
     stop: Optional[str] = None
+    tolerance: Optional[float] = None
     pi_hat: Optional[np.ndarray] = None
 
     @property
     def R(self):
         return 1.0 / (1.0 - self.p)
+
+    @property
+    def metadata(self):
+        """The solve's JSON record, the one that every CSV ``# solve:`` line
+        and CLI ``solve`` document carries."""
+        return {
+            "tolerance": self.tolerance,
+            "p": self.p,
+            "method": self.method,
+            "stop": self.stop,
+            "iterations": self.iterations,
+            "trace": self.trace.tolist(),
+            "residual": self.residual,
+            "residual_scale": self.residual_scale,
+        }
 
     def value(self, x, state=None):
         """Candidate value x^(1-R)/(1-R) * f at one state or all states."""
@@ -112,18 +129,15 @@ class WellPosednessReport:
         return cls(certificate.verdict, certificate, quick, eta)
 
     def to_dict(self):
-        cert = {
-            "verdict": self.certificate.verdict,
-            "failure_index": self.certificate.failure_index,
-            "note": self.certificate.note,
-        }
-        if self.certificate.ratios is not None:
-            cert["ratios"] = np.asarray(self.certificate.ratios).tolist()
+        """JSON record; an eta of more than 64 entries as its {min, max, n}."""
+        eta = np.asarray(self.eta).tolist()
+        if np.size(self.eta) > 64:
+            eta = {"min": min(eta), "max": max(eta), "n": len(eta)}
         return {
             "verdict": self.verdict,
-            "certificate": cert,
+            "certificate": self.certificate.to_dict(),
             "quick_checks": asdict(self.quick_checks),
-            "eta": np.asarray(self.eta).tolist(),
+            "eta": eta,
         }
 
 
@@ -153,11 +167,11 @@ def _hjb_residual(matvec, x, p):
     return float(np.max(np.abs(matvec(x) - rhs))), float(np.max(rhs))
 
 
-def _hjb_solution(matvec, x, p, trace, method, stop=None):
+def _hjb_solution(matvec, x, p, trace, method, stop=None, tolerance=None):
     """HjbSolution of x with its residual and scale from :func:`_hjb_residual`."""
     residual, scale = _hjb_residual(matvec, x, p)
     return HjbSolution(
-        x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop
+        x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop, tolerance
     )
 
 
@@ -191,7 +205,7 @@ def _certified_witness(op):
     return certificate.witness[0]
 
 
-def _iterate(A, p, method, plan):
+def _iterate(A, p, method, plan, tol):
     """Certify A, then solve A x = x^p by x <- step(x); the one loop behind both solvers.
 
     A that is not a nonsingular M-matrix raises :class:`IllPosedError`
@@ -206,8 +220,9 @@ def _iterate(A, p, method, plan):
     step quadratic convergence predicts, s_k^3 / s_(k-1)^2, is at most the
     step tolerance (Kelley, *Iterative Methods for Linear and Nonlinear
     Equations*, 1995, ch. 5); ``step`` when s_k is; ``floor`` when the step
-    reports its residual at the rounding floor and s_k >= s_(k-1).  An
-    iterate outside the positive cone raises :class:`NotMMatrixError`.
+    reports its residual at the rounding floor and s_k >= s_(k-1).  The
+    result records ``tol``, the solver's own tolerance.  An iterate outside
+    the positive cone raises :class:`NotMMatrixError`.
     """
     op = as_operator(A)
     x, cap, step_tol, step = plan(op, _certified_witness(op))
@@ -224,7 +239,7 @@ def _iterate(A, p, method, plan):
         quadratic = method == "newton" and s < last and s**3 <= step_tol * last**2
         if quadratic or s <= step_tol or (at_floor and s >= last):
             stop = "quadratic" if quadratic else "step" if s <= step_tol else "floor"
-            return _hjb_solution(op.matvec, x, p, trace, method, stop)
+            return _hjb_solution(op.matvec, x, p, trace, method, stop, float(tol))
     raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
 
 
@@ -250,7 +265,7 @@ def solve_hjb_fixed_point(A, p, tol=1e-10):
         cap = _iteration_cap(m_box, M_box, p, tol) + 32
         return start, cap, tol * (1.0 - abs(p)), lambda x: (solve(x**p), False)
 
-    return _iterate(A, p, "fixed_point", plan)
+    return _iterate(A, p, "fixed_point", plan, tol)
 
 
 def _newton_start(op, w, p):
@@ -314,7 +329,7 @@ def solve_hjb_newton(A, p, tol=1e-10):
 
         return _newton_start(op, w, p), 100, tol, step
 
-    return _iterate(A, p, "newton", plan)
+    return _iterate(A, p, "newton", plan, tol)
 
 
 def solve_matrix_hjb(A, R, tol=1e-10):

@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 import merton_factor
-from merton_factor import cli, load_model, psi_eta_profile, read_solution_csv, recompute_csv_residual
+from merton_factor import (
+    IllPosedError,
+    cli,
+    load_model,
+    psi_eta_profile,
+    read_solution_csv,
+    recompute_csv_residual,
+    solve,
+    solve_regime,
+)
 from merton_factor._parallel import map_ordered, worker_count
 from merton_factor.diffusion_solver import CSV_COLUMNS
 
@@ -31,6 +40,11 @@ BS = {
     "family": "black_scholes",
     "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
 }
+BS_ILLPOSED = {
+    "family": "black_scholes",
+    "params": {"R": 2.0, "delta": -0.2, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
+}
+REFUSAL_KEYS = {"certificate", "error", "eta", "quick_checks", "verdict"}
 MPR = {
     "family": "mpr",
     "params": {
@@ -118,11 +132,7 @@ def test_wellposed_diffusion_document(model_file, capsys):
 
 
 def test_illposed_diffusion_wellposed_exits_2(model_file, capsys):
-    bad = {
-        "family": "black_scholes",
-        "params": {"R": 2.0, "delta": -0.2, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
-    }
-    argv = ["wellposed", "--model", model_file(bad), "--domain", "-1,1", "--n", "16"]
+    argv = ["wellposed", "--model", model_file(BS_ILLPOSED), "--domain", "-1,1", "--n", "16"]
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 2
     doc = json.loads(out)
@@ -346,15 +356,9 @@ def test_malformed_model_array_is_reported_not_raised(model_file, capsys):
 
 
 def test_solve_illposed_diffusion_exits_2(model_file, capsys, tmp_path):
-    bad = {
-        "family": "black_scholes",
-        "params": {"R": 2.0, "delta": -0.2, "r": 0.02, "lambda": 0.3, "sigma": 0.25},
-    }
     csv = tmp_path / "x.csv"
-    rc, out, _ = run_cli(
-        capsys,
-        ["solve", "--model", model_file(bad), "--domain", "-1,1", "--n", "16", "--out", str(csv)],
-    )
+    argv = ["solve", "--model", model_file(BS_ILLPOSED), "--domain", "-1,1", "--n", "16"]
+    rc, out, _ = run_cli(capsys, argv + ["--out", str(csv)])
     assert rc == 2
     # Like a successful solve's, the ill-posed document goes to stdout; no CSV is written.
     assert not csv.exists()
@@ -362,6 +366,57 @@ def test_solve_illposed_diffusion_exits_2(model_file, capsys, tmp_path):
     assert doc["verdict"] is False
     assert "ill-posed" in doc["error"]
     assert doc["certificate"]["verdict"] is False
+
+
+def test_illposed_solve_document_is_the_library_report(model_file, capsys):
+    argv = ["solve", "--model", model_file(BS_ILLPOSED), "--domain", "-1,1", "--n", "100"]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 2
+    doc = json.loads(out)
+    with pytest.raises(IllPosedError) as refusal:
+        solve(load_model(BS_ILLPOSED), -1.0, 1.0, 100)
+    report = refusal.value.report
+    assert doc == {"verdict": False, "error": str(refusal.value), **report.to_dict()}
+    assert doc["certificate"] == report.certificate.to_dict()
+    eta = np.asarray(report.eta)
+    assert doc["eta"] == {"min": eta.min(), "max": eta.max(), "n": 101}
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (BS_ILLPOSED, ["report", "--domain", "-1,1", "--n", "16"]),
+        (BS_ILLPOSED, ["refine", "--domain", "-1,1", "--n", "16,32"]),
+        (BS_ILLPOSED, ["expand", "--m", "1,2", "--h", "0.1", "--window", "-0.5,0.5"]),
+        (BS_ILLPOSED, ["mc", "--domain", "-1,1", "--n", "16", "--y0", "0"]),
+        (dict(REGIME, delta=[-0.9, -0.9]), ["mc", "--y0", "0"]),
+    ],
+    ids=["report", "refine", "expand", "mc-diffusion", "mc-regime"],
+)
+def test_refusals_exit_2_through_every_subcommand(model_file, capsys, model, argv):
+    if argv[0] == "mc":
+        argv = argv + ["--horizon", "1", "--dt", "0.1", "--paths", "8"]
+    rc, out, err = run_cli(capsys, [argv[0], "--model", model_file(model), *argv[1:]])
+    assert rc == 2, err
+    doc = json.loads(out)
+    assert set(doc) == REFUSAL_KEYS
+    assert doc["verdict"] is False and doc["certificate"]["verdict"] is False
+    assert "ill-posed" in doc["error"]
+
+
+def test_regime_solve_record_is_the_library_record(model_file, tmp_path, capsys):
+    out_csv = str(tmp_path / "regime.csv")
+    argv = ["solve", "--model", model_file(REGIME), "--tol", "1e-12", "--out", out_csv]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    doc = json.loads(out)
+    record = solve_regime(load_model(REGIME), tol=1e-12).metadata
+    assert record["tolerance"] == 1e-12
+    assert list(doc) == ["model_type", "verdict", "eta", "f", "u", "pi_hat", *record, "csv"]
+    assert {key: doc[key] for key in record} == record
+    logged = read_solution_csv(out_csv)[0]["solve"]
+    assert list(logged) == ["model_type", "n_states", *record]
+    assert logged == {"model_type": "regime", "n_states": 2, **record}
 
 
 def test_solve_respects_tolerance_flag(model_file, capsys):
@@ -670,8 +725,8 @@ PUBLIC_SURFACE = set(
     assemble_discrete_hjb asymptotic_report build_central_generator build_upwind_generator
     check_nonsingular_m_matrix check_wellposed coefficients_at constant_profile
     cyclic_wellposed distortion_power domain_expansion_study estimate_value eta_profile
-    expansion_domain frozen_rate grid_refinement_study hjb_residual inverse_norm_bound
-    load_model model_to_dict monotone_step_limit nearest_neighbour_wellposed
+    expansion_domain frozen_rate grid_refinement_study hjb_residual load_model
+    model_to_dict monotone_step_limit nearest_neighbour_wellposed
     proportional_bounds psi psi_eta_profile read_solution_csv recompute_csv_residual
     sample_ctmc_path simulate_wealth solve solve_hjb_fixed_point solve_hjb_newton
     solve_matrix_hjb solve_regime to_zero_correlation tridiag_solve value_and_policies
@@ -691,7 +746,7 @@ SUBMODULES = (
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_SURFACE) == 65
+    assert len(PUBLIC_SURFACE) == 64
     assert set(merton_factor.__all__) == PUBLIC_SURFACE
     owner = {}
     for name in SUBMODULES:

@@ -337,7 +337,7 @@ def _csv_body_text(path):
 def test_written_tables_match_savetxt(tmp_path, regime2_model, vasicek_model):
     regime = solve_regime(regime2_model, tol=1e-12)
     path = tmp_path / "regime.csv"
-    write_solution_csv(path, regime, regime2_model, 1e-12)
+    write_solution_csv(path, regime, regime2_model)
     nan = np.full(regime2_model.n_states, np.nan)
     body = np.column_stack(
         [np.arange(regime2_model.n_states), regime.u, regime.f, regime.u, regime.pi_hat]
@@ -360,11 +360,32 @@ def test_written_tables_match_savetxt(tmp_path, regime2_model, vasicek_model):
 def test_regime_csv_logs_trace_and_residual_scale(tmp_path, regime2_model):
     regime = solve_regime(regime2_model, tol=1e-12)
     path = tmp_path / "regime.csv"
-    write_solution_csv(path, regime, regime2_model, 1e-12)
+    write_solution_csv(path, regime, regime2_model)
     logged = read_solution_csv(path)[0]["solve"]
+    assert logged["tolerance"] == 1e-12  # the solve's own, not passed to the writer
     assert logged["trace"] == regime.trace.tolist() and len(logged["trace"]) > 0
     assert logged["residual_scale"] == regime.residual_scale
     assert recompute_csv_residual(path) == (regime.residual, regime.residual)
+
+
+def test_diffusion_metadata_is_the_grid_then_the_solve_record(tmp_path, mpr_model):
+    sol = solve(mpr_model, -3.0, 3.0, 200, tol=1e-11)
+    work, phi = to_zero_correlation(mpr_model)
+    assert phi != 1.0
+    A_h, _ = assemble_discrete_hjb(work, -3.0, 3.0, 200)
+    core = regime_solver.solve_matrix_hjb(A_h, work.R, tol=1e-11)
+    expected = {"N": 200, "domain": (-3.0, 3.0), "scheme": "upwind", "phi": phi, "R_tilde": work.R}
+    expected.update(core.metadata)
+    # phi != 1: the residual is that of the vector a CSV reader rebuilds from u
+    check = sol.u ** (-work.R)
+    expected["residual"], expected["residual_scale"] = regime_solver._hjb_residual(
+        A_h.matvec, check, core.p
+    )
+    assert list(sol.metadata) == list(expected) and sol.metadata == expected
+    assert expected["tolerance"] == 1e-11
+    path = tmp_path / "mpr.csv"
+    write_solution_csv(path, sol, mpr_model)
+    assert read_solution_csv(path)[0]["solve"] == dict(expected, domain=[-3.0, 3.0])
 
 
 def test_heston_solves_on_positive_truncation(heston_model):

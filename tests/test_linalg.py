@@ -1,5 +1,6 @@
 """Tridiagonal kernels and M-matrix certification against dense oracles."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 import oracles
 from merton_factor import (
     IllPosedError,
+    MCertificate,
     NotZMatrixError,
     SingularMatrixError,
     TridiagonalOperator,
     check_nonsingular_m_matrix,
-    inverse_norm_bound,
     solve_matrix_hjb,
     tridiag_solve,
 )
@@ -118,6 +119,36 @@ def test_near_zero_pivot_is_refused_with_its_certificate():
         assert report.verdict is False and report.failure_index == cert.failure_index
         assert np.array_equal(report.ratios, cert.ratios)
         assert np.array_equal(report.witness[0], cert.witness[0])
+
+
+def test_certificate_record_summarizes_the_ratios():
+    witness_refused = TridiagonalOperator(
+        [-0.82, -0.83], [1.0, 0.459200001, 298799997.37282246], [-0.56, -0.36]
+    )
+    certified = check_nonsingular_m_matrix(np.array([[0.43, -0.25], [-0.25, 0.34625]]))
+    ratio_refused = check_nonsingular_m_matrix(np.array([[0.01, -0.5], [-0.5, 0.01]]))
+    witness_refused = check_nonsingular_m_matrix(witness_refused)
+    for cert in (certified, ratio_refused, witness_refused):
+        record = cert.to_dict()
+        assert record == {
+            "verdict": cert.verdict,
+            "failure_index": cert.failure_index,
+            "note": cert.note,
+            "n_ratios": cert.ratios.size,
+            "ratio_min": float(cert.ratios.min()),
+        }
+        assert json.loads(json.dumps(record)) == record
+    assert certified.to_dict()["verdict"] is True and certified.to_dict()["note"] == ""
+    assert certified.to_dict()["n_ratios"] == 2 and certified.to_dict()["ratio_min"] > 0.0
+    refused = ratio_refused.to_dict()  # the ratios stop at the first one not positive
+    assert refused["n_ratios"] == 2 and refused["failure_index"] == 1
+    assert refused["ratio_min"] == pytest.approx(0.01 - 0.25 / 0.01, rel=1e-12)
+    refused = witness_refused.to_dict()
+    assert refused["verdict"] is False and refused["note"].startswith("witness")
+    assert refused["n_ratios"] == 3 and refused["ratio_min"] > 0.0
+    assert MCertificate(False).to_dict() == {"verdict": False, "failure_index": None, "note": ""}
+    empty = MCertificate(False, ratios=np.array([])).to_dict()
+    assert empty["n_ratios"] == 0 and "ratio_min" not in empty
 
 
 def _exact_pivots_and_witness(main, sub, sup):
@@ -400,20 +431,3 @@ def test_tridiag_solve_raises_on_singular_system():
     with pytest.raises(SingularMatrixError):
         one.solve_shifted(np.zeros(1), np.ones(1))
 
-
-def test_inverse_norm_bound_dominates_true_norm():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        n = int(rng.integers(2, 8))
-        op = random_tridiagonal(rng, n)
-        dense = op.to_dense()
-        x = np.linalg.solve(dense, np.ones(n))
-        bound = inverse_norm_bound(op, x)
-        true = np.max(np.abs(np.linalg.inv(dense)).sum(axis=1))
-        assert bound >= true * (1.0 - 1e-12)
-
-
-def test_inverse_norm_bound_checks_preconditions():
-    op = TridiagonalOperator(np.array([-1.0]), np.array([2.0, 2.0]), np.array([-1.0]))
-    with pytest.raises(ValueError):
-        inverse_norm_bound(op, np.array([1.0, -1.0]))

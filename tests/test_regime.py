@@ -1,5 +1,7 @@
 """Regime-model well-posedness checks and the matrix HJB solvers."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -217,6 +219,36 @@ def test_check_wellposed_verdicts_and_quick_screens(regime2_model):
     with pytest.raises(IllPosedError) as refusal:
         solve_regime(bad)
     assert refusal.value.report.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_report_record_summarizes_eta_above_64_states(n):
+    Q = -np.eye(n) + np.roll(np.eye(n), 1, axis=1)  # a cycle at rate 1
+    delta = np.linspace(0.1, 0.3, n).tolist()
+    model = make_regime(Q.tolist(), [0.02] * n, [0.3] * n, [0.2] * n, delta, 2.0)
+    report = check_wellposed(model)
+    record = report.to_dict()
+    assert record["certificate"] == report.certificate.to_dict()
+    assert record["certificate"]["n_ratios"] == n  # the array stays on .certificate.ratios
+    eta = report.eta.tolist()
+    assert record["eta"] == (eta if n <= 64 else {"min": min(eta), "max": max(eta), "n": n})
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_solve_record_keeps_the_tolerance_it_was_solved_with(regime2_model):
+    solution = solve_regime(regime2_model, tol=1e-12)
+    record = solution.metadata
+    keys = ["tolerance", "p", "method", "stop", "iterations", "trace", "residual", "residual_scale"]
+    assert list(record) == keys
+    assert record["tolerance"] == 1e-12 and record["p"] == solution.p == 0.5
+    assert record["trace"] == solution.trace.tolist() and len(record["trace"]) == solution.iterations
+    assert json.loads(json.dumps(record)) == record
+    fixed_point = solve_hjb_fixed_point(assemble_A(regime2_model), 0.5, tol=1e-9)
+    assert fixed_point.metadata["tolerance"] == 1e-9
+    assert fixed_point.metadata["method"] == "fixed_point"
+    direct = value_and_policies(regime2_model, solution.f).metadata
+    assert direct["tolerance"] is None and direct["stop"] is None and direct["trace"] == []
+    assert direct["method"] == "direct" and direct["iterations"] == 0
 
 
 def test_check_wellposed_rejects_diffusion_models(mpr_model):
