@@ -53,7 +53,7 @@ from .model import (
     to_zero_correlation,
 )
 from .montecarlo import estimate_value
-from .regime_solver import check_wellposed, solve_regime
+from .regime_solver import WellPosednessReport, check_wellposed, solve_regime
 
 __all__ = ["main"]
 
@@ -137,21 +137,19 @@ def _cmd_wellposed(args, model):
     lo, hi, n = _diffusion_grid(args, model)
     work, phi = to_zero_correlation(model)
     A_h, grid = assemble_discrete_hjb(work, lo, hi, n, scheme=args.scheme)
+    # The report of a solve refusal, so both documents hold one record.
     cert = check_nonsingular_m_matrix(A_h)
-    eta = np.asarray(model.eta(grid), dtype=float)
+    report = WellPosednessReport.from_certificate(A_h.main, model.eta(grid), cert)
     document = {
         "model_type": "diffusion",
         "family": model.family,
-        "verdict": cert.verdict,
-        "certificate": cert.to_dict(),
         "domain": [lo, hi],
         "n": n,
         "scheme": args.scheme,
         "distortion": phi,
-        "eta_min": float(eta.min()),
-        "eta_max": float(eta.max()),
+        **report.to_dict(),
     }
-    return document, cert.verdict
+    return document, report.verdict
 
 
 def _cmd_solve(args, model):

@@ -10,39 +10,45 @@ and the realized objective of one path is the discounted utility integral
 
 accumulated with the left-endpoint rule on the grid t_k = k dt.
 
-The factor never depends on wealth.  A diffusion path is simulated in two
-stages.  A sampler draws the factor at the step starts and the asset
-increments: by Euler (full truncation at the boundary of the state space)
-with correlated increments dW = rho dW~ + sqrt(1-rho^2) dW_perp, and no
-factor path for black_scholes.  Then one wealth kernel turns those arrays
-into running log wealth, running discount and each step's utility flow.
-It reads four step coefficients, drift * dt, pi sigma, delta * dt and
-log xi: one row at ``y0`` for black_scholes, so its discount is one
-cumulative sum shared by every path; for other diffusions, values on the
-clipped factor; for a regime model, per-state tables built once per call
-and gathered by state.  Paths are sampled in blocks of about 10^6
-path-steps; the kernel runs on row slices of at most ``_SLICE_ELEMENTS``
-path-steps, so its temporaries stay small.  A callable policy, and a
-tabulated model's coefficients, see each slice's factor values in sorted
-order, so a search such as ``np.interp`` finds each key next to the last.
-Policy and coefficient functions are applied elementwise: they may receive
-any permutation of the factor values, and the results do not depend on it.
+The factor never depends on wealth, and the asset noise is
+dW = rho dW~ + sqrt(1-rho^2) dW_perp with dW_perp independent of the
+factor's dW~.  Given the factor path each log-wealth step is normal, so an
+estimate draws no perpendicular noise: a path's value is E[J | factor
+path], the exact conditional expectation of the left-endpoint objective on
+the same grid (conditional Monte Carlo), with the mean of J and no more
+variance.  black_scholes has no factor noise; its value is the realized J.
 
-A regime chain is sampled exactly by uniformization.  Given the chain,
-each step's log-wealth increment is normal, so a regime estimate does not
-draw the asset noise: a path's value is E[J | chain], the exact
-conditional expectation of the left-endpoint objective on the same grid
-(conditional Monte Carlo).  Its mean is that of J, its variance is never
-larger, and over a stretch of steps in one state it is a geometric sum in
-closed form, so the work per path is one term per chain event.
-``simulate_wealth`` still draws the asset normals of its one path.
+A diffusion path is simulated in two stages.  A sampler draws the path's
+increments and from them the factor at the step starts by Euler (full
+truncation at the boundary of the state space; none for black_scholes).
+Then one wealth kernel turns those arrays into running log wealth, running
+discount and each step's utility flow.  It reads four step coefficients,
+drift * dt, vol, delta * dt and log xi: one row at ``y0`` for
+black_scholes, so its discount is one cumulative sum shared by every path;
+for other diffusions, values on the clipped factor.  Paths are
+sampled in blocks of about 10^6 path-steps; the kernel runs on row slices
+of at most ``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
+A callable policy, and a tabulated model's coefficients, see each slice's
+factor values in sorted order, so a search such as ``np.interp`` finds
+each key next to the last.  Policy and coefficient functions are applied
+elementwise: they may receive any permutation of the factor values, and
+the results do not depend on it.
+
+A regime chain is sampled exactly by uniformization and is independent of
+the asset noise, so a path's value is E[J | chain], from per-state tables
+built once per call: over a stretch of steps in one state it is a
+geometric sum in closed form, so the work per path is one term per chain
+event.  ``simulate_wealth`` is a realized path: it draws all the asset
+noise of its one path.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
 per path.  A regime path's stream holds, in order, its event count
 N ~ Poisson(Lambda T), N uniforms for the event times, N uniforms for the
 moves and (``simulate_wealth`` only) the asset normals; a diffusion path's
-holds its factor normals (none for black_scholes), then its asset normals.
+holds its n_steps factor normals (the asset normals for black_scholes),
+then (``simulate_wealth`` only) its perpendicular normals.  The estimator
+reads only the first n_steps normals of a diffusion stream.
 Blocks are index-addressed and reduced in a fixed order, so results are
 bitwise identical for any worker count (``MERTON_FACTOR_THREADS``).
 """
@@ -238,15 +244,23 @@ def _normalize_policy(model, policy):
 _SLICE_ELEMENTS = 16_384
 
 
-def _clipped(model, y):
+def _clipper(model):
+    """``clip(y)``: y clipped to the model's state interval; y itself where no end is finite."""
     lo, hi = model.interval
-    return np.clip(y, lo, hi) if (np.isfinite(lo) or np.isfinite(hi)) else y
+    if np.isfinite(lo) or np.isfinite(hi):
+        return lambda y: np.clip(y, lo, hi)
+    return lambda y: y
 
 
-def _step_coefficients(model, policy, dt, y0, n_steps):
-    """``lookup(factor)``: (drift * dt, pi sigma, delta * dt, log xi) at a factor block.
+def _step_coefficients(model, policy, dt, y0, n_steps, realized=False):
+    """``lookup(factor)``: (drift * dt, vol, delta * dt, log xi) at a factor block.
 
-    drift = r + pi lambda sigma - xi - pi^2 sigma^2 / 2.  A regime model's
+    The kernel weights the sampled normals by vol = pi sigma c, c being the
+    share of the asset noise they carry: 1 for a ``realized`` path and for
+    black_scholes, rho for an Euler factor's normals, 0 for a regime chain.
+    drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
+    h = (1 - (1-R)(1 - c^2)) / 2 also holds the conditional mean of the
+    noise integrated out; at c = 1, h is exactly 1/2.  A regime model's
     four form a table with one row per state (the policy is called on
     ``arange(n_states)``), gathered by state in one pass; black_scholes has
     one row of ``n_steps`` at ``y0``, shared by every path; other diffusions
@@ -260,23 +274,29 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     state interval.
     """
     pi, xi = _normalize_policy(model, policy)
+    regime = isinstance(model, RegimeModel)
+    if not (regime or isinstance(model, DiffusionModel)):
+        raise ModelError(f"cannot simulate model of type {type(model).__name__}")
+    if realized or (not regime and model.family == "black_scholes"):
+        share = 1.0
+    else:
+        share = 0.0 if regime else model.rho
+    h = 0.5 * (1.0 - (1.0 - model.R) * (1.0 - share * share))
 
     def at(y, r, lam, sig, delta):
         pi_s = pi(y) if callable(pi) else pi
         xi_s = xi(y) if callable(xi) else xi
         # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
-        drift = (r + pi_s * lam * sig - xi_s - 0.5 * (pi_s * pi_s) * sig**2) * dt
+        drift = (r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2) * dt
         with np.errstate(divide="ignore"):
-            return drift, pi_s * sig, delta * dt, np.log(xi_s)
+            return drift, pi_s * sig * share, delta * dt, np.log(xi_s)
 
-    if isinstance(model, RegimeModel):
+    if regime:
         states = np.arange(model.n_states)
         table = np.stack(
             np.broadcast_arrays(*at(states, model.r, model.lam, model.sigma, model.delta)), axis=1
         )
         return lambda factor: np.moveaxis(table.take(factor, axis=0), -1, 0)
-    if not isinstance(model, DiffusionModel):
-        raise ModelError(f"cannot simulate model of type {type(model).__name__}")
     lo, hi = model.interval
     if not (math.isfinite(y0) and lo <= y0 <= hi):
         raise ValueError(f"initial factor {y0} is not a finite point of [{lo}, {hi}]")
@@ -287,11 +307,12 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     if model.family == "black_scholes":
         row = on_clipped(np.full((1, n_steps), float(y0)))
         return lambda factor: row
+    clip = _clipper(model)
     if not (callable(pi) or callable(xi) or model.family == "tabulated"):
-        return lambda factor: on_clipped(_clipped(model, factor))
+        return lambda factor: on_clipped(clip(factor))
 
     def in_sorted_order(factor):
-        y = _clipped(model, factor)
+        y = clip(factor)
         order = np.argsort(y, axis=None)
 
         def in_path_order(values):
@@ -307,53 +328,48 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
 
 
 def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
-    """(factor at the step starts, asset increments dW) of a block of diffusion paths.
+    """(factor at the step starts, increments sqrt(dt) z) of a block of diffusion paths.
 
-    Path ``idx`` draws from its own Philox stream: the asset normals only
-    for black_scholes (whose factor is one column holding ``y0``), the
-    factor and then the perpendicular normals for the other diffusions.
-    With ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
+    Path ``idx`` draws the first ``n_steps`` normals z of its own Philox
+    stream: the factor normals of an Euler family, the asset normals of
+    black_scholes (whose factor is one column holding ``y0``).  With
+    ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
     """
-    B = indices.shape[0]
-    euler = model.family != "black_scholes"
-    # An Euler row holds the path's factor increments until the Euler loop.
-    factor = np.empty((B, n_steps)) if euler else np.full((B, 1), float(y0))
-    dw_asset = np.empty((B, n_steps))
-    rho = model.rho
+    dw = np.empty((indices.shape[0], n_steps))
     stream = _path_streams(seed)
     for row, idx in enumerate(indices):
-        rng = stream(idx // 2 if antithetic else idx)
-        if euler:
-            z_factor, z_perp = rng.standard_normal((2, n_steps))
-            factor[row] = z_factor
-            dw_asset[row] = rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp
-        else:
-            rng.standard_normal(out=dw_asset[row])
+        stream(idx // 2 if antithetic else idx).standard_normal(out=dw[row])
     # sign * (sqrt(dt) * z) in one pass: with sign = +-1 the product is exact.
-    scale = math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
-    dw_asset *= scale
-    if euler:
-        factor *= scale
-        y = np.full(B, float(y0))
-        for k in range(n_steps):
-            yc = _clipped(model, y)
-            y_next = y + model.a(yc) * dt + model.b(yc) * factor[:, k]
-            factor[:, k] = y
-            y = y_next
-    return factor, dw_asset
+    dw *= math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
+    if model.family == "black_scholes":
+        return np.full((indices.shape[0], 1), float(y0)), dw
+    return _euler_factor(model, y0, dt, dw), dw
 
 
-def _wealth_kernel(lookup, R, x0, dt, factor, dw_asset):
+def _euler_factor(model, y0, dt, dw):
+    """Full-truncation Euler factor at the step starts, one row per row of increments ``dw``."""
+    clip, a, b = _clipper(model), model.a, model.b
+    factor = np.empty(dw.shape)
+    y = np.full(dw.shape[0], float(y0))
+    for k in range(dw.shape[1]):
+        factor[:, k] = y
+        yc = clip(y)
+        y = y + a(yc) * dt + b(yc) * dw[:, k]
+    return factor
+
+
+def _wealth_kernel(lookup, R, x0, dt, factor, dw):
     """(log wealth, discount exponent, utility flow) of a block of paths.
 
-    ``factor`` and ``dw_asset`` come from :func:`_sample_block` and
-    ``lookup`` from :func:`_step_coefficients`.  Column k of log wealth and
-    discount is the value at t_k, k = 0..n_steps (the discount may be one
-    row shared by every path); flow is (paths, n_steps) like ``dw_asset``.
+    ``factor`` and the sampled increments ``dw`` come from
+    :func:`_sample_block` and ``lookup`` from :func:`_step_coefficients`.
+    Column k of log wealth and discount is the value at t_k,
+    k = 0..n_steps (the discount may be one row shared by every path); flow
+    is (paths, n_steps) like ``dw``.
     """
     drift, vol, delta_dt, log_xi = lookup(factor)
-    rows, n = dw_asset.shape
-    increments = vol * dw_asset
+    rows, n = dw.shape
+    increments = vol * dw
     increments += drift
     log_x = np.empty((rows, n + 1))
     log_x[:, 0] = 0.0
@@ -390,8 +406,9 @@ def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
 
     Given the chain, each step's log-wealth increment is normal, so
     E[flow_k | chain] = dt / (1-R) exp(log w_{s_k} + sum_{j<k} a_{s_j}) with
-    a = (1-R)(drift dt + (1-R)(pi sigma)^2 dt / 2) - delta dt and
-    log w = (1-R)(log xi + log x0), from the per-state tables of ``lookup``.
+    a = (1-R) drift dt - delta dt and log w = (1-R)(log xi + log x0), from
+    the per-state tables of ``lookup`` at share c = 0, whose drift already
+    holds the integrated asset variance.
     ``times`` and ``states`` come from :func:`_embedded_chains`.  The events
     cut the grid into stretches (step counts from the edges of
     :func:`_on_grid`), each summed in closed form.  An event that leaves
@@ -400,8 +417,8 @@ def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
     zero terms of uncut events and padding add exactly nothing.
     """
     R = model.R
-    drift, vol, delta_dt, log_xi = lookup(np.arange(model.n_states))
-    a = ((1.0 - R) * (drift + 0.5 * (1.0 - R) * vol * vol * dt) - delta_dt)[states]
+    drift, _, delta_dt, log_xi = lookup(np.arange(model.n_states))
+    a = ((1.0 - R) * drift - delta_dt)[states]
     log_w = ((1.0 - R) * (log_xi + math.log(x0)))[states]
     cut = (a[:, 1:] != a[:, :-1]) | (log_w[:, 1:] != log_w[:, :-1])
     starts = np.zeros(states.shape, np.intp)
@@ -441,13 +458,15 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     paths share one noise stream with flipped signs and the standard error
     is computed over pair averages.
 
-    A diffusion path's value is its realized objective J.  A regime path's
-    value is E[J | chain] on the same grid, in closed form: it has the same
-    mean and no more variance, and draws no asset normals.  An antithetic
-    pair shares its chain, so both values are equal and antithetic buys
-    nothing for a regime model.  When every path value is equal (say, a
-    policy that invests nothing, or a chain that cannot change the
-    coefficients) the estimate is reported with SE exactly 0.
+    A path's value is E[J | factor path] on the same grid: the mean of the
+    realized objective J with no more variance, the asset noise
+    perpendicular to the factor integrated out, not drawn.  A diffusion
+    path reads only the first ``n_steps`` normals of its stream; for
+    black_scholes these are the asset normals and its value is its realized
+    J.  An antithetic pair shares its chain, so antithetic buys nothing for
+    a regime model.  When every path value is equal (say, a policy that
+    invests nothing, or a chain that cannot change the coefficients) the
+    estimate is reported with SE exactly 0.
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
@@ -524,13 +543,14 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
 def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=None):
     """Simulate one wealth path; returns the full :class:`PathSample`.
 
-    The path is path 0 of :func:`estimate_value` with the same seed.  For a
-    diffusion it is the same sampler and wealth kernel, so its utility
-    integral at T is the estimator's path-0 value.  For a regime model it
-    shares path 0's chain, not its value: it then draws the asset normals
-    that the estimator integrates out.  A pre-sampled chain may be passed
-    via ``path`` (as returned by :func:`sample_ctmc_path`); the asset
-    normals are then the first draws of the stream.
+    The path is a realized path 0 of :func:`estimate_value` with the same
+    seed: it shares path 0's factor path or chain, not its value, and draws
+    the asset noise that the estimator integrates out.  A diffusion's
+    perpendicular normals follow the factor normals in the stream.  For
+    black_scholes it is the estimator's path 0, value included.  A
+    pre-sampled chain may be passed via ``path`` (as returned by
+    :func:`sample_ctmc_path`); the asset normals are then the first draws
+    of the stream.
 
     ``policy`` is as for :func:`estimate_value`: a diffusion's callables
     act elementwise and may receive the path's factor values in any order.
@@ -549,7 +569,7 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
     elif y0 is None or T is None or dt is None:
         raise ValueError("y0, T, dt are required without a pre-sampled path")
     n_steps = _step_count(T if path is None else path.times[-1], dt)
-    lookup = _step_coefficients(model, policy, dt, y0, n_steps)
+    lookup = _step_coefficients(model, policy, dt, y0, n_steps, realized=True)
     if isinstance(model, RegimeModel):
         rng = _path_streams(seed)(0)
         if path is None:
@@ -558,8 +578,15 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
             times, chain = path.times[None, 1:-1], path.states[None, :]
         factor = _on_grid(times, chain, n_steps, dt)
         dw_asset = math.sqrt(dt) * rng.standard_normal((1, n_steps))
-    else:
+    elif model.family == "black_scholes":
         factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, np.arange(1), False)
+    else:
+        # The factor normals drive the estimator's path-0 factor; the
+        # perpendicular normals that follow them complete the asset's.
+        z_factor, z_perp = _path_streams(seed)(0).standard_normal((2, 1, n_steps))
+        root, rho = math.sqrt(dt), model.rho
+        factor = _euler_factor(model, y0, dt, z_factor * root)
+        dw_asset = (rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp) * root
     log_x, disc, flow = _wealth_kernel(lookup, model.R, x0, dt, factor, dw_asset)
     states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))
     return PathSample(

@@ -252,40 +252,49 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
     return np.array(wealth), np.array(discs), np.array(utils)
 
 
-def step_coefficients_in_path_order(model, policy, dt, factor):
-    """(drift * dt, pi sigma, delta * dt, log xi) on a diffusion factor slice as given.
+def step_coefficients_in_path_order(model, policy, dt, factor, share):
+    """(drift * dt, vol, delta * dt, log xi) on a diffusion factor slice as given.
 
     The factor is clipped to the model's state interval and every
     coefficient and policy function sees the slice in its own (path)
-    order; scalar policy entries are broadcast.  drift is
-    r + pi lambda sigma - xi - pi^2 sigma^2 / 2, grouped as
-    0.5 (pi pi) (sigma sigma) so that it rounds like the package.
+    order; scalar policy entries are broadcast.  ``share`` is the part c of
+    the asset noise that the sampled normals carry: vol = pi sigma c and
+    drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
+    h = (1 - (1-R)(1 - c^2)) / 2, grouped as h (pi pi) (sigma sigma) so
+    that it rounds like the package.
     """
     lo, hi = model.interval
     y = np.clip(np.asarray(factor, dtype=float), lo, hi)
     p, c = (f(y) if callable(f) else np.full(y.shape, float(f)) for f in policy)
     r, lam, sigma, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
-    drift = (r + p * lam * sigma - c - 0.5 * (p * p) * (sigma * sigma)) * dt
+    h = 0.5 * (1.0 - (1.0 - model.R) * (1.0 - share * share))
+    drift = (r + p * lam * sigma - c - h * (p * p) * (sigma * sigma)) * dt
     with np.errstate(divide="ignore"):
-        return drift, p * sigma, delta * dt, np.log(c)
+        return drift, p * sigma * share, delta * dt, np.log(c)
 
 
-def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor):
+def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor, rho=0.0, dw_factor=None):
     """E[J | factor path] of the left-endpoint objective, one step at a time.
 
-    Given the step-start factor values, step k's log-wealth increment is
-    normal with mean mu_k dt and variance (pi sigma)^2 dt, so
+    Given the step-start factor values and the factor's Brownian increments
+    ``dw_factor`` (none for a regime chain, which is independent of the
+    asset noise), step k's log-wealth increment is normal with mean
+    mu_k dt + rho pi sigma dw_k and variance (1 - rho^2)(pi sigma)^2 dt, so
     E[exp((1-R) log X_k - disc_k)] multiplies by
-    exp((1-R) mu dt + (1-R)^2 (pi sigma)^2 dt / 2 - delta dt) per step, and
-    step k adds dt (xi x0)^(1-R) / (1-R) times that mean.
+    exp((1-R)(mu dt + rho pi sigma dw) + (1-R)^2 (1-rho^2) (pi sigma)^2 dt / 2 - delta dt)
+    per step, and step k adds dt (xi x0)^(1-R) / (1-R) times that mean.
     """
+    if dw_factor is None:
+        dw_factor = np.zeros(len(factor))
     log_mean, total = 0.0, 0.0
-    for y in factor:
+    for y, dw in zip(factor, dw_factor):
         r, lam, sigma, delta = coef(y)
         p, c = pi(y), xi(y)
         total += math.exp(log_mean + (1.0 - R) * math.log(c * x0)) / (1.0 - R) * dt
         mu = r + p * lam * sigma - c - 0.5 * p * p * sigma * sigma
-        log_mean += ((1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * p * p * sigma * sigma - delta) * dt
+        variance = (1.0 - rho * rho) * p * p * sigma * sigma
+        log_mean += ((1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * variance - delta) * dt
+        log_mean += (1.0 - R) * rho * p * sigma * dw
     return total
 
 

@@ -116,19 +116,20 @@ def test_wellposed_diffusion_document(model_file, capsys):
     assert set(doc) == {
         "model_type",
         "family",
-        "verdict",
-        "certificate",
         "domain",
         "n",
         "scheme",
         "distortion",
-        "eta_min",
-        "eta_max",
+        "verdict",
+        "certificate",
+        "quick_checks",
+        "eta",
     }
     assert doc["model_type"] == "diffusion" and doc["family"] == "mpr"
     assert doc["verdict"] is True
     assert doc["certificate"]["note"] == ""
     assert doc["domain"] == [-3.0, 3.0] and doc["n"] == 200
+    assert doc["eta"]["n"] == 201
 
 
 def test_illposed_diffusion_wellposed_exits_2(model_file, capsys):
@@ -138,6 +139,23 @@ def test_illposed_diffusion_wellposed_exits_2(model_file, capsys):
     doc = json.loads(out)
     assert doc["verdict"] is False
     assert doc["certificate"]["failure_index"] == 16
+
+
+def test_wellposed_diffusion_report_is_the_solve_refusal_report(model_file, capsys):
+    # One record for one verdict: the wellposed document carries the report
+    # that a solve on the same grid refuses with.
+    grid = ["--model", model_file(BS_ILLPOSED), "--domain", "-1,1", "--n", "16"]
+    rc, out, _ = run_cli(capsys, ["wellposed", *grid])
+    assert rc == 2
+    wellposed = json.loads(out)
+    rc, out, _ = run_cli(capsys, ["solve", *grid])
+    assert rc == 2
+    refusal = json.loads(out)
+    setting = {"model_type", "family", "domain", "n", "scheme", "distortion"}
+    assert set(wellposed) - setting == set(refusal) - {"error"} == REFUSAL_KEYS - {"error"}
+    assert {key: wellposed[key] for key in set(refusal) - {"error"}} == {
+        key: value for key, value in refusal.items() if key != "error"
+    }
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

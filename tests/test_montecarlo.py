@@ -243,10 +243,13 @@ def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model)
         factor = y0 + spread * rng.standard_normal((rows, n))
         # Repeated keys: ties in the sort must not matter.
         factor.ravel()[::3] = np.round(factor.ravel()[::3], 1)
-        lookup = montecarlo._step_coefficients(model, policy, 0.05, y0, n)
-        expected = oracles.step_coefficients_in_path_order(model, policy, 0.05, factor)
-        for got, want in zip(lookup(factor), expected, strict=True):
-            assert np.array_equal(_bits(got, factor.shape), _bits(want, factor.shape))
+        # The estimator's factor normals carry a share rho of the asset
+        # noise; a realized path's asset increments carry all of it.
+        for realized, share in ((False, model.rho), (True, 1.0)):
+            lookup = montecarlo._step_coefficients(model, policy, 0.05, y0, n, realized)
+            expected = oracles.step_coefficients_in_path_order(model, policy, 0.05, factor, share)
+            for got, want in zip(lookup(factor), expected, strict=True):
+                assert np.array_equal(_bits(got, factor.shape), _bits(want, factor.shape))
 
 
 def test_callable_policies_see_each_slice_in_sorted_order(mpr_model):
@@ -548,34 +551,105 @@ def test_simulate_wealth_is_path_zero_of_the_estimator(fixture, request):
     # With two paths the estimate is mean = (J0 + J1) / 2, se = |J0 - J1| / 2.
     values = sorted(est.mean + s * est.se for s in (-1.0, 1.0))
     assert est.se > 0.0
-    if fixture != "regime2_model":
+    if fixture == "bs_model":
         final = sample.utility_integral[-1]
         assert min(abs(final - value) for value in values) <= 1e-12 * abs(final)
         return
-    # A regime path value is E[J | chain]: the per-step loop on the chains
-    # of paths 0 and 1; simulate_wealth shares path 0's chain, not its value.
-    # The tail is the part from step round(0.9 n) on.
-    n, k_tail = 200, 180
+    # Any other path value is E[J | factor path]: the per-step loop on the
+    # chains or the Euler factor paths of paths 0 and 1; simulate_wealth
+    # shares path 0's factor path, not its value.  The tail is the part from
+    # step round(0.9 n) on.
+    n, k_tail, dt = 200, 180, 0.05
+    pi, xi = (f if callable(f) else (lambda y, f=f: f) for f in policy)
     expected, tails = [], []
     for index in (0, 1):
         rng = np.random.Generator(np.random.Philox(key=9, counter=index << 128))
-        times, states = oracles.uniformized_chain_by_loop(model.Q, 0, 10.0, rng)
-        chain = np.concatenate(([0], states))
-        on_grid = [chain[np.sum(times <= k * 0.05)] for k in range(n)]
+        if fixture == "regime2_model":
+            times, states = oracles.uniformized_chain_by_loop(model.Q, 0, 10.0, rng)
+            chain = np.concatenate(([0], states))
+            factor = [chain[np.sum(times <= k * dt)] for k in range(n)]
+            steps, rho, dw = factor, 0.0, np.zeros(n)
+
+            def coef(s):
+                return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
+
+        else:
+            # A diffusion stream starts with the factor normals.
+            dw = math.sqrt(dt) * rng.standard_normal(n)
+            lo = model.interval[0]
+            factor = oracles.euler_factor_path(model.a, model.b, y0, lo, dt, dw)
+            steps, rho = np.maximum(factor, lo), model.rho
+
+            def coef(y):
+                return model.r(y), model.lam(y), model.sigma(y), model.delta(y)
+
         if index == 0:
-            assert np.array_equal(sample.states[:-1], on_grid)
+            assert np.array_equal(sample.states[:-1], factor)
 
-        def coef(s):
-            return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
+        def by_loop(k):
+            return oracles.conditional_value_by_loop(
+                coef, model.R, pi, xi, 1.5, dt, steps[:k], rho, dw[:k]
+            )
 
-        def by_loop(steps):
-            pi, xi = (lambda s: policy[0]), (lambda s: policy[1])
-            return oracles.conditional_value_by_loop(coef, model.R, pi, xi, 1.5, 0.05, steps)
-
-        expected.append(by_loop(on_grid))
-        tails.append(expected[-1] - by_loop(on_grid[:k_tail]))
+        expected.append(by_loop(n))
+        tails.append(expected[-1] - by_loop(k_tail))
     np.testing.assert_allclose(values, sorted(expected), rtol=1e-12)
     assert est.tail_mean == pytest.approx(np.mean(tails), rel=1e-10)
+
+
+def _rough_heston(rho):
+    """A Heston factor rough enough that its Euler path goes negative (truncation)."""
+    return load_model(
+        {
+            "family": "heston",
+            "params": {
+                "R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66,
+                "kappa": 2.0, "theta": 0.04, "nu": 0.39, "rho": rho,
+            },
+        }
+    )
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+@pytest.mark.parametrize("family", ["mpr", "heston"])
+def test_fully_correlated_path_value_is_the_realized_objective(family, rho):
+    # At |rho| = 1 the factor normals are the asset's: nothing is integrated
+    # out, so path 0's value is simulate_wealth's realized objective.
+    if family == "mpr":
+        params = {"R": 1.5, "delta": 0.05, "r": 0.02, "sigma": 0.2, "kappa": 0.3, "theta": 0.5}
+        model = load_model({"family": "mpr", "params": dict(params, nu=0.6, rho=rho)})
+        y0, policy = 0.0, _route_policy("mpr_model")
+    else:
+        model, y0, policy = _rough_heston(rho), 0.035, (lambda y: 1.0 + y, 0.05)
+    sample = simulate_wealth(model, policy, 1.5, y0=y0, T=10.0, dt=0.05, seed=9)
+    est = estimate_value(model, policy, 1.5, y0, 10.0, 0.05, 2, seed=9)
+    final = sample.utility_integral[-1]
+    values = [est.mean + s * est.se for s in (-1.0, 1.0)]
+    assert est.se > 0.0
+    assert min(abs(final - value) for value in values) <= 1e-12 * abs(final)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("model", ["mpr", "heston"])
+def test_euler_factor_paths_do_not_depend_on_the_asset_draws(model, antithetic, mpr_model):
+    # The estimator draws only the factor normals of each stream.  Its Euler
+    # paths are bitwise those driven by the first half of the stream's
+    # 2 n_steps draws, the factor normals of a sampler that also draws the
+    # perpendicular ones.
+    model, y0 = (mpr_model, 0.0) if model == "mpr" else (_rough_heston(-0.84), 0.035)
+    dt, n, seed, indices = 0.05, 300, 12, np.arange(6, 14)
+    factor, dw = montecarlo._sample_block(model, y0, dt, n, seed, indices, antithetic)
+    lo = model.interval[0]
+    for row, idx in enumerate(indices):
+        stream = idx // 2 if antithetic else idx
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=int(stream) << 128))
+        z_factor, _ = rng.standard_normal((2, n))
+        sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
+        increments = sign * (math.sqrt(dt) * z_factor)
+        assert np.array_equal(dw[row], increments)
+        expected = oracles.euler_factor_path(model.a, model.b, y0, lo, dt, increments)
+        assert np.array_equal(factor[row], expected)
+    assert model is mpr_model or np.any(factor < 0.0)
 
 
 def _path_zero_normals(seed, count):
@@ -603,17 +677,7 @@ def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model)
     dw = root * _path_zero_normals(seed, n)
     check(sample, lambda y: (0.02, 0.3, 0.25, 0.1), 2.0, policy, np.zeros(n), dw)
 
-    # Diffusions: factor normals, then perpendicular normals.  This Heston
-    # factor is rough enough that the Euler path goes negative (truncation).
-    heston = load_model(
-        {
-            "family": "heston",
-            "params": {
-                "R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66,
-                "kappa": 2.0, "theta": 0.04, "nu": 0.39, "rho": -0.84,
-            },
-        }
-    )
+    # Diffusions: factor normals, then perpendicular normals.
     cases = (
         (
             mpr_model, 0.0, -math.inf,
@@ -622,7 +686,7 @@ def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model)
             (lambda y: 0.5 + 0.1 * math.tanh(y), lambda y: 0.06 + 0.01 * math.cos(y)),
         ),
         (
-            heston, 0.035, 0.0,
+            _rough_heston(-0.84), 0.035, 0.0,
             lambda y: (0.013, 1.66 * math.sqrt(y), math.sqrt(y), 0.02),
             lambda y: -2.0 * (y - 0.04), lambda y: 0.39 * math.sqrt(y),
             (lambda y: 1.0 + y, lambda y: 0.05),
