@@ -286,7 +286,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     # --n is one grid step count, a comma list for refine.  expand has no grid,
-    # and its --tol default is that of domain_expansion_study.
+    # and its --tol default is that of domain_expansion_study.  Only the
+    # handlers that solve read --tol; bounds reads neither --tol nor --scheme.
     for name, func, summary, steps in (
         ("wellposed", _cmd_wellposed, "well-posedness verdict with certificate", _STEPS),
         ("solve", _cmd_solve, "solve the stationary problem", _STEPS),
@@ -299,12 +300,14 @@ def build_parser():
         p = commands[name] = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--model", required=True, help="model JSON file")
-        tol = 1e-10 if steps else 1e-12
-        p.add_argument("--tol", type=_POSITIVE, default=tol, help="solver tolerance")
+        if name not in ("wellposed", "bounds"):
+            tol = 1e-10 if steps else 1e-12
+            p.add_argument("--tol", type=_POSITIVE, default=tol, help="solver tolerance")
         p.add_argument("--out", default=None, help="output file")
-        p.add_argument(
-            "--scheme", default="upwind", choices=("upwind", "central"), help="upwind or central"
-        )
+        if name != "bounds":
+            p.add_argument(
+                "--scheme", default="upwind", choices=("upwind", "central"), help="upwind or central"
+            )
         if steps:
             p.add_argument("--domain", type=_INTERVAL, help="truncation interval A,B")
             p.add_argument(

@@ -199,6 +199,8 @@ def grid_refinement_study(model, e_minus, e_plus, n_list, scheme="upwind", tol=1
 def expansion_domain(model, m):
     """Default truncation for expansion step m: (1/m, sqrt(m)) for square-root
     state spaces, [-m, m] otherwise (clipped inside tabulated ranges)."""
+    if not 0.0 < m < np.inf:
+        raise ValueError(f"expansion step m must be positive and finite, got {m}")
     if model.family == "heston":
         return 1.0 / m, float(np.sqrt(m))
     lo, hi = model.interval

@@ -63,6 +63,8 @@ _OPTIONAL_PARAMS = {
     "tabulated": ("rho",),
 }
 
+_COEFFICIENTS = ("r", "lambda", "sigma", "delta", "a", "b")
+
 
 def _finite_scalar(name, value):
     try:
@@ -79,6 +81,19 @@ def _float_array(name, values):
         return np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{name} must be a rectangular array of numbers ({exc})") from exc
+
+
+def _frozen_rate_at(y, delta, r, lam, R):
+    """eta(y) from coefficient functions; numpy reuses their temporaries in place."""
+    return (delta(y) - (1.0 - R) * (r(y) + lam(y) ** 2 / (2.0 * R))) / R
+
+
+def _constant(value):
+    return lambda y: np.full_like(y, value)
+
+
+def _interpolant(grid, values):
+    return lambda y: np.interp(y, grid, values)
 
 
 def _check_risk_aversion(R):
@@ -148,7 +163,8 @@ class RegimeModel:
         self.R = _check_risk_aversion(R)
         for arr in (self.Q, self.r, self.lam, self.sigma, self.delta):
             arr.setflags(write=False)
-        self._eta = ((self.delta - (1.0 - self.R) * (self.r + self.lam**2 / (2.0 * self.R))) / self.R)
+        states = np.arange(n)
+        self._eta = _frozen_rate_at(states, self.delta.take, self.r.take, self.lam.take, self.R)
         self._eta.setflags(write=False)
 
     @property
@@ -225,36 +241,28 @@ class DiffusionModel:
             p.setdefault("b", 1.0)
         self.params = p
         R = self.R
+        if "sigma" in p and p["sigma"] <= 0:
+            raise ModelError("sigma must be positive")
+        if "nu" in p and p["nu"] == 0:
+            raise ModelError("nu must be nonzero")
 
-        if family == "black_scholes":
-            if p["sigma"] <= 0:
-                raise ModelError("sigma must be positive")
-            self.interval = (-math.inf, math.inf)
-            self._r = lambda y: np.full_like(y, p["r"])
-            self._lam = lambda y: np.full_like(y, p["lambda"])
-            self._sigma = lambda y: np.full_like(y, p["sigma"])
-            self._delta = lambda y: np.full_like(y, p["delta"])
-            self._a = lambda y: np.full_like(y, p["a"])
-            self._b = lambda y: np.full_like(y, p["b"])
-            self._eta_prime = lambda y: np.zeros_like(y)
-            self._eta_second = lambda y: np.zeros_like(y)
-        elif family == "mpr":
-            if p["sigma"] <= 0:
-                raise ModelError("sigma must be positive")
-            if p["nu"] == 0:
-                raise ModelError("nu must be nonzero")
-            self.interval = (-math.inf, math.inf)
-            self._r = lambda y: np.full_like(y, p["r"])
-            self._lam = lambda y: y.copy()
-            self._sigma = lambda y: np.full_like(y, p["sigma"])
-            self._delta = lambda y: np.full_like(y, p["delta"])
+        # Each coefficient starts as the constant its parameter names; the
+        # overrides below replace those that depend on the factor, which
+        # include every coefficient that no parameter names.
+        b = "b" if family == "black_scholes" else "nu"
+        self._r, self._lam, self._sigma, self._delta, self._a, self._b = (
+            _constant(p.get(k)) for k in ("r", "lambda", "sigma", "delta", "a", b)
+        )
+        self._eta_prime = self._eta_second = _constant(0.0)
+        self.interval = (-math.inf, math.inf)
+        if family != "black_scholes":
             self._a = lambda y: -p["kappa"] * (y - p["theta"])
-            self._b = lambda y: np.full_like(y, p["nu"])
+        if family == "mpr":
+            self._lam = lambda y: y.copy()
             self._eta_prime = lambda y: (R - 1.0) / R**2 * y
+            # Powers of R are taken per call, as a float ** that overflows raises.
             self._eta_second = lambda y: np.full_like(y, (R - 1.0) / R**2)
         elif family == "heston":
-            if p["nu"] == 0:
-                raise ModelError("nu must be nonzero")
             half_nu2 = 0.5 * (p["nu"] * p["nu"])  # a product overflows to inf; ** raises
             if p["kappa"] * p["theta"] < half_nu2:
                 raise ModelError(
@@ -263,28 +271,13 @@ class DiffusionModel:
                 )
             self.interval = (0.0, math.inf)
             lam0 = p["lambda"]
-            self._r = lambda y: np.full_like(y, p["r"])
             self._lam = lambda y: lam0 * np.sqrt(y)
             self._sigma = lambda y: np.sqrt(y)
-            self._delta = lambda y: np.full_like(y, p["delta"])
-            self._a = lambda y: -p["kappa"] * (y - p["theta"])
             self._b = lambda y: p["nu"] * np.sqrt(y)
             self._eta_prime = lambda y: np.full_like(y, (R - 1.0) * lam0**2 / (2.0 * R**2))
-            self._eta_second = lambda y: np.zeros_like(y)
         elif family == "vasicek":
-            if p["sigma"] <= 0:
-                raise ModelError("sigma must be positive")
-            if p["nu"] == 0:
-                raise ModelError("nu must be nonzero")
-            self.interval = (-math.inf, math.inf)
             self._r = lambda y: y.copy()
-            self._lam = lambda y: np.full_like(y, p["lambda"])
-            self._sigma = lambda y: np.full_like(y, p["sigma"])
-            self._delta = lambda y: np.full_like(y, p["delta"])
-            self._a = lambda y: -p["kappa"] * (y - p["theta"])
-            self._b = lambda y: np.full_like(y, p["nu"])
-            self._eta_prime = lambda y: np.full_like(y, (R - 1.0) / R)
-            self._eta_second = lambda y: np.zeros_like(y)
+            self._eta_prime = _constant((R - 1.0) / R)
 
     def _init_tabulated(self, params):
         grid = _float_array("tabulated y", params["y"])
@@ -295,7 +288,7 @@ class DiffusionModel:
         if not np.all(np.diff(grid) > 0):
             raise ModelError("tabulated y grid must be strictly increasing")
         tables = {}
-        for name in ("r", "lambda", "sigma", "delta", "a", "b"):
+        for name in _COEFFICIENTS:
             arr = _float_array(f"tabulated {name}", params[name])
             if arr.shape != grid.shape:
                 raise ModelError(f"tabulated {name} must match y in length")
@@ -306,27 +299,14 @@ class DiffusionModel:
             raise ModelError("tabulated sigma must be positive everywhere")
         if np.any(tables["b"] == 0):
             raise ModelError("tabulated b must be nonzero everywhere")
-        self.params = {
-            "R": self.R,
-            "rho": self.rho,
-            "y": grid,
-            **{k: tables[k] for k in ("r", "lambda", "sigma", "delta", "a", "b")},
-        }
+        self.params = {"R": self.R, "rho": self.rho, "y": grid, **tables}
         self.interval = (float(grid[0]), float(grid[-1]))
-        self._grid = grid
-        self._tables = tables
-        self._r = lambda y: np.interp(y, grid, tables["r"])
-        self._lam = lambda y: np.interp(y, grid, tables["lambda"])
-        self._sigma = lambda y: np.interp(y, grid, tables["sigma"])
-        self._delta = lambda y: np.interp(y, grid, tables["delta"])
-        self._a = lambda y: np.interp(y, grid, tables["a"])
-        self._b = lambda y: np.interp(y, grid, tables["b"])
-        R = self.R
-        eta_nodes = (tables["delta"] - (1.0 - R) * (tables["r"] + tables["lambda"] ** 2 / (2.0 * R))) / R
-        d1 = np.gradient(eta_nodes, grid)
-        d2 = np.gradient(d1, grid)
-        self._eta_prime = lambda y: np.interp(y, grid, d1)
-        self._eta_second = lambda y: np.interp(y, grid, d2)
+        self._r, self._lam, self._sigma, self._delta, self._a, self._b = (
+            _interpolant(grid, tables[k]) for k in _COEFFICIENTS
+        )
+        d1 = np.gradient(self.eta(grid), grid)
+        self._eta_prime = _interpolant(grid, d1)
+        self._eta_second = _interpolant(grid, np.gradient(d1, grid))
 
     # -- evaluation -------------------------------------------------------
 
@@ -365,8 +345,7 @@ class DiffusionModel:
 
     def eta(self, y):
         """Frozen consumption rate; accepts the closure of the state interval."""
-        arr = self._closure(y)
-        return (self._delta(arr) - (1.0 - self.R) * (self._r(arr) + self._lam(arr) ** 2 / (2.0 * self.R))) / self.R
+        return _frozen_rate_at(self._closure(y), self._delta, self._r, self._lam, self.R)
 
     def eta_prime(self, y):
         return self._eta_prime(self._closure(y))

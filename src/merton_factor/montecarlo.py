@@ -437,11 +437,11 @@ def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
 
 
 def _step_count(T, dt):
-    """Steps of length dt over [0, T]; ValueError unless dt > 0 and T, dt, T / dt are finite."""
+    """Steps of length dt over [0, T]; ValueError unless 0 < dt <= T and T, T / dt are finite."""
     T, dt = float(T), float(dt)
-    if not (dt > 0.0 and math.isfinite(T) and math.isfinite(dt) and math.isfinite(T / dt)):
-        raise ValueError(f"need dt > 0 and finite T, dt and T / dt; got T = {T}, dt = {dt}")
-    return max(1, int(round(T / dt)))
+    if not (0.0 < dt <= T and math.isfinite(T) and math.isfinite(T / dt)):
+        raise ValueError(f"need 0 < dt <= T with finite T, dt and T / dt; got T = {T}, dt = {dt}")
+    return int(round(T / dt))
 
 
 def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False):
@@ -470,14 +470,12 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
-    if T <= 0.0 or dt <= 0.0 or dt > T:
-        raise ValueError("need 0 < dt <= T")
+    n_steps = _step_count(T, dt)
     n_paths = int(n_paths)
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     if antithetic and (n_paths % 2 != 0 or n_paths < 4):
         raise ValueError("antithetic sampling needs an even path count of at least 4")
-    n_steps = _step_count(T, dt)
     lookup = _step_coefficients(model, policy, dt, y0, n_steps)
     regime = isinstance(model, RegimeModel)
 

@@ -9,6 +9,7 @@ from merton_factor import (
     constant_profile,
     eta_profile,
     hjb_residual,
+    load_model,
     proportional_bounds,
     psi,
     psi_eta_profile,
@@ -134,6 +135,16 @@ def test_asymptotic_report_structure(mpr_model):
     window = doc["window"]
     assert window["tail_fraction"] == 0.1
     assert window["left_y"][0] == -3.0
+
+
+def test_mean_reversion_check_needs_an_ou_or_square_root_factor(bs_model):
+    y = np.linspace(-1.0, 1.0, 21)
+    columns = {"r": 0.02 + 0 * y, "lambda": 0.3 * y, "sigma": 0.25 + 0 * y,
+               "delta": 0.1 + 0 * y, "a": -0.5 * y, "b": 0.4 + 0 * y}
+    tab = load_model({"family": "tabulated", "params": {"R": 2.0, "y": y, **columns}})
+    for model in (bs_model, tab):
+        doc = asymptotic_report(solve(model, -0.9, 0.9, 200), model).to_dict()
+        assert doc["mean_reversion_check"] == {"applicable": False, "family": model.family}
 
 
 def test_asymptotic_report_window_parameters(mpr_model):

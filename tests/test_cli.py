@@ -71,6 +71,19 @@ VASICEK = {
         "rho": -0.0012,
     },
 }
+HESTON = {
+    "family": "heston",
+    "params": {
+        "R": 2.0,
+        "delta": 0.02,
+        "r": 0.013,
+        "lambda": 1.66,
+        "kappa": 0.088,
+        "theta": 0.035,
+        "nu": 0.031,
+        "rho": -0.84,
+    },
+}
 
 
 @pytest.fixture
@@ -208,6 +221,13 @@ BOUNDS_GRID = ["--domain", "0,3", "--n", "9"]
         pytest.param(MPR, ["bounds", *BOUNDS_GRID, "--g2", "inf"], "--g2", id="g2-inf"),
         pytest.param(MPR, ["expand", "--m", "2,x", *EXPAND_RUN], "--m", id="m"),
         pytest.param(MPR, ["expand", "--m", "2,3", "--window", "0"], "--window", id="window"),
+        # Flags that a subcommand's handler would not read are refused.
+        pytest.param(MPR, ["bounds", *BOUNDS_GRID, "--tol", "5"], "--tol", id="bounds-tol"),
+        pytest.param(
+            MPR, ["bounds", *BOUNDS_GRID, "--scheme", "central"], "--scheme", id="bounds-scheme"
+        ),
+        pytest.param(REGIME, ["wellposed", "--tol", "1e-8"], "--tol", id="wellposed-tol"),
+        pytest.param(MPR, ["wellposed", *BS_GRID, "--tol", "1e-8"], "--tol", id="wellposed-tol-mpr"),
     ],
 )
 def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
@@ -229,6 +249,8 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
         (REGIME, ["mc", "--y0", "0", "--horizon", "1e300", "--dt", "1e-300", "--paths", "50"]),
         (MPR, ["refine", "--domain", "-2,2", "--n", "100,150"]),
         (MPR, ["expand", "--m", "3,2", *EXPAND_RUN]),
+        (HESTON, ["expand", "--m", "0,1", "--h", "0.05", "--window", "0.5,0.9"]),
+        (MPR, ["expand", "--m=-1,2", *EXPAND_RUN]),
         (MPR, ["bounds", "--domain", "-3,3", "--n", "100", "--g1", "5"]),
         (MPR, ["report", "--domain", "-3,3", "--n", "300", "--tail-fraction", "0.9"]),
         (REGIME, ["wellposed", "--out", "/no/such/dir/x.json"]),
@@ -242,6 +264,8 @@ def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
         "mc-steps-overflow",
         "refine-n",
         "expand-m",
+        "expand-m-zero",
+        "expand-m-negative",
         "bounds-g1",
         "report-tail",
         "wellposed-out-dir",

@@ -232,6 +232,19 @@ def test_refinement_study_rows_and_first_order_fit(mpr_model):
     assert table.kind == "refinement"
 
 
+def test_refinement_study_notes_when_no_order_fits(bs_model, mpr_model):
+    # Constant coefficients solve exactly at every N: every difference is at
+    # the floor.  Two step counts give one pair, too few for a slope.
+    for model, n_list, note in (
+        (bs_model, [4, 8, 16], "differences at the tolerance floor"),
+        (mpr_model, [100, 200], "order fit needs at least two refinement pairs"),
+    ):
+        table = grid_refinement_study(model, -2.0, 2.0, n_list)
+        assert np.isnan(table.fit)
+        assert table.note.startswith(note)
+        assert len(table.rows) == len(n_list) - 1
+
+
 def test_refinement_study_validates_divisibility(mpr_model):
     with pytest.raises(ValueError, match="divide"):
         grid_refinement_study(mpr_model, -3.0, 3.0, [100, 150])
@@ -247,11 +260,28 @@ def test_expansion_study_decays_geometrically(mpr_model):
     assert 0.0 < study.fit < 0.5
 
 
+def test_expansion_study_notes_differences_at_the_floor(bs_model):
+    study = domain_expansion_study(bs_model, [1.0, 2.0, 3.0], 0.1, (-0.5, 0.5))
+    assert np.isnan(study.fit)
+    assert study.note.startswith("differences at the tolerance floor")
+    assert study.note.endswith("rate fit not applicable")
+
+
 def test_expansion_domain_shapes(mpr_model, heston_model):
     assert expansion_domain(mpr_model, 3.0) == (-3.0, 3.0)
     lo, hi = expansion_domain(heston_model, 4.0)
     assert lo == pytest.approx(0.25, rel=0, abs=0)
     assert hi == pytest.approx(2.0, rel=0, abs=0)
+    # A bounded interval clips the domain just inside its ends.
+    y = [-1.0, 0.0, 1.0]
+    table = {k: [0.2, 0.2, 0.2] for k in ("r", "lambda", "sigma", "delta", "a", "b")}
+    tab = load_model({"family": "tabulated", "params": {"R": 2.0, "y": y, **table}})
+    assert expansion_domain(tab, 0.5) == (-0.5, 0.5)
+    assert expansion_domain(tab, 3.0) == (-1.0 + 1e-9, 1.0 - 1e-9)
+    for model in (mpr_model, heston_model, tab):
+        for m in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="expansion step m must be positive and finite"):
+                expansion_domain(model, m)
 
 
 def test_csv_round_trip_is_bitwise(tmp_path, mpr_model):

@@ -218,6 +218,22 @@ _TABULATED = {
         "b": [0.4, 0.4, 0.4],
     },
 }
+_BS = {"family": "black_scholes", "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3}}
+_MPR = {
+    "family": "mpr",
+    "params": {"R": 1.5, "delta": 0.05, "r": 0.02, "sigma": 0.2, "kappa": 0.3,
+               "theta": 0.5, "nu": 0.6, "rho": -0.2},
+}
+_HESTON = {
+    "family": "heston",
+    "params": {"R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66, "kappa": 0.088,
+               "theta": 0.035, "nu": 0.031, "rho": -0.84},
+}
+_VASICEK = {
+    "family": "vasicek",
+    "params": {"R": 1.5, "delta": 0.02, "lambda": 0.38, "sigma": 0.18, "kappa": 0.43,
+               "theta": 0.013, "nu": 0.033},
+}
 _REGIME = {
     "family": "regime",
     "Q": [[-0.5, 0.5], [0.5, -0.5]],
@@ -239,8 +255,23 @@ _REGIME = {
         (_TABULATED, "y", "abc", "tabulated y must be"),
         (_TABULATED, "y", [-1.0, 0.0, math.inf], "tabulated y grid must be finite"),
         (_TABULATED, "r", [0.02, [0.02, 0.03], 0.02], "tabulated r must be"),
+        (_TABULATED, "y", [-1.0, 0.0, 0.0], "^tabulated y grid must be strictly increasing$"),
+        (_TABULATED, "delta", [0.1, math.nan, 0.1], "^tabulated delta contains non-finite entries$"),
+        (_TABULATED, "sigma", [0.2, 0.0, 0.2], "^tabulated sigma must be positive everywhere$"),
+        (_TABULATED, "b", [0.4, 0.0, 0.4], "^tabulated b must be nonzero everywhere$"),
+        (_BS, "sigma", 0.0, "^sigma must be positive$"),
+        (_MPR, "sigma", -0.2, "^sigma must be positive$"),
+        (_VASICEK, "sigma", 0.0, "^sigma must be positive$"),
+        (_MPR, "nu", 0.0, "^nu must be nonzero$"),
+        (_HESTON, "nu", -0.0, "^nu must be nonzero$"),
+        (_VASICEK, "nu", 0, "^nu must be nonzero$"),
     ],
-    ids=["Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite", "column-ragged"],
+    ids=[
+        "Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite",
+        "column-ragged", "y-not-increasing", "column-nan", "tabulated-sigma-zero",
+        "tabulated-b-zero", "bs-sigma-zero", "mpr-sigma-negative", "vasicek-sigma-zero",
+        "mpr-nu-zero", "heston-nu-zero", "vasicek-nu-zero",
+    ],
 )
 def test_malformed_model_arrays_raise_model_error(base, field, value, message):
     document = copy.deepcopy(base)
@@ -251,26 +282,7 @@ def test_malformed_model_arrays_raise_model_error(base, field, value, message):
 
 
 # Valid documents of every family; the fuzz below breaks one to three fields.
-_VALID_DOCUMENTS = (
-    _REGIME,
-    _TABULATED,
-    {"family": "black_scholes", "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3}},
-    {
-        "family": "mpr",
-        "params": {"R": 1.5, "delta": 0.05, "r": 0.02, "sigma": 0.2, "kappa": 0.3,
-                   "theta": 0.5, "nu": 0.6, "rho": -0.2},
-    },
-    {
-        "family": "heston",
-        "params": {"R": 2.0, "delta": 0.02, "r": 0.013, "lambda": 1.66, "kappa": 0.088,
-                   "theta": 0.035, "nu": 0.031, "rho": -0.84},
-    },
-    {
-        "family": "vasicek",
-        "params": {"R": 1.5, "delta": 0.02, "lambda": 0.38, "sigma": 0.18, "kappa": 0.43,
-                   "theta": 0.013, "nu": 0.033},
-    },
-)
+_VALID_DOCUMENTS = (_REGIME, _TABULATED, _BS, _MPR, _HESTON, _VASICEK)
 _JSON_SCALARS = (
     st.none()
     | st.booleans()

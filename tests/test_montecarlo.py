@@ -795,6 +795,16 @@ def test_estimate_validation(bs_model):
         estimate_value(object(), (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 10, seed=1)
 
 
+@pytest.mark.parametrize("fixture, y0", [("regime2_model", 0), ("bs_model", 0.0), ("mpr_model", 0.5)])
+@pytest.mark.parametrize("T, dt", [(-5.0, 0.1), (0.0, 0.1), (1.0, 3.0)])
+def test_both_entry_points_refuse_a_horizon_shorter_than_a_step(request, fixture, y0, T, dt):
+    model = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match="need 0 < dt <= T"):
+        estimate_value(model, (0.5, 0.1), 1.0, y0, T, dt, 10, seed=1)
+    with pytest.raises(ValueError, match="need 0 < dt <= T"):
+        simulate_wealth(model, (0.5, 0.1), 1.0, y0=y0, T=T, dt=dt, seed=1)
+
+
 @pytest.mark.parametrize("x0", [math.inf, math.nan], ids=["inf", "nan"])
 def test_initial_wealth_must_be_finite(x0, regime2_model):
     with pytest.raises(ValueError, match="initial wealth"):
