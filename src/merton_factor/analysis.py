@@ -23,11 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .model import coefficients_at, frozen_rate
+from .errors import DomainError, ModelError
+from .model import DiffusionModel, frozen_rate
 
 __all__ = [
-    "PsiEvaluation",
     "BoundsCertificate",
     "AsymptoticReport",
     "psi",
@@ -39,20 +38,6 @@ __all__ = [
     "hjb_residual",
     "asymptotic_report",
 ]
-
-
-@dataclass
-class PsiEvaluation:
-    """Value of Psi g at the given points plus every ingredient."""
-
-    y: np.ndarray
-    psi_g: np.ndarray
-    g: np.ndarray
-    g_prime: np.ndarray
-    g_second: np.ndarray
-    a_tilde: np.ndarray
-    d: np.ndarray
-    b: np.ndarray
 
 
 @dataclass
@@ -123,37 +108,37 @@ class AsymptoticReport:
 
 
 def _evaluate_profile(spec, y):
-    if callable(spec):
-        return np.asarray(spec(y), dtype=float) * np.ones_like(y)
-    return np.asarray(spec, dtype=float) * np.ones_like(y)
+    return np.asarray(spec(y) if callable(spec) else spec, dtype=float) * np.ones_like(y)
+
+
+def _interior(model, y):
+    """y as a float array strictly inside a diffusion model's state interval."""
+    if not isinstance(model, DiffusionModel):
+        raise ModelError("the diagnostics apply to diffusion models")
+    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    lo, hi = model.interval
+    if np.any(arr <= lo) or np.any(arr >= hi):
+        raise DomainError(f"y on or outside the boundary of ({lo}, {hi})")
+    return arr
 
 
 def psi(model, g, g_prime, g_second, y):
-    """Evaluate Psi g at interior points y; g may be callables or arrays.
+    """Psi g at interior points y, as an array; g may be callables or arrays.
 
     Nonpositive g values are a domain error (the operator divides by powers
     of g).  Constant profiles give exactly 1.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    coeffs = coefficients_at(model, y)
+    y = _interior(model, y)
     g_val = _evaluate_profile(g, y)
     g1 = _evaluate_profile(g_prime, y)
     g2 = _evaluate_profile(g_second, y)
-    if np.any(g_val <= 0.0):
-        bad = np.flatnonzero(g_val <= 0.0)
-        raise DomainError(
-            f"profile must be positive; g(y) <= 0 at y = {y[bad[0]]:.6g}"
-        )
-    value = 1.0 + (0.5 * model.b(y) ** 2 * g2 + coeffs.a_tilde * g1) / g_val**2 - coeffs.d * g1**2 / g_val**3
-    return PsiEvaluation(
-        y=y,
-        psi_g=value,
-        g=g_val,
-        g_prime=g1,
-        g_second=g2,
-        a_tilde=np.asarray(coeffs.a_tilde, dtype=float),
-        d=np.asarray(coeffs.d, dtype=float),
-        b=np.asarray(model.b(y), dtype=float),
+    bad = np.flatnonzero(g_val <= 0.0)
+    if bad.size:
+        raise DomainError(f"profile must be positive; g(y) <= 0 at y = {y[bad[0]]:.6g}")
+    return (
+        1.0
+        + (0.5 * model.b(y) ** 2 * g2 + model.a_tilde(y) * g1) / g_val**2
+        - model.d_coefficient(y) * g1**2 / g_val**3
     )
 
 
@@ -202,15 +187,12 @@ def vasicek_supersolution_profile(model):
 
 def psi_eta_profile(model, y):
     """Psi applied to eta itself, as a plain array."""
-    g, g1, g2 = eta_profile(model)
-    return psi(model, g, g1, g2, y).psi_g
+    return psi(model, *eta_profile(model), y)
 
 
 def _profile_triplet(model, spec, grid, side):
     """Normalize a profile spec to (values, d1, d2) arrays on the grid."""
     note = ""
-    if spec is None:
-        return None, None, None, note
     if isinstance(spec, str):
         if spec != "eta":
             raise ValueError(f"unknown profile spec {spec!r}; expected 'eta'")
@@ -219,13 +201,7 @@ def _profile_triplet(model, spec, grid, side):
             note = f"{side}: eta derivatives from central differences on the table grid"
         return g(grid), g1(grid), g2(grid), note
     if isinstance(spec, tuple) and len(spec) == 3 and all(callable(fn) for fn in spec):
-        g, g1, g2 = spec
-        return (
-            np.asarray(g(grid), dtype=float) * np.ones_like(grid),
-            np.asarray(g1(grid), dtype=float) * np.ones_like(grid),
-            np.asarray(g2(grid), dtype=float) * np.ones_like(grid),
-            note,
-        )
+        return (*(_evaluate_profile(fn, grid) for fn in spec), note)
     if np.isscalar(spec):
         c = float(spec)
         zeros = np.zeros_like(grid)
@@ -269,7 +245,7 @@ def proportional_bounds(model, g1, g2, grid):
             )
         profiles[side] = values, d1, d2
 
-    psi_g = {side: psi(model, *profile, grid).psi_g for side, profile in profiles.items()}
+    psi_g = {side: psi(model, *profile, grid) for side, profile in profiles.items()}
     C1 = float(np.min(psi_g["g1"])) if g1 is not None else None
     C2 = float(np.max(psi_g["g2"])) if g2 is not None else None
     valid = (C1 is None or C1 > 0.0) and (C2 is None or math.isfinite(C2))
@@ -299,18 +275,16 @@ def hjb_residual(model, grid, u):
     h = float(grid[1] - grid[0])
     if not np.allclose(np.diff(grid), h, rtol=1e-8, atol=0.0):
         raise ValueError("grid must be uniform")
-    inner = grid[1:-1]
-    coeffs = coefficients_at(model, inner)
-    b = model.b(inner)
+    inner = _interior(model, grid[1:-1])
     du = (u[2:] - u[:-2]) / (2.0 * h)
     d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     mid = u[1:-1]
     residual = (
-        0.5 * b**2 * d2u
-        + coeffs.a_tilde * du
-        + coeffs.eta * mid
+        0.5 * model.b(inner) ** 2 * d2u
+        + model.a_tilde(inner) * du
+        + model.eta(inner) * mid
         - mid**2
-        - coeffs.d * du**2 / mid
+        - model.d_coefficient(inner) * du**2 / mid
     )
     out = np.full_like(u, np.nan)
     out[1:-1] = residual
@@ -359,7 +333,7 @@ def asymptotic_report(solution, model, tail_fraction=0.1, margin_fraction=0.01):
     below_eta_psi = bool(np.all(u_right <= eta_right * psi_eta))
     psi_below = bool(np.all(eta_right * psi_eta <= eta_right))
 
-    report = AsymptoticReport(
+    return AsymptoticReport(
         ratio_left=float(u[0] / eta[0]) if eta[0] != 0.0 else float("nan"),
         ratio_right=float(u[-1] / eta[-1]) if eta[-1] != 0.0 else float("nan"),
         logderiv_left=float(solution.du_over_u[k_margin]),
@@ -379,4 +353,3 @@ def asymptotic_report(solution, model, tail_fraction=0.1, margin_fraction=0.01):
             "logderiv_right_at": float(grid[n - 1 - k_margin]),
         },
     )
-    return report

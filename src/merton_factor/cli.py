@@ -379,7 +379,7 @@ def main(argv=None):
             document, verdict = _illposed_document(exc), False
         # solve writes its CSV table to --out, so its document goes to stdout.
         _emit(document, None if args.command == "solve" else args.out)
-    except (MertonFactorError, ValueError, OSError) as exc:
+    except (MertonFactorError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if verdict else 2

@@ -18,6 +18,7 @@ certificate is reported instead of a solution.
 
 import json
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -79,9 +80,13 @@ class DiffusionSolution:
 class ConvergenceTable:
     """Rows of pairwise sup-norm differences with a least-squares fit.
 
-    ``kind`` is "refinement" (fit = slope of log diff vs log h, the observed
-    order) or "expansion" (fit = per-unit-m geometric factor).  ``fit`` is
-    NaN when all differences sit at the tolerance floor; ``note`` says so.
+    ``kind`` is "refinement" (``fit_kind`` "order_slope": the slope of log
+    diff against log h, the observed order) or "expansion"
+    ("geometric_rate": exp of the slope of log diff against m, the
+    per-unit-m decay factor).  Both studies share one floor rule: a pair
+    whose sup_diff is at most 100 * tolerance * max|u| is left out of the
+    fit, and ``note`` counts it.  ``fit`` is NaN when fewer than two pairs
+    lie above the floor; ``note`` says why.
     """
 
     kind: str
@@ -143,6 +148,40 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
 # -- studies -------------------------------------------------------------------
 
 
+def _increasing(values, what):
+    if len(values) < 2 or any(b <= a for a, b in pairwise(values)):
+        raise ValueError(f"{what} must be at least two strictly increasing values")
+    return values
+
+
+def _convergence_table(kind, fit_kind, rows, x, transform, u, scheme, tol):
+    """The study's table, fitting log sup_diff against x by least squares.
+
+    Pairs at the tolerance floor 100 * tol * max|u| are left out of the fit
+    and counted in the note; the fit, ``transform`` of the slope, needs two
+    pairs above the floor and is NaN otherwise.
+    """
+    what = "order" if kind == "refinement" else "rate"
+    floor = 100.0 * tol * max(float(np.max(np.abs(u))), 1e-300)
+    live = [k for k, row in enumerate(rows) if row["sup_diff"] > floor]
+    fit, note = float("nan"), ""
+    if not live:
+        note = f"differences at the tolerance floor (<= {floor:.3g}); {what} fit not applicable"
+    elif len(live) < 2:
+        note = f"{what} fit needs at least two pairs above the tolerance floor"
+    else:
+        if len(live) < len(rows):
+            note = (
+                f"{len(rows) - len(live)} pair(s) at the tolerance floor "
+                f"(<= {floor:.3g}) excluded from the {what} fit"
+            )
+        log_d = np.log([rows[k]["sup_diff"] for k in live])
+        fit = float(transform(np.polyfit(np.asarray(x)[live], log_d, 1)[0]))
+    return ConvergenceTable(
+        kind=kind, rows=rows, fit=fit, fit_kind=fit_kind, scheme=scheme, tolerance=tol, note=note
+    )
+
+
 def grid_refinement_study(model, e_minus, e_plus, n_list, scheme="upwind", tol=1e-10):
     """Pairwise differences on common nodes under grid refinement.
 
@@ -150,64 +189,48 @@ def grid_refinement_study(model, e_minus, e_plus, n_list, scheme="upwind", tol=1
     The fitted order is the least-squares slope of log(sup diff) against
     log h.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be at least two strictly increasing step counts")
-    for a, b in zip(n_list, n_list[1:]):
+    n_list = _increasing([int(n) for n in n_list], "n_list")
+    for a, b in pairwise(n_list):
         if b % a != 0:
             raise ValueError(f"each N must divide the next for common nodes; {a} !| {b}")
     solutions = [solve(model, e_minus, e_plus, n, tol=tol, scheme=scheme) for n in n_list]
     span = float(e_plus) - float(e_minus)
-    rows = []
-    for (n_coarse, coarse), (n_fine, fine) in zip(
-        zip(n_list, solutions), zip(n_list[1:], solutions[1:])
-    ):
-        stride = n_fine // n_coarse
-        diff = float(np.max(np.abs(coarse.u - fine.u[::stride])))
-        rows.append(
-            {
-                "n_coarse": n_coarse,
-                "n_fine": n_fine,
-                "h": span / n_coarse,
-                "sup_diff": diff,
-            }
-        )
-    scale = float(np.max(np.abs(solutions[-1].u)))
-    floor = 100.0 * tol * max(scale, 1e-300)
-    note = ""
-    if all(row["sup_diff"] <= floor for row in rows):
-        fit = float("nan")
-        note = f"differences at the tolerance floor (<= {floor:.3g}); order fit not applicable"
-    elif len(rows) < 2:
-        fit = float("nan")
-        note = "order fit needs at least two refinement pairs"
-    else:
-        log_h = np.log([row["h"] for row in rows])
-        log_d = np.log([max(row["sup_diff"], 1e-300) for row in rows])
-        fit = float(np.polyfit(log_h, log_d, 1)[0])
-    return ConvergenceTable(
-        kind="refinement",
-        rows=rows,
-        fit=fit,
-        fit_kind="order_slope",
-        scheme=scheme,
-        tolerance=tol,
-        note=note,
+    rows = [
+        {
+            "n_coarse": n_coarse,
+            "n_fine": n_fine,
+            "h": span / n_coarse,
+            "sup_diff": float(np.max(np.abs(coarse.u - fine.u[:: n_fine // n_coarse]))),
+        }
+        for (n_coarse, coarse), (n_fine, fine) in pairwise(zip(n_list, solutions))
+    ]
+    log_h = np.log([row["h"] for row in rows])
+    return _convergence_table(
+        "refinement", "order_slope", rows, log_h, float, solutions[-1].u, scheme, tol
     )
 
 
 def expansion_domain(model, m):
     """Default truncation for expansion step m: (1/m, sqrt(m)) for square-root
-    state spaces, [-m, m] otherwise (clipped inside tabulated ranges)."""
+    state spaces, [-m, m] otherwise (clipped inside tabulated ranges).
+
+    Raises ``ValueError`` when m leaves no domain inside the state interval.
+    """
     if not 0.0 < m < np.inf:
         raise ValueError(f"expansion step m must be positive and finite, got {m}")
-    if model.family == "heston":
-        return 1.0 / m, float(np.sqrt(m))
     lo, hi = model.interval
-    if np.isfinite(lo) or np.isfinite(hi):
+    if model.family == "heston":
+        domain = 1.0 / m, float(np.sqrt(m))
+    elif np.isfinite(lo) or np.isfinite(hi):
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        return max(-m, lo + pad), min(m, hi - pad)
-    return -float(m), float(m)
+        domain = max(-m, lo + pad), min(m, hi - pad)
+    else:
+        domain = -float(m), float(m)
+    if not domain[0] < domain[1]:
+        raise ValueError(
+            f"expansion step m = {m} leaves no domain inside the state interval [{lo}, {hi}]"
+        )
+    return domain
 
 
 def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12):
@@ -217,9 +240,7 @@ def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12)
     across the window; the fit is the per-unit-m geometric decay factor of
     the sup differences (slope of log diff against m, exponentiated).
     """
-    m_list = [float(m) for m in m_list]
-    if len(m_list) < 2 or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be at least two strictly increasing values")
+    m_list = _increasing([float(m) for m in m_list], "m_list")
     w_lo, w_hi = float(window[0]), float(window[1])
     if not w_lo < w_hi:
         raise ValueError(f"window must be increasing, got ({w_lo}, {w_hi})")
@@ -237,45 +258,20 @@ def domain_expansion_study(model, m_list, h, window, scheme="upwind", tol=1e-12)
     n_probe = max(1, int(round((w_hi - w_lo) / h)))
     probe = np.linspace(w_lo, w_hi, n_probe + 1)
     values = [np.interp(probe, sol.grid, sol.u) for sol in solutions]
-    rows = []
-    for k in range(len(m_list) - 1):
-        diff = float(np.max(np.abs(values[k + 1] - values[k])))
-        rows.append(
-            {
-                "m_low": m_list[k],
-                "m_high": m_list[k + 1],
-                "domain_low": domains[k],
-                "domain_high": domains[k + 1],
-                "sup_diff": diff,
-            }
+    rows = [
+        {
+            "m_low": m_low,
+            "m_high": m_high,
+            "domain_low": domain_low,
+            "domain_high": domain_high,
+            "sup_diff": float(np.max(np.abs(high - low))),
+        }
+        for (m_low, domain_low, low), (m_high, domain_high, high) in pairwise(
+            zip(m_list, domains, values)
         )
-    scale = float(np.max(np.abs(values[-1])))
-    floor = 100.0 * tol * max(scale, 1e-300)
-    note = ""
-    live = [row for row in rows if row["sup_diff"] > floor]
-    if not live:
-        fit = float("nan")
-        note = f"differences at the tolerance floor (<= {floor:.3g}); rate fit not applicable"
-    elif len(live) < 2:
-        fit = float("nan")
-        note = "rate fit needs at least two pairs above the tolerance floor"
-    else:
-        if len(live) < len(rows):
-            note = (
-                f"{len(rows) - len(live)} pair(s) at the tolerance floor "
-                f"(<= {floor:.3g}) excluded from the rate fit"
-            )
-        ms = np.array([row["m_low"] for row in live])
-        log_d = np.log([row["sup_diff"] for row in live])
-        fit = float(np.exp(np.polyfit(ms, log_d, 1)[0]))
-    return ConvergenceTable(
-        kind="expansion",
-        rows=rows,
-        fit=fit,
-        fit_kind="geometric_rate",
-        scheme=scheme,
-        tolerance=tol,
-        note=note,
+    ]
+    return _convergence_table(
+        "expansion", "geometric_rate", rows, m_list[:-1], np.exp, values[-1], scheme, tol
     )
 
 

@@ -34,11 +34,9 @@ from .errors import DomainError, ModelError
 __all__ = [
     "RegimeModel",
     "DiffusionModel",
-    "DerivedCoefficients",
     "frozen_rate",
     "distortion_power",
     "to_zero_correlation",
-    "coefficients_at",
     "load_model",
     "model_to_dict",
 ]
@@ -318,13 +316,6 @@ class DiffusionModel:
             raise DomainError(f"y outside state interval [{lo}, {hi}]")
         return arr
 
-    def _interior(self, y):
-        arr = np.asarray(y, dtype=float)
-        lo, hi = self.interval
-        if np.any(arr <= lo) or np.any(arr >= hi):
-            raise DomainError(f"y on or outside the boundary of ({lo}, {hi})")
-        return arr
-
     def r(self, y):
         return self._r(self._closure(y))
 
@@ -384,23 +375,6 @@ class _ZeroCorrelationModel:
     rho: float = 0.0
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Transform-level coefficients at one or more factor points.
-
-    ``eta`` is invariant under the zero-correlation rewrite; ``a_tilde`` is
-    the adjusted drift, ``d`` the quadratic-gradient weight, ``phi`` the
-    distortion power and ``R_tilde = R / phi`` the transformed risk aversion
-    (equal to ``(1 - rho^2) R + rho^2``).
-    """
-
-    eta: np.ndarray
-    a_tilde: np.ndarray
-    d: np.ndarray
-    phi: float
-    R_tilde: float
-
-
 def frozen_rate(model, y=None):
     """Frozen consumption rate eta.
 
@@ -444,21 +418,6 @@ def to_zero_correlation(model):
     phi = distortion_power(model.R, model.rho)
     work = _ZeroCorrelationModel(model.interval, model.a_tilde, model.b, model.eta, model.R / phi)
     return work, phi
-
-
-def coefficients_at(model, y):
-    """Derived coefficients (eta, a_tilde, d, phi, R_tilde) at interior y."""
-    if not isinstance(model, DiffusionModel):
-        raise ModelError("coefficients_at applies to diffusion models")
-    arr = model._interior(y)
-    phi = distortion_power(model.R, model.rho)
-    return DerivedCoefficients(
-        eta=model.eta(arr),
-        a_tilde=model.a_tilde(arr),
-        d=model.d_coefficient(arr),
-        phi=phi,
-        R_tilde=model.R / phi,
-    )
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from merton_factor import (
     DomainError,
+    ModelError,
     asymptotic_report,
     constant_profile,
     eta_profile,
@@ -21,9 +22,8 @@ from merton_factor import (
 def test_psi_of_constant_profile_is_exactly_one(mpr_model):
     g, gp, gpp = constant_profile(0.37)
     y = np.linspace(-3.0, 3.0, 11)
-    ev = psi(mpr_model, g, gp, gpp, y)
-    assert np.array_equal(ev.psi_g, np.ones(11))
-    assert np.array_equal(ev.g, np.full(11, 0.37))
+    assert np.array_equal(psi(mpr_model, g, gp, gpp, y), np.ones(11))
+    assert np.array_equal(g(y), np.full(11, 0.37))
 
 
 def test_psi_eta_pinned_values(mpr_model):
@@ -40,7 +40,7 @@ def test_psi_eta_pinned_values(mpr_model):
 def test_psi_matches_eta_profile_route(mpr_model):
     g, gp, gpp = eta_profile(mpr_model)
     y = np.array([-2.0, 0.5, 3.0])
-    via_psi = psi(mpr_model, g, gp, gpp, y).psi_g
+    via_psi = psi(mpr_model, g, gp, gpp, y)
     assert np.array_equal(via_psi, psi_eta_profile(mpr_model, y))
 
 
@@ -48,6 +48,14 @@ def test_psi_rejects_nonpositive_profiles(mpr_model):
     g, gp, gpp = constant_profile(1.0)
     with pytest.raises(DomainError, match="positive"):
         psi(mpr_model, lambda y: y, gp, gpp, np.array([-1.0, 1.0]))
+
+
+def test_diagnostics_refuse_regime_models(regime2_model):
+    g, gp, gpp = constant_profile(1.0)
+    with pytest.raises(ModelError, match="diffusion models"):
+        psi(regime2_model, g, gp, gpp, np.array([0.0]))
+    with pytest.raises(ModelError, match="diffusion models"):
+        hjb_residual(regime2_model, np.array([0.0, 1.0, 2.0]), np.ones(3))
 
 
 def test_psi_accepts_array_profiles_with_note(mpr_model):
@@ -106,8 +114,7 @@ def test_vasicek_supersolution_profile_derivatives(vasicek_model):
 def test_vasicek_profile_is_supersolution_on_the_left(vasicek_model):
     g, gp, gpp = vasicek_supersolution_profile(vasicek_model)
     y = np.linspace(-4.45, 0.0, 50)
-    ev = psi(vasicek_model, g, gp, gpp, y)
-    assert np.all(ev.psi_g >= 1.0 - 1e-9)
+    assert np.all(psi(vasicek_model, g, gp, gpp, y) >= 1.0 - 1e-9)
 
 
 def test_asymptotic_report_structure(mpr_model):
@@ -181,6 +188,6 @@ def test_solved_u_satisfies_psi_identity(mpr_model):
     d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
     d2u[0], d2u[-1] = d2u[1], d2u[-2]
     inner = slice(40, -40)
-    ev = psi(mpr_model, u[inner], du[inner], d2u[inner], grid[inner])
+    psi_u = psi(mpr_model, u[inner], du[inner], d2u[inner], grid[inner])
     identity = 2.0 - mpr_model.eta(grid[inner]) / u[inner]
-    assert np.max(np.abs(ev.psi_g - identity)) < 2e-4
+    assert np.max(np.abs(psi_u - identity)) < 2e-4

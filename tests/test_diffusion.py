@@ -237,12 +237,35 @@ def test_refinement_study_notes_when_no_order_fits(bs_model, mpr_model):
     # the floor.  Two step counts give one pair, too few for a slope.
     for model, n_list, note in (
         (bs_model, [4, 8, 16], "differences at the tolerance floor"),
-        (mpr_model, [100, 200], "order fit needs at least two refinement pairs"),
+        (mpr_model, [100, 200], "order fit needs at least two pairs above the tolerance floor"),
     ):
         table = grid_refinement_study(model, -2.0, 2.0, n_list)
         assert np.isnan(table.fit)
         assert table.note.startswith(note)
         assert len(table.rows) == len(n_list) - 1
+
+
+def test_refinement_fit_leaves_out_pairs_at_the_floor():
+    # Rows built by hand: the third pair lies below the floor 100 * tol * max|u|
+    # = 4e-10, so the order is the slope through the other three pairs.
+    diffs = [3.4e-9, 1.4e-9, 6.7e-11, 2.2e-9]
+    rows = [{"h": 2.0 ** -k, "sup_diff": d} for k, d in enumerate(diffs)]
+    log_h = np.log([row["h"] for row in rows])
+    table = diffusion_solver._convergence_table(
+        "refinement", "order_slope", rows, log_h, float, np.array([0.5, -4.0]), "central", 1e-12
+    )
+    kept = [0, 1, 3]
+    expected = np.polyfit(log_h[kept], np.log([diffs[k] for k in kept]), 1)[0]
+    assert table.fit == expected
+    assert table.note == "1 pair(s) at the tolerance floor (<= 4e-10) excluded from the order fit"
+    assert table.rows is rows and table.kind == "refinement" and table.fit_kind == "order_slope"
+    # Leaving only one pair above the floor leaves no order to fit.
+    rows[1]["sup_diff"] = 1e-10
+    table = diffusion_solver._convergence_table(
+        "refinement", "order_slope", rows[:3], log_h[:3], float, np.array([4.0]), "central", 1e-12
+    )
+    assert np.isnan(table.fit)
+    assert table.note == "order fit needs at least two pairs above the tolerance floor"
 
 
 def test_refinement_study_validates_divisibility(mpr_model):
@@ -282,6 +305,20 @@ def test_expansion_domain_shapes(mpr_model, heston_model):
         for m in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="expansion step m must be positive and finite"):
                 expansion_domain(model, m)
+
+
+def test_expansion_refuses_an_m_that_leaves_no_domain(heston_model):
+    # A table over [1, 2] and m = 0.5 would clip [-0.5, 0.5] to an inverted
+    # interval; heston's (1/m, sqrt(m)) is empty for m <= 1.
+    table = {k: [0.2, 0.2, 0.2] for k in ("r", "lambda", "sigma", "delta", "a", "b")}
+    tab = load_model({"family": "tabulated", "params": {"R": 2.0, "y": [1.0, 1.5, 2.0], **table}})
+    assert expansion_domain(tab, 1.5) == (1.0 + 2e-9, 1.5)
+    no_domain = "m = 0.5 leaves no domain inside the state interval"
+    for model in (tab, heston_model):
+        with pytest.raises(ValueError, match=no_domain):
+            expansion_domain(model, 0.5)
+    with pytest.raises(ValueError, match=no_domain):
+        domain_expansion_study(tab, [0.5, 1.5], 0.05, (1.2, 1.4))
 
 
 def test_csv_round_trip_is_bitwise(tmp_path, mpr_model):

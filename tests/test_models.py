@@ -13,12 +13,14 @@ import oracles
 from merton_factor import (
     DomainError,
     ModelError,
-    coefficients_at,
+    constant_profile,
     distortion_power,
     eta_profile,
     frozen_rate,
+    hjb_residual,
     load_model,
     model_to_dict,
+    psi,
     to_zero_correlation,
 )
 
@@ -66,16 +68,16 @@ def test_distortion_power_identities():
 
 def test_derived_coefficients_mpr(mpr_model):
     y = np.array([0.0, 1.0])
-    c = coefficients_at(mpr_model, y)
     # a_tilde = kappa(theta - y) + ((1-R)/R) rho nu lambda(y)
     #         = 0.3(0.5 - y) + (-1/3)(-0.2)(0.6) y = 0.15 - 0.26 y.
-    assert c.a_tilde == pytest.approx([0.15, -0.11], rel=0, abs=1e-15)
-    assert c.eta == pytest.approx(0.04 + y**2 / 9.0, rel=0, abs=1e-15)
-    assert c.phi == pytest.approx(75.0 / 74.0, rel=0, abs=1e-15)
-    assert c.R_tilde == pytest.approx(1.5 * 74.0 / 75.0, rel=0, abs=1e-15)
-    # d = b^2/2 ((1 - rho^2) R + rho^2 + 1) = 0.18 * (1.48 + 1.04) / ... compute:
+    assert mpr_model.a_tilde(y) == pytest.approx([0.15, -0.11], rel=0, abs=1e-15)
+    assert mpr_model.eta(y) == pytest.approx(0.04 + y**2 / 9.0, rel=0, abs=1e-15)
+    phi = distortion_power(mpr_model.R, mpr_model.rho)
+    assert phi == pytest.approx(75.0 / 74.0, rel=0, abs=1e-15)
+    assert mpr_model.R / phi == pytest.approx(1.5 * 74.0 / 75.0, rel=0, abs=1e-15)
+    # d = b^2/2 ((1 - rho^2) R + rho^2 + 1) = 0.18 * (1.44 + 1.04).
     d_expected = 0.5 * 0.6**2 * ((1 - 0.04) * 1.5 + 0.04 + 1.0)
-    assert c.d == pytest.approx([d_expected, d_expected], rel=0, abs=1e-15)
+    assert mpr_model.d_coefficient(y) == pytest.approx([d_expected, d_expected], rel=0, abs=1e-15)
 
 
 def test_zero_correlation_transform_preserves_eta_and_a_tilde(mpr_model):
@@ -152,8 +154,13 @@ def test_load_model_reports_json_position(tmp_path):
 def test_heston_domain_is_positive_half_line(heston_model):
     y = np.array([0.01, 0.035, 0.2])
     assert np.all(heston_model.b(y) > 0.0)
-    with pytest.raises(Exception):
-        coefficients_at(heston_model, np.array([-0.5]))
+    # The diagnostics need interior points; the boundary y = 0 is refused too.
+    for y_bad in (np.array([-0.5]), np.array([0.0, 0.01])):
+        with pytest.raises(DomainError, match="boundary"):
+            psi(heston_model, *constant_profile(1.0), y_bad)
+    grid = np.array([-0.01, 0.0, 0.01])
+    with pytest.raises(DomainError, match="boundary"):
+        hjb_residual(heston_model, grid, np.ones(3))
 
 
 def test_coefficients_refuse_points_beyond_finite_interval_ends(heston_model):
