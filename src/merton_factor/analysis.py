@@ -24,15 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .model import DiffusionModel, frozen_rate
+from .model import DiffusionModel
 
 __all__ = [
     "BoundsCertificate",
     "AsymptoticReport",
     "psi",
     "psi_eta_profile",
-    "eta_profile",
-    "constant_profile",
     "vasicek_supersolution_profile",
     "proportional_bounds",
     "hjb_residual",
@@ -142,20 +140,6 @@ def psi(model, g, g_prime, g_second, y):
     )
 
 
-def eta_profile(model):
-    """(g, g', g'') callables for g = eta from the model's catalog derivatives."""
-    return model.eta, model.eta_prime, model.eta_second
-
-
-def constant_profile(c):
-    """(g, g', g'') callables for a constant profile."""
-    return (
-        lambda y: np.full_like(np.asarray(y, dtype=float), float(c)),
-        lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-    )
-
-
 def vasicek_supersolution_profile(model):
     """Logistic-log upper profile for the stochastic-short-rate family.
 
@@ -187,7 +171,7 @@ def vasicek_supersolution_profile(model):
 
 def psi_eta_profile(model, y):
     """Psi applied to eta itself, as a plain array."""
-    return psi(model, *eta_profile(model), y)
+    return psi(model, model.eta, model.eta_prime, model.eta_second, y)
 
 
 def _profile_triplet(model, spec, grid, side):
@@ -196,10 +180,9 @@ def _profile_triplet(model, spec, grid, side):
     if isinstance(spec, str):
         if spec != "eta":
             raise ValueError(f"unknown profile spec {spec!r}; expected 'eta'")
-        g, g1, g2 = eta_profile(model)
         if model.family == "tabulated":
             note = f"{side}: eta derivatives from central differences on the table grid"
-        return g(grid), g1(grid), g2(grid), note
+        return model.eta(grid), model.eta_prime(grid), model.eta_second(grid), note
     if isinstance(spec, tuple) and len(spec) == 3 and all(callable(fn) for fn in spec):
         return (*(_evaluate_profile(fn, grid) for fn in spec), note)
     if np.isscalar(spec):
@@ -225,8 +208,8 @@ def proportional_bounds(model, g1, g2, grid):
     """
     if g1 is None and g2 is None:
         raise ValueError("at least one of g1, g2 must be given")
-    grid = np.asarray(grid, dtype=float)
-    eta = np.asarray(frozen_rate(model, grid), dtype=float)
+    grid = _interior(model, grid)
+    eta = model.eta(grid)
     notes, profiles = [], {}
     for side, spec, violated, ordering in (
         ("g1", g1, np.greater, "g1 > eta"),
@@ -323,7 +306,7 @@ def asymptotic_report(solution, model, tail_fraction=0.1, margin_fraction=0.01):
         raise ValueError(
             f"tail window of {k_tail} nodes with margin {k_margin} is not usable on {n} nodes"
         )
-    eta = np.asarray(frozen_rate(model, grid), dtype=float)
+    eta = model.eta(_interior(model, grid))
 
     right = slice(n - k_tail, n - k_margin)
     psi_eta = psi_eta_profile(model, grid[right])

@@ -72,7 +72,6 @@ class DiffusionSolution:
     f: np.ndarray
     du_over_u: np.ndarray
     pi_hat: np.ndarray
-    scheme: str
     metadata: dict
 
 
@@ -140,7 +139,6 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         f=f,
         du_over_u=du_over_u,
         pi_hat=pi_hat,
-        scheme=scheme,
         metadata=metadata,
     )
 

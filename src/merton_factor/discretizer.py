@@ -24,44 +24,18 @@ the drift split (d-, d+):
         global convergence at first order).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DiscretizationError
 from .linalg import TridiagonalOperator
 from .model import DiffusionModel, _ZeroCorrelationModel
 
-__all__ = [
-    "DiscreteGenerator",
-    "build_upwind_generator",
-    "build_central_generator",
-    "assemble_discrete_hjb",
-    "monotone_step_limit",
-]
-
-
-@dataclass
-class DiscreteGenerator:
-    """Reflected-diffusion generator on a uniform grid.
-
-    ``Q_h`` has nonnegative off-diagonal bands, and each diagonal entry is
-    minus its row's off-diagonal sum, so rows sum to zero up to rounding.
-    """
-
-    grid: np.ndarray
-    h: float
-    Q_h: TridiagonalOperator
-    scheme: str
-
-    @property
-    def n_steps(self):
-        return self.grid.shape[0] - 1
+__all__ = ["assemble_discrete_hjb"]
 
 
 def _grid_and_coefficients(model, e_minus, e_plus, n_steps):
     if not isinstance(model, (DiffusionModel, _ZeroCorrelationModel)):
-        raise DiscretizationError("grid builders expect a DiffusionModel")
+        raise DiscretizationError("assemble_discrete_hjb expects a DiffusionModel")
     if not np.isfinite(e_minus) or not np.isfinite(e_plus) or not e_minus < e_plus:
         raise DiscretizationError(f"need finite e_minus < e_plus, got [{e_minus}, {e_plus}]")
     lo, hi = model.interval
@@ -85,12 +59,6 @@ def _grid_and_coefficients(model, e_minus, e_plus, n_steps):
     return grid, h, a, b
 
 
-def _step_limit(a, b):
-    # h* = inf b^2 / sup |a| over the nodes; inf when the drift vanishes.
-    sup_a = float(np.max(np.abs(a)))
-    return np.inf if sup_a == 0.0 else float(np.min(b**2)) / sup_a
-
-
 def _stencil(a, b, h, scheme):
     """Bands (sub, main, sup) of Q_h from a and b at the nodes (module docstring).
 
@@ -102,7 +70,9 @@ def _stencil(a, b, h, scheme):
         down = np.maximum(-a, 0.0) / h
         up = np.maximum(a, 0.0) / h
     else:
-        h_star = _step_limit(a, b)
+        # h* = inf b^2 / sup |a| over the nodes; inf when the drift vanishes.
+        sup_a = float(np.max(np.abs(a)))
+        h_star = np.inf if sup_a == 0.0 else float(np.min(b**2)) / sup_a
         if h >= h_star:
             raise DiscretizationError(
                 f"central scheme needs h < h* = {h_star:.6g} for monotonicity, got h = {h:.6g};"
@@ -117,24 +87,6 @@ def _stencil(a, b, h, scheme):
     lower[0] = upper[-1] = 0.0
     main = -(lower + upper)
     return lower[1:], main, upper[:-1]
-
-
-def build_upwind_generator(model, e_minus, e_plus, n_steps):
-    """First-order monotone generator; valid for any step size."""
-    grid, h, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
-    return DiscreteGenerator(grid, h, TridiagonalOperator(*_stencil(a, b, h, "upwind")), "upwind")
-
-
-def build_central_generator(model, e_minus, e_plus, n_steps):
-    """Second-order generator; refuses steps h >= h* that break monotonicity."""
-    grid, h, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
-    return DiscreteGenerator(grid, h, TridiagonalOperator(*_stencil(a, b, h, "central")), "central")
-
-
-def monotone_step_limit(model, e_minus, e_plus, n_steps):
-    """h* = inf b^2 / sup |a| over the grid nodes (inf when the drift vanishes)."""
-    _, _, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
-    return _step_limit(a, b)
 
 
 def assemble_discrete_hjb(model, e_minus, e_plus, n_steps, scheme="upwind"):

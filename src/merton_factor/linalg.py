@@ -46,7 +46,6 @@ __all__ = [
     "TridiagonalOperator",
     "MCertificate",
     "check_nonsingular_m_matrix",
-    "tridiag_solve",
 ]
 
 # Ratios at or below this magnitude are treated as numerically singular
@@ -81,11 +80,6 @@ class TridiagonalOperator:
         self.main = main
         self.sup = sup
         self.n = n
-
-    @property
-    def is_z_matrix(self):
-        """True when all off-diagonal entries are <= 0."""
-        return self.positive_off_diagonal() is None
 
     def positive_off_diagonal(self):
         """(i, j) of a positive off-diagonal entry, or None for a Z-matrix."""
@@ -298,20 +292,3 @@ def check_nonsingular_m_matrix(A):
         failure_index=int(bad[0]) if bad.size else None,
         note=note,
     )
-
-
-def tridiag_solve(A, rhs):
-    """Solve A x = rhs by A's one solve call (see :func:`as_operator`),
-    leaving ``rhs`` untouched.
-
-    Raises :class:`SingularMatrixError` on an exactly singular system (a
-    zero pivot of LU with partial pivoting).  For a tridiagonal operator
-    the result satisfies the backward-stable residual bound
-    ||Ax - rhs||_inf <= 1e-12 (||A||_inf ||x||_inf + ||rhs||_inf).
-    """
-    op = as_operator(A)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.n,):
-        raise ValueError(f"rhs must have shape ({op.n},), got {rhs.shape}")
-    return op.factorized()(rhs)
-

@@ -34,7 +34,6 @@ from .errors import DomainError, ModelError
 __all__ = [
     "RegimeModel",
     "DiffusionModel",
-    "frozen_rate",
     "distortion_power",
     "to_zero_correlation",
     "load_model",
@@ -100,6 +99,11 @@ def _check_risk_aversion(R):
         raise ModelError(f"risk aversion R must be positive, got {R}")
     if R == 1.0:
         raise ModelError("R = 1 (log utility) is out of scope")
+    # Every solve raises to the power p = 1 - 1/R: 1/R rounds away for
+    # R >= 2**54 (p = 1) and overflows for R below 1 / (largest float).
+    p = 1.0 - 1.0 / R
+    if not (math.isfinite(p) and p < 1.0):
+        raise ModelError(f"risk aversion R = {R!r} gives p = 1 - 1/R = {p!r}, not a finite p < 1")
     return R
 
 
@@ -373,28 +377,6 @@ class _ZeroCorrelationModel:
     eta: Callable
     R: float
     rho: float = 0.0
-
-
-def frozen_rate(model, y=None):
-    """Frozen consumption rate eta.
-
-    For a :class:`RegimeModel`, returns the per-state vector (``y`` may be a
-    state index).  For a :class:`DiffusionModel`, evaluates eta at ``y``
-    (scalar or array), accepting the closure of the state interval.
-    """
-    if isinstance(model, RegimeModel):
-        eta = model.eta()
-        if y is None:
-            return eta
-        state = int(y)
-        if not 0 <= state < model.n_states:
-            raise DomainError(f"state index {state} outside 0..{model.n_states - 1}")
-        return float(eta[state])
-    if isinstance(model, DiffusionModel):
-        if y is None:
-            raise DomainError("diffusion models need an evaluation point y")
-        return model.eta(y)
-    raise ModelError(f"unsupported model type {type(model).__name__}")
 
 
 def distortion_power(R, rho):

@@ -212,8 +212,8 @@ def sample_ctmc_path(Q, y0, T, seed):
     be a generator (else ``ModelError``) and ``y0`` an integer state index.
     """
     Q = _checked_generator(Q)
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need a positive finite horizon T, got T = {T}")
     times, states = _sample_chains(Q, y0, T, [_path_streams(seed)(0)])
     times, states = times[0], states[0].astype(np.int64)
     moves = np.flatnonzero(np.diff(states))
@@ -538,17 +538,15 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     )
 
 
-def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=None):
+def simulate_wealth(model, policy, x0, y0, T, dt, seed=0):
     """Simulate one wealth path; returns the full :class:`PathSample`.
 
     The path is a realized path 0 of :func:`estimate_value` with the same
     seed: it shares path 0's factor path or chain, not its value, and draws
     the asset noise that the estimator integrates out.  A diffusion's
-    perpendicular normals follow the factor normals in the stream.  For
-    black_scholes it is the estimator's path 0, value included.  A
-    pre-sampled chain may be passed via ``path`` (as returned by
-    :func:`sample_ctmc_path`); the asset normals are then the first draws
-    of the stream.
+    perpendicular normals follow the factor normals in the stream, and a
+    chain's asset normals follow its event draws.  For black_scholes it is
+    the estimator's path 0, value included.
 
     ``policy`` is as for :func:`estimate_value`: a diffusion's callables
     act elementwise and may receive the path's factor values in any order.
@@ -559,22 +557,11 @@ def simulate_wealth(model, policy, x0, y0=None, T=None, dt=None, seed=0, path=No
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
-    if path is not None:
-        if not isinstance(model, RegimeModel):
-            raise ValueError("pre-sampled paths apply to regime models only")
-        if dt is None:
-            raise ValueError("dt is required with a pre-sampled path")
-    elif y0 is None or T is None or dt is None:
-        raise ValueError("y0, T, dt are required without a pre-sampled path")
-    n_steps = _step_count(T if path is None else path.times[-1], dt)
+    n_steps = _step_count(T, dt)
     lookup = _step_coefficients(model, policy, dt, y0, n_steps, realized=True)
     if isinstance(model, RegimeModel):
         rng = _path_streams(seed)(0)
-        if path is None:
-            times, chain = _sample_chains(model.Q, y0, T, [rng])
-        else:
-            times, chain = path.times[None, 1:-1], path.states[None, :]
-        factor = _on_grid(times, chain, n_steps, dt)
+        factor = _on_grid(*_sample_chains(model.Q, y0, T, [rng]), n_steps, dt)
         dw_asset = math.sqrt(dt) * rng.standard_normal((1, n_steps))
     elif model.family == "black_scholes":
         factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, np.arange(1), False)

@@ -40,7 +40,6 @@ __all__ = [
     "solve_regime",
     "cyclic_wellposed",
     "nearest_neighbour_wellposed",
-    "value_and_policies",
 ]
 
 
@@ -51,10 +50,9 @@ class HjbSolution:
     ``f`` is the value-function factor, ``u = f^(-1/R)`` the optimal
     consumption rate, ``pi_hat`` the risky weight (None until policies are
     attached), ``trace`` the per-iteration log-sup step sizes, ``stop`` the
-    rule that ended them (``quadratic``, ``step`` or ``floor``; None when
-    nothing was iterated), ``residual`` the recomputed ||A f - f^p||_inf
-    with scale ``residual_scale`` = ||f^p||_inf, and ``tolerance`` the
-    tolerance it was solved with (None when nothing was iterated).
+    rule that ended them (``quadratic``, ``step`` or ``floor``), ``residual``
+    the recomputed ||A f - f^p||_inf with scale ``residual_scale`` =
+    ||f^p||_inf, and ``tolerance`` the tolerance it was solved with.
     """
 
     f: np.ndarray
@@ -65,8 +63,8 @@ class HjbSolution:
     residual: float
     residual_scale: float
     method: str
-    stop: Optional[str] = None
-    tolerance: Optional[float] = None
+    stop: str
+    tolerance: float
     pi_hat: Optional[np.ndarray] = None
 
     @property
@@ -167,14 +165,6 @@ def _hjb_residual(matvec, x, p):
     return float(np.max(np.abs(matvec(x) - rhs))), float(np.max(rhs))
 
 
-def _hjb_solution(matvec, x, p, trace, method, stop=None, tolerance=None):
-    """HjbSolution of x with its residual and scale from :func:`_hjb_residual`."""
-    residual, scale = _hjb_residual(matvec, x, p)
-    return HjbSolution(
-        x, x ** (p - 1.0), p, len(trace), np.array(trace), residual, scale, method, stop, tolerance
-    )
-
-
 def _fixed_point_box(c_min, c_max, p):
     """Invariant box [m, M] for T x = A^-1 x^p from c = extrema of A^-1 1."""
     if p >= 0.0:
@@ -239,7 +229,10 @@ def _iterate(A, p, method, plan, tol):
         quadratic = method == "newton" and s < last and s**3 <= step_tol * last**2
         if quadratic or s <= step_tol or (at_floor and s >= last):
             stop = "quadratic" if quadratic else "step" if s <= step_tol else "floor"
-            return _hjb_solution(op.matvec, x, p, trace, method, stop, float(tol))
+            residual, scale = _hjb_residual(op.matvec, x, p)
+            trace = np.array(trace)
+            u = x ** (p - 1.0)
+            return HjbSolution(x, u, p, trace.size, trace, residual, scale, method, stop, float(tol))
     raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
 
 
@@ -354,6 +347,8 @@ def cyclic_wellposed(eta, q, R):
     q = np.asarray(q, dtype=float)
     if eta.shape != q.shape or eta.ndim != 1:
         raise ValueError("eta and q must be 1-d arrays of equal length")
+    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(q)) and math.isfinite(R)):
+        raise ValueError("eta, q and R must be finite")
     if np.any(q <= 0.0):
         raise ValueError("cycle rates q must be positive")
     if R <= 0.0:
@@ -389,22 +384,6 @@ def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
     A = TridiagonalOperator(-q_minus[1:] / R, eta + (q_minus + q_plus) / R, -q_plus[:-1] / R)
     certificate = check_nonsingular_m_matrix(A)
     return certificate.verdict, certificate.ratios
-
-
-def value_and_policies(model, f):
-    """Attach optimal policies to a positive factor vector f.
-
-    Returns an :class:`HjbSolution` with u = f^(-1/R), pi = lambda/(R sigma)
-    and the recomputed equation residual.
-    """
-    if not isinstance(model, RegimeModel):
-        raise TypeError("value_and_policies expects a RegimeModel")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n_states,) or not np.all(f > 0.0):
-        raise ValueError("f must be a strictly positive vector, one entry per state")
-    solution = _hjb_solution(assemble_A(model).dot, f, 1.0 - 1.0 / model.R, [], "direct")
-    solution.pi_hat = model.lam / (model.R * model.sigma)
-    return solution
 
 
 def solve_regime(model, tol=1e-10):

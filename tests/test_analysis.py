@@ -7,8 +7,6 @@ from merton_factor import (
     DomainError,
     ModelError,
     asymptotic_report,
-    constant_profile,
-    eta_profile,
     hjb_residual,
     load_model,
     proportional_bounds,
@@ -20,10 +18,8 @@ from merton_factor import (
 
 
 def test_psi_of_constant_profile_is_exactly_one(mpr_model):
-    g, gp, gpp = constant_profile(0.37)
     y = np.linspace(-3.0, 3.0, 11)
-    assert np.array_equal(psi(mpr_model, g, gp, gpp, y), np.ones(11))
-    assert np.array_equal(g(y), np.full(11, 0.37))
+    assert np.array_equal(psi(mpr_model, 0.37, 0.0, 0.0, y), np.ones(11))
 
 
 def test_psi_eta_pinned_values(mpr_model):
@@ -38,24 +34,24 @@ def test_psi_eta_pinned_values(mpr_model):
 
 
 def test_psi_matches_eta_profile_route(mpr_model):
-    g, gp, gpp = eta_profile(mpr_model)
+    # psi takes node values as well as callables: both routes give the same bits.
     y = np.array([-2.0, 0.5, 3.0])
-    via_psi = psi(mpr_model, g, gp, gpp, y)
-    assert np.array_equal(via_psi, psi_eta_profile(mpr_model, y))
+    values = mpr_model.eta(y), mpr_model.eta_prime(y), mpr_model.eta_second(y)
+    assert np.array_equal(psi(mpr_model, *values, y), psi_eta_profile(mpr_model, y))
 
 
 def test_psi_rejects_nonpositive_profiles(mpr_model):
-    g, gp, gpp = constant_profile(1.0)
     with pytest.raises(DomainError, match="positive"):
-        psi(mpr_model, lambda y: y, gp, gpp, np.array([-1.0, 1.0]))
+        psi(mpr_model, lambda y: y, 0.0, 0.0, np.array([-1.0, 1.0]))
 
 
 def test_diagnostics_refuse_regime_models(regime2_model):
-    g, gp, gpp = constant_profile(1.0)
     with pytest.raises(ModelError, match="diffusion models"):
-        psi(regime2_model, g, gp, gpp, np.array([0.0]))
+        psi(regime2_model, 1.0, 0.0, 0.0, np.array([0.0]))
     with pytest.raises(ModelError, match="diffusion models"):
         hjb_residual(regime2_model, np.array([0.0, 1.0, 2.0]), np.ones(3))
+    with pytest.raises(ModelError, match="diffusion models"):
+        proportional_bounds(regime2_model, None, "eta", np.array([0.0, 1.0]))
 
 
 def test_psi_accepts_array_profiles_with_note(mpr_model):
@@ -68,7 +64,7 @@ def test_psi_accepts_array_profiles_with_note(mpr_model):
 
 def test_proportional_bounds_certificate_and_sandwich(mpr_model):
     sol = solve(mpr_model, -3.0, 3.0, 1200)
-    cert = proportional_bounds(mpr_model, constant_profile(0.04), "eta", sol.grid)
+    cert = proportional_bounds(mpr_model, 0.04, "eta", sol.grid)
     assert cert.valid is True
     # Constant profiles have Psi = 1 exactly, so C1 = 1.
     assert cert.C1 == pytest.approx(1.0, rel=0, abs=1e-15)
@@ -80,14 +76,20 @@ def test_proportional_bounds_certificate_and_sandwich(mpr_model):
     assert np.all(sol.u <= upper)
     doc = cert.to_dict()
     assert doc["valid"] is True
+    # A (g, g', g'') callable triple gives the same certificate as the number.
+    triple = (lambda y: 0.04 + 0.0 * y, lambda y: 0.0 * y, lambda y: 0.0 * y)
+    via_triple = proportional_bounds(mpr_model, triple, "eta", sol.grid)
+    assert (via_triple.C1, via_triple.C2) == (cert.C1, cert.C2)
 
 
 def test_proportional_bounds_enforce_profile_ordering(mpr_model):
     grid = np.linspace(-3.0, 3.0, 13)
     with pytest.raises(ValueError, match="g1 > eta"):
-        proportional_bounds(mpr_model, constant_profile(50.0), "eta", grid)
+        proportional_bounds(mpr_model, 50.0, "eta", grid)
+    with pytest.raises(ValueError, match="g1 > eta"):
+        proportional_bounds(mpr_model, (lambda y: 50.0 + 0.0 * y,) + (lambda y: 0.0 * y,) * 2, "eta", grid)
     with pytest.raises(ValueError, match="eta > g2"):
-        proportional_bounds(mpr_model, None, constant_profile(0.05), grid)
+        proportional_bounds(mpr_model, None, 0.05, grid)
     with pytest.raises(ValueError, match="at least one"):
         proportional_bounds(mpr_model, None, None, grid)
 

@@ -283,13 +283,15 @@ def test_library_argument_errors_exit_1(model_file, capsys, model, argv):
 
 
 def test_float_overflow_exits_1(model_file, capsys):
-    # R = 1e300 loads, but eta' divides by R**2, which overflows a float.
+    # R = 1e300 leaves no float p = 1 - 1/R below 1 (and eta' divides by
+    # R**2, which overflows): the model is refused at load, naming R.
     huge_r = {**MPR, "params": {**MPR["params"], "R": 1e300}}
     argv = ["--domain", "-1,1", "--n", "8", "--g1", "0.01", "--g2", "eta"]
     rc, out, err = run_cli(capsys, ["bounds", "--model", model_file(huge_r), *argv])
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "R = 1e+300" in err
 
 
 def test_solve_regime_document(model_file, capsys):
@@ -770,18 +772,17 @@ def test_emit_writes_numpy_values_as_their_python_equivalents(tmp_path, capsys):
 PUBLIC_SURFACE = set(
     """
     AsymptoticReport BoundsCertificate ConvergenceError ConvergenceTable
-    DiffusionModel DiffusionSolution DiscreteGenerator DiscretizationError DomainError
+    DiffusionModel DiffusionSolution DiscretizationError DomainError
     HjbSolution IllPosedError MCertificate MertonFactorError ModelError NotMMatrixError
     NotZMatrixError PathSample RegimeModel SingularMatrixError
     TridiagonalOperator ValueEstimate WellPosednessReport __version__ assemble_A
-    assemble_discrete_hjb asymptotic_report build_central_generator build_upwind_generator
-    check_nonsingular_m_matrix check_wellposed constant_profile
-    cyclic_wellposed distortion_power domain_expansion_study estimate_value eta_profile
-    expansion_domain frozen_rate grid_refinement_study hjb_residual load_model
-    model_to_dict monotone_step_limit nearest_neighbour_wellposed
+    assemble_discrete_hjb asymptotic_report check_nonsingular_m_matrix check_wellposed
+    cyclic_wellposed distortion_power domain_expansion_study estimate_value
+    expansion_domain grid_refinement_study hjb_residual load_model
+    model_to_dict nearest_neighbour_wellposed
     proportional_bounds psi psi_eta_profile read_solution_csv recompute_csv_residual
     sample_ctmc_path simulate_wealth solve solve_hjb_fixed_point solve_hjb_newton
-    solve_matrix_hjb solve_regime to_zero_correlation tridiag_solve value_and_policies
+    solve_matrix_hjb solve_regime to_zero_correlation
     vasicek_supersolution_profile write_solution_csv
     """.split()
 )
@@ -798,7 +799,7 @@ SUBMODULES = (
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_SURFACE) == 61
+    assert len(PUBLIC_SURFACE) == 52
     assert set(merton_factor.__all__) == PUBLIC_SURFACE
     owner = {}
     for name in SUBMODULES:

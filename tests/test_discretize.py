@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 import oracles
 from merton_factor import (
     DiscretizationError,
+    TridiagonalOperator,
     assemble_discrete_hjb,
-    build_central_generator,
-    build_upwind_generator,
     load_model,
-    monotone_step_limit,
     to_zero_correlation,
 )
+from merton_factor.discretizer import _grid_and_coefficients, _stencil
+
+
+def generator(model, e_minus, e_plus, n_steps, scheme="upwind"):
+    """Q_h on the grid of :func:`assemble_discrete_hjb`, from the stencil it scales."""
+    grid, h, a, b = _grid_and_coefficients(model, e_minus, e_plus, n_steps)
+    return TridiagonalOperator(*_stencil(a, b, h, scheme)), grid, h
 
 
 def tabulated(y, a, b, lam=None, R=2.0):
@@ -89,27 +94,23 @@ def test_two_node_generator_is_symmetric_half_rate():
     # rate b^2/(2 h^2) = 1/2, i.e. the two-state generator [[-.5,.5],[.5,-.5]].
     y = np.linspace(0.0, 1.0, 5)
     model = tabulated(y, 0.0 * y, 1.0 + 0.0 * y)
-    gen = build_upwind_generator(model, 0.0, 1.0, 1)
-    assert np.array_equal(gen.Q_h.to_dense(), [[-0.5, 0.5], [0.5, -0.5]])
+    Q_h, _, _ = generator(model, 0.0, 1.0, 1)
+    assert np.array_equal(Q_h.to_dense(), [[-0.5, 0.5], [0.5, -0.5]])
 
 
 def test_generators_conserve_probability(mpr_model):
-    up = build_upwind_generator(mpr_model, -3.0, 3.0, 50)
-    rows = up.Q_h.to_dense().sum(axis=1)
-    assert np.max(np.abs(rows)) <= 1e-13 * up.Q_h.norm_inf()
-    cen = build_central_generator(mpr_model, -3.0, 3.0, 100)
-    rows = cen.Q_h.to_dense().sum(axis=1)
-    assert np.max(np.abs(rows)) <= 1e-13 * cen.Q_h.norm_inf()
+    for n_steps, scheme in ((50, "upwind"), (100, "central")):
+        Q_h, _, _ = generator(mpr_model, -3.0, 3.0, n_steps, scheme)
+        rows = Q_h.to_dense().sum(axis=1)
+        assert np.max(np.abs(rows)) <= 1e-13 * Q_h.norm_inf()
 
 
 def test_generators_are_monotone_z_matrices(mpr_model):
-    for gen in (
-        build_upwind_generator(mpr_model, -3.0, 3.0, 50),
-        build_central_generator(mpr_model, -3.0, 3.0, 100),
-    ):
-        assert np.all(gen.Q_h.sub >= 0.0)
-        assert np.all(gen.Q_h.sup >= 0.0)
-        assert np.all(gen.Q_h.main <= 0.0)
+    for n_steps, scheme in ((50, "upwind"), (100, "central")):
+        Q_h, _, _ = generator(mpr_model, -3.0, 3.0, n_steps, scheme)
+        assert np.all(Q_h.sub >= 0.0)
+        assert np.all(Q_h.sup >= 0.0)
+        assert np.all(Q_h.main <= 0.0)
 
 
 def test_assembled_rows_sum_to_eta(mpr_model):
@@ -121,24 +122,28 @@ def test_assembled_rows_sum_to_eta(mpr_model):
 
 def test_monotone_step_limit_value(mpr_model):
     # b = 0.6 constant, drift 0.3(0.5 - y): sup |a| on [-3, 3] is 1.05 at y = -3,
-    # so h* = 0.36 / 1.05 = 12/35.
-    assert monotone_step_limit(mpr_model, -3.0, 3.0, 100) == pytest.approx(
-        12.0 / 35.0, rel=0, abs=1e-15
-    )
+    # so h* = 0.36 / 1.05 = 12/35 = 0.342857...
+    _, _, a, b = _grid_and_coefficients(mpr_model, -3.0, 3.0, 100)
+    with pytest.raises(DiscretizationError, match=r"h\* = 0\.342857 for .*, got h = 0\.35;"):
+        _stencil(a, b, 0.35, "central")
+    # Bracket h* to a relative 1e-14 on both sides.
+    with pytest.raises(DiscretizationError, match=r"h\* = 0\.342857 "):
+        _stencil(a, b, 12.0 / 35.0 * (1.0 + 1e-14), "central")
+    _stencil(a, b, 12.0 / 35.0 * (1.0 - 1e-14), "central")
 
 
 def test_central_scheme_enforces_step_limit(mpr_model):
     with pytest.raises(DiscretizationError, match="h\\*"):
-        build_central_generator(mpr_model, -3.0, 3.0, 10)
+        generator(mpr_model, -3.0, 3.0, 10, "central")
     # The upwind scheme has no such restriction.
-    build_upwind_generator(mpr_model, -3.0, 3.0, 10)
+    generator(mpr_model, -3.0, 3.0, 10)
 
 
 def test_central_upwind_interior_identical_for_zero_drift():
     y = np.linspace(-1.0, 1.0, 9)
     model = tabulated(y, 0.0 * y, 0.7 + 0.0 * y)
-    up = build_upwind_generator(model, -1.0, 1.0, 8).Q_h.to_dense()
-    cen = build_central_generator(model, -1.0, 1.0, 8).Q_h.to_dense()
+    up = generator(model, -1.0, 1.0, 8)[0].to_dense()
+    cen = generator(model, -1.0, 1.0, 8, "central")[0].to_dense()
     # Interior rows agree bitwise; the wall rows use different reflections
     # (half-cell for upwind, mirror for central).
     assert np.array_equal(up[1:-1], cen[1:-1])
@@ -148,44 +153,41 @@ def test_central_upwind_interior_identical_for_zero_drift():
 
 
 def test_central_mirror_rows_cancel_drift(mpr_model):
-    gen = build_central_generator(mpr_model, -3.0, 3.0, 200)
-    h = gen.h
-    b = mpr_model.b(gen.grid)
-    assert gen.Q_h.sup[0] == pytest.approx(b[0] ** 2 / h**2, rel=0, abs=0)
-    assert gen.Q_h.main[0] == -gen.Q_h.sup[0]
-    assert gen.Q_h.sub[-1] == pytest.approx(b[-1] ** 2 / h**2, rel=0, abs=0)
-    assert gen.Q_h.main[-1] == -gen.Q_h.sub[-1]
+    Q_h, grid, h = generator(mpr_model, -3.0, 3.0, 200, "central")
+    b = mpr_model.b(grid)
+    assert Q_h.sup[0] == pytest.approx(b[0] ** 2 / h**2, rel=0, abs=0)
+    assert Q_h.main[0] == -Q_h.sup[0]
+    assert Q_h.sub[-1] == pytest.approx(b[-1] ** 2 / h**2, rel=0, abs=0)
+    assert Q_h.main[-1] == -Q_h.sub[-1]
 
 
 def test_upwind_boundary_rows_split_drift():
     y = np.linspace(-1.0, 1.0, 9)
     model = tabulated(y, 0.5 + 0.0 * y, 1.0 + 0.0 * y)  # constant positive drift
-    gen = build_upwind_generator(model, -1.0, 1.0, 4)
-    h = 0.5
+    Q_h, _, h = generator(model, -1.0, 1.0, 4)
+    assert h == 0.5
     # Left wall: outflow rate b^2/(2h^2) + a+/h; right wall: b^2/(2h^2) + a-/h.
-    assert gen.Q_h.sup[0] == pytest.approx(1.0 / (2 * h**2) + 0.5 / h, rel=0, abs=0)
-    assert gen.Q_h.sub[-1] == pytest.approx(1.0 / (2 * h**2), rel=0, abs=0)
+    assert Q_h.sup[0] == pytest.approx(1.0 / (2 * h**2) + 0.5 / h, rel=0, abs=0)
+    assert Q_h.sub[-1] == pytest.approx(1.0 / (2 * h**2), rel=0, abs=0)
 
 
 def test_grid_geometry(mpr_model):
-    gen = build_upwind_generator(mpr_model, -3.0, 3.0, 12)
-    assert gen.n_steps == 12
-    assert gen.grid.shape == (13,)
-    assert gen.h == pytest.approx(0.5, rel=0, abs=0)
-    assert gen.grid[0] == -3.0 and gen.grid[-1] == 3.0
-    assert np.diff(gen.grid) == pytest.approx(np.full(12, 0.5), rel=0, abs=1e-15)
+    A_h, grid = assemble_discrete_hjb(mpr_model, -3.0, 3.0, 12)
+    assert A_h.n == 13 and grid.shape == (13,)
+    assert grid[0] == -3.0 and grid[-1] == 3.0
+    assert np.diff(grid) == pytest.approx(np.full(12, 0.5), rel=0, abs=1e-15)
 
 
 def test_domain_validation(mpr_model, heston_model):
     with pytest.raises(DiscretizationError, match="e_minus < e_plus"):
-        build_upwind_generator(mpr_model, 3.0, -3.0, 10)
+        assemble_discrete_hjb(mpr_model, 3.0, -3.0, 10)
     with pytest.raises(DiscretizationError, match="grid nodes"):
-        build_upwind_generator(mpr_model, -3.0, 3.0, 0)
+        assemble_discrete_hjb(mpr_model, -3.0, 3.0, 0)
     with pytest.raises(DiscretizationError, match="state interval"):
-        build_upwind_generator(heston_model, -1.0, 1.0, 10)
+        assemble_discrete_hjb(heston_model, -1.0, 1.0, 10)
     # Square-root state space: strictly positive truncations work.
-    gen = build_upwind_generator(heston_model, 0.01, 0.2, 10)
-    assert np.all(gen.grid > 0.0)
+    _, grid = assemble_discrete_hjb(heston_model, 0.01, 0.2, 10)
+    assert np.all(grid > 0.0)
 
 
 def test_assemble_uses_the_given_models_risk_aversion(mpr_model):

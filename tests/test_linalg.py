@@ -19,8 +19,8 @@ from merton_factor import (
     TridiagonalOperator,
     check_nonsingular_m_matrix,
     solve_matrix_hjb,
-    tridiag_solve,
 )
+from merton_factor.linalg import as_operator
 
 
 def random_tridiagonal(rng, n, dominant=True):
@@ -44,7 +44,7 @@ def test_operator_dense_matvec_norm_consistency():
     v = rng.normal(size=9)
     assert op.matvec(v) == pytest.approx(dense @ v, rel=0, abs=1e-14)
     assert op.norm_inf() == pytest.approx(np.max(np.abs(dense).sum(axis=1)), rel=0, abs=0)
-    assert op.is_z_matrix
+    assert op.positive_off_diagonal() is None
 
 
 def test_certificate_minors_match_determinant_oracle():
@@ -239,9 +239,9 @@ def test_tridiag_solve_matches_dense_and_meets_residual_bound():
         op = TridiagonalOperator(sub, main, sup)
         rhs = rng.normal(size=n)
         given = rhs.copy()
-        x = tridiag_solve(op, rhs)
+        x = op.factorized()(rhs)
         dense = op.to_dense()
-        assert tridiag_solve(dense, rhs) == pytest.approx(x, rel=1e-10, abs=1e-12)
+        assert as_operator(dense).factorized()(rhs) == pytest.approx(x, rel=1e-10, abs=1e-12)
         assert np.array_equal(rhs, given)  # both operators solve on a copy of rhs
         assert x == pytest.approx(np.linalg.solve(dense, rhs), rel=1e-10, abs=1e-12)
         residual = np.max(np.abs(op.matvec(x) - rhs))
@@ -407,7 +407,8 @@ def test_one_node_operator(a, verdict):
     assert cert.failure_index == (None if verdict else 0)
     if a == 0.0:
         return
-    assert tridiag_solve(op, np.array([3.0])).tolist() == [3.0 / a]
+    for solve in (op.factorized(), as_operator(op.to_dense()).factorized()):
+        assert solve(np.array([3.0])).tolist() == [3.0 / a]
     assert op.solve_shifted(np.array([0.5]), np.array([3.0])).tolist() == [3.0 / (a - 0.5)]
     for R in (0.5, 2.0, 10.0):
         if verdict:
@@ -421,13 +422,11 @@ def test_one_node_operator(a, verdict):
 
 def test_tridiag_solve_raises_on_singular_system():
     op = TridiagonalOperator(np.array([-1.0]), np.array([1.0, 1.0]), np.array([-1.0]))
-    with pytest.raises(SingularMatrixError):
-        tridiag_solve(op, np.ones(2))
-    with pytest.raises(SingularMatrixError):
-        op.solve_shifted(np.zeros(2), np.ones(2))
     one = TridiagonalOperator(np.array([]), np.array([0.0]), np.array([]))
-    with pytest.raises(SingularMatrixError):
-        tridiag_solve(one, np.ones(1))
-    with pytest.raises(SingularMatrixError):
-        one.solve_shifted(np.zeros(1), np.ones(1))
+    for singular in (op, one):
+        for kind in (singular, as_operator(singular.to_dense())):
+            with pytest.raises(SingularMatrixError):
+                kind.factorized()(np.ones(singular.n))
+        with pytest.raises(SingularMatrixError):
+            singular.solve_shifted(np.zeros(singular.n), np.ones(singular.n))
 

@@ -13,10 +13,7 @@ import oracles
 from merton_factor import (
     DomainError,
     ModelError,
-    constant_profile,
     distortion_power,
-    eta_profile,
-    frozen_rate,
     hjb_residual,
     load_model,
     model_to_dict,
@@ -27,33 +24,32 @@ from merton_factor import (
 
 def test_frozen_rate_matches_definition_black_scholes(bs_model):
     expected = oracles.frozen_rate_scalar(2.0, 0.1, 0.02, 0.3)
-    assert frozen_rate(bs_model, 0.0) == pytest.approx(expected, rel=0, abs=1e-15)
+    assert bs_model.eta(0.0) == pytest.approx(expected, rel=0, abs=1e-15)
     assert expected == pytest.approx(0.07125, rel=0, abs=1e-15)
 
 
 def test_frozen_rate_regime_vector(regime2_model):
-    eta = frozen_rate(regime2_model)
+    eta = regime2_model.eta()
     exp0 = oracles.frozen_rate_scalar(2.0, 0.3, 0.02, 0.4)
     exp1 = oracles.frozen_rate_scalar(2.0, 0.18, 0.01, 0.1)
     assert eta == pytest.approx([exp0, exp1], rel=0, abs=1e-15)
     assert eta == pytest.approx([0.18, 0.09625], rel=0, abs=1e-15)
-    assert frozen_rate(regime2_model, 1) == pytest.approx(exp1, rel=0, abs=0)
+    assert eta[1] == pytest.approx(exp1, rel=0, abs=0)
 
 
 def test_frozen_rate_mpr_profile(mpr_model):
     # lambda(y) = y, R = 3/2, delta = 0.05, r = 0.02:
     # eta(y) = (0.05 + (1/2)(0.02 + y^2/3)) / (3/2) = 0.04 + y^2 / 9.
     y = np.array([-2.0, 0.0, 0.5, 3.0])
-    assert frozen_rate(mpr_model, y) == pytest.approx(0.04 + y**2 / 9.0, rel=0, abs=1e-15)
-    assert frozen_rate(mpr_model, 0.0) == 0.04
+    assert mpr_model.eta(y) == pytest.approx(0.04 + y**2 / 9.0, rel=0, abs=1e-15)
+    assert mpr_model.eta(0.0) == 0.04
 
 
 def test_eta_profile_triple_agrees_with_frozen_rate(mpr_model):
-    g, g_prime, g_second = eta_profile(mpr_model)
     y = np.linspace(-3.0, 3.0, 7)
-    assert g(y) == pytest.approx(frozen_rate(mpr_model, y), rel=0, abs=0)
-    assert g_prime(y) == pytest.approx(2.0 * y / 9.0, rel=0, abs=1e-15)
-    assert g_second(y) == pytest.approx(np.full_like(y, 2.0 / 9.0), rel=0, abs=1e-15)
+    assert mpr_model.eta(y) == pytest.approx(0.04 + y**2 / 9.0, rel=0, abs=1e-15)
+    assert mpr_model.eta_prime(y) == pytest.approx(2.0 * y / 9.0, rel=0, abs=1e-15)
+    assert mpr_model.eta_second(y) == pytest.approx(np.full_like(y, 2.0 / 9.0), rel=0, abs=1e-15)
 
 
 def test_distortion_power_identities():
@@ -157,7 +153,7 @@ def test_heston_domain_is_positive_half_line(heston_model):
     # The diagnostics need interior points; the boundary y = 0 is refused too.
     for y_bad in (np.array([-0.5]), np.array([0.0, 0.01])):
         with pytest.raises(DomainError, match="boundary"):
-            psi(heston_model, *constant_profile(1.0), y_bad)
+            psi(heston_model, 1.0, 0.0, 0.0, y_bad)
     grid = np.array([-0.01, 0.0, 0.01])
     with pytest.raises(DomainError, match="boundary"):
         hjb_residual(heston_model, grid, np.ones(3))
@@ -272,12 +268,15 @@ _REGIME = {
         (_MPR, "nu", 0.0, "^nu must be nonzero$"),
         (_HESTON, "nu", -0.0, "^nu must be nonzero$"),
         (_VASICEK, "nu", 0, "^nu must be nonzero$"),
+        # p = 1 - 1/R rounds to 1 for R >= 2**54 and to -inf for R below 1/(largest float).
+        (_MPR, "R", 1e300, r"^risk aversion R = 1e\+300 gives p = 1 - 1/R = 1\.0, "),
+        (_REGIME, "R", 5e-324, r"^risk aversion R = 5e-324 gives p = 1 - 1/R = -inf, "),
     ],
     ids=[
         "Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite",
         "column-ragged", "y-not-increasing", "column-nan", "tabulated-sigma-zero",
         "tabulated-b-zero", "bs-sigma-zero", "mpr-sigma-negative", "vasicek-sigma-zero",
-        "mpr-nu-zero", "heston-nu-zero", "vasicek-nu-zero",
+        "mpr-nu-zero", "heston-nu-zero", "vasicek-nu-zero", "mpr-R-huge", "regime-R-subnormal",
     ],
 )
 def test_malformed_model_arrays_raise_model_error(base, field, value, message):

@@ -511,7 +511,13 @@ def test_sample_ctmc_path_refuses_non_generators(Q):
         sample_ctmc_path(Q, 0, 5.0, seed=1)
 
 
-def test_simulate_wealth_invariants(regime2_model, mpr_model, bs_model):
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_sample_ctmc_path_needs_a_positive_finite_horizon(T, regime2_model):
+    with pytest.raises(ValueError, match=f"T = {T}$"):
+        sample_ctmc_path(regime2_model.Q, 0, T, seed=1)
+
+
+def test_simulate_wealth_invariants(regime2_model, mpr_model):
     sample = simulate_wealth(regime2_model, (0.5, 0.1), 2.0, y0=1, T=20.0, dt=0.05, seed=4)
     assert sample.wealth[0] == 2.0
     assert sample.times[0] == 0.0 and sample.times[-1] == pytest.approx(20.0)
@@ -524,21 +530,6 @@ def test_simulate_wealth_invariants(regime2_model, mpr_model, bs_model):
     diff_sample = simulate_wealth(mpr_model, (0.2, 0.05), 1.0, y0=0.0, T=5.0, dt=0.01, seed=4)
     assert np.all(diff_sample.wealth > 0.0)
     assert diff_sample.states.shape == diff_sample.times.shape
-
-    with pytest.raises(ValueError, match="regime models only"):
-        simulate_wealth(bs_model, (0.5, 0.1), 1.0, y0=0.0, T=1.0, dt=0.5, seed=0, path=object())
-
-
-def test_simulate_wealth_accepts_presampled_path(regime2_model):
-    path = sample_ctmc_path(regime2_model.Q, 0, 10.0, seed=21)
-    sample = simulate_wealth(regime2_model, (0.5, 0.1), 1.0, dt=0.1, seed=21, path=path)
-    assert sample.times[-1] == pytest.approx(10.0)
-    # The realized state sequence is the pre-sampled one, read at left endpoints.
-    left = np.arange(100) * 0.1
-    expected_states = path.states[np.searchsorted(path.times[1:-1], left, side="right")]
-    assert np.array_equal(sample.states[:-1], expected_states)
-    with pytest.raises(ValueError, match="dt is required"):
-        simulate_wealth(regime2_model, (0.5, 0.1), 1.0, seed=21, path=path)
 
 
 @pytest.mark.parametrize("fixture", ["regime2_model", "bs_model", "mpr_model", "heston_model"])
@@ -702,13 +693,9 @@ def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model)
         check(sample, coef, model.R, policy, factor, dw, lo)
     assert np.any(factor < 0.0)
 
-    # Regime with a pre-sampled chain: the asset normals are the first draws.
+    # Regime: path 0's stream holds the chain's draws, then the asset normals.
     # The kernel gathers per-state tables built from scalars, per-state
     # arrays or callables of the state (also one that returns a scalar).
-    path = sample_ctmc_path(regime2_model.Q, 1, T, seed=seed)
-    states = path.states[np.searchsorted(path.times[1:-1], np.arange(n) * dt, side="right")]
-    assert 0 < np.count_nonzero(states) < n
-    dw = root * _path_zero_normals(seed, n)
     pi_arr, xi_arr = np.array([0.7, 0.3]), np.array([0.09, 0.05])
     low_R = flat_regime(R=0.6)
 
@@ -723,7 +710,12 @@ def test_simulate_wealth_matches_scalar_loop(regime2_model, bs_model, mpr_model)
         (low_R, (pi_arr, [0.0, 0.05]), (by_state(pi_arr), by_state([0.0, 0.05]))),
     )
     for m, policy, loop_policy in cases:
-        sample = simulate_wealth(m, policy, x0, dt=dt, seed=seed, path=path)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
+        times, chain = oracles.uniformized_chain_by_loop(m.Q, 1, T, rng)
+        states = np.concatenate(([1], chain))[[np.sum(times <= k * dt) for k in range(n)]]
+        assert 0 < np.count_nonzero(states) < n
+        dw = root * rng.standard_normal(n)
+        sample = simulate_wealth(m, policy, x0, y0=1, T=T, dt=dt, seed=seed)
 
         def regime_coef(s, m=m):
             s = int(s)

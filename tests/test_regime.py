@@ -1,6 +1,7 @@
 """Regime-model well-posedness checks and the matrix HJB solvers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from merton_factor import (
     solve_matrix_hjb,
     solve_regime,
     to_zero_correlation,
-    value_and_policies,
 )
 from merton_factor import regime_solver
 from merton_factor.linalg import as_operator
@@ -67,26 +67,6 @@ def test_solved_root_satisfies_equation_componentwise(regime2_model):
     sol = solve_regime(regime2_model, tol=1e-13)
     A = assemble_A(regime2_model)
     assert A @ sol.f == pytest.approx(sol.f**sol.p, rel=1e-11, abs=0)
-
-
-@pytest.mark.parametrize("R", [0.4, 2.0, 3.0, 10.0])
-def test_value_and_policies_reproduce_the_solution(R):
-    Q = [[-0.5, 0.5], [0.5, -0.5]]
-    model = make_regime(Q, [0.02, 0.01], [0.4, 0.1], [0.25, 0.2], [0.3, 0.18], R)
-    sol = solve_regime(model)
-    again = value_and_policies(model, sol.f)
-    for name in ("u", "pi_hat"):
-        assert np.array_equal(getattr(again, name), getattr(sol, name))
-    assert (again.residual, again.residual_scale) == (sol.residual, sol.residual_scale)
-
-
-def test_value_and_policies_refuse_bad_input(regime2_model, mpr_model):
-    with pytest.raises(ValueError):
-        value_and_policies(regime2_model, np.ones(3))
-    with pytest.raises(ValueError):
-        value_and_policies(regime2_model, np.array([1.0, 0.0]))
-    with pytest.raises(TypeError):
-        value_and_policies(mpr_model, np.ones(2))
 
 
 def test_fixed_point_step_ratios_respect_contraction_rate():
@@ -246,9 +226,6 @@ def test_solve_record_keeps_the_tolerance_it_was_solved_with(regime2_model):
     fixed_point = solve_hjb_fixed_point(assemble_A(regime2_model), 0.5, tol=1e-9)
     assert fixed_point.metadata["tolerance"] == 1e-9
     assert fixed_point.metadata["method"] == "fixed_point"
-    direct = value_and_policies(regime2_model, solution.f).metadata
-    assert direct["tolerance"] is None and direct["stop"] is None and direct["trace"] == []
-    assert direct["method"] == "direct" and direct["iterations"] == 0
 
 
 def test_check_wellposed_rejects_diffusion_models(mpr_model):
@@ -299,6 +276,21 @@ def test_cyclic_formula_outside_validity_region_is_ill_posed():
     Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     A = np.diag([0.1, -2.0]) - Q / 2.0
     assert not oracles.is_m_matrix_by_minors(A)
+
+
+@pytest.mark.parametrize(
+    "eta, q, R",
+    [
+        ([math.nan, 0.1], [1.0, 1.0], 2.0),
+        ([0.1, 0.1], [1.0, math.inf], 2.0),
+        ([0.1, 0.1], [1.0, 1.0], math.nan),
+        ([0.1, 0.1], [1.0, 1.0], math.inf),
+    ],
+    ids=["eta-nan", "q-inf", "R-nan", "R-inf"],
+)
+def test_cyclic_formula_refuses_non_finite_input(eta, q, R):
+    with pytest.raises(ValueError, match="finite"):
+        cyclic_wellposed(eta, q, R)
 
 
 def test_nearest_neighbour_quick_formula_matches_full_certificate():
