@@ -22,10 +22,11 @@ from itertools import pairwise
 
 import numpy as np
 
+from .analysis import psi_eta_profile
 from .discretizer import assemble_discrete_hjb
 from .errors import IllPosedError, ModelError
 from .linalg import check_nonsingular_m_matrix  # unused; perfbench/tracing.py hooks this name
-from .model import DiffusionModel, RegimeModel, model_to_dict, to_zero_correlation
+from .model import DiffusionModel, RegimeModel, load_model, model_to_dict, to_zero_correlation
 from .regime_solver import WellPosednessReport, _hjb_residual, assemble_A, solve_matrix_hjb
 
 __all__ = [
@@ -287,8 +288,6 @@ def write_solution_csv(path, solution, model):
     holds the state index and the diffusion-only columns are NaN.
     ``psi_eta`` is also NaN at the nodes where eta <= 0.
     """
-    from .analysis import psi_eta_profile
-
     if isinstance(model, RegimeModel):
         n = model.n_states
         nan_column = np.full(n, np.nan)
@@ -398,8 +397,6 @@ def recompute_csv_residual(path):
     Returns (recomputed, logged).  The check vector is the f column when
     phi = 1 and u^(-R_tilde) otherwise, matching how the residual was logged.
     """
-    from .model import load_model
-
     meta, columns = read_solution_csv(path)
     solve_meta = meta["solve"]
     model = load_model(meta["model"])

@@ -247,6 +247,8 @@ class DiffusionModel:
             raise ModelError("sigma must be positive")
         if "nu" in p and p["nu"] == 0:
             raise ModelError("nu must be nonzero")
+        if "lambda" in p and not math.isfinite(p["lambda"] * p["lambda"]):  # as nu^2 below
+            raise ModelError(f"lambda = {p['lambda']!r} is too large: lambda^2 overflows a float")
 
         # Each coefficient starts as the constant its parameter names; the
         # overrides below replace those that depend on the factor, which

@@ -14,9 +14,9 @@ pi = lambda / (R sigma) per state.
 Every R is solved by Newton's method (p = 1 - 1/R < 1) from a start on the
 side where it converges monotonically.  For R > 1/2, T x = A^-1 x^p also
 contracts the log-sup metric d(x, y) = ||log x - log y||_inf at rate |p|;
-that fixed point stays as a second route.  Both run in one driver that
-certifies A once, keeps only the certificate's witness A^-1 1 to choose the
-start, and shares the positive-cone check, the stop rules and the result.
+that fixed point stays as a second route: Newton's step without its
+Jacobian shift, run in the same loop from the same start (from the witness
+A^-1 1 of A's certificate) to the same stop rules but Newton's quadratic one.
 """
 
 import math
@@ -195,31 +195,49 @@ def _certified_witness(op):
     return certificate.witness[0]
 
 
-def _iterate(A, p, method, plan, tol):
-    """Certify A, then solve A x = x^p by x <- step(x); the one loop behind both solvers.
+def _step(op, x, p, shift, tol, rounding):
+    """(x - (A - diag(d))^-1 (A x - x^p), whether ||A x - x^p|| <= tol ||x^p|| +
+    rounding ||x||) with d = shift x^(p-1): Newton's step at shift = p, T x at
+    shift = 0.  A function of its own, so no temporary outlives the step."""
+    rhs = x**p
+    fx = op.matvec(x) - rhs
+    at_floor = np.max(np.abs(fx)) <= tol * np.max(rhs) + rounding * np.max(x)
+    rhs *= shift / x  # now the diagonal shift d
+    return x - op.solve_shifted(rhs, fx), at_floor
+
+
+def _iterate(A, p, method, tol):
+    """Certify A, then solve A x = x^p by :func:`_step`; the one loop behind both solvers.
 
     A that is not a nonsingular M-matrix raises :class:`IllPosedError`
-    carrying its certificate.  ``plan(op, w)`` gets A behind the operator
-    surface of :func:`as_operator` and the certificate's witness
-    w = A^-1 1, and returns (start, iteration cap, step tolerance, step),
-    where step(x) returns (x_next, at_floor).  No factor of A outlives the
-    certificate and no part of it but w reaches the plan, so a plan that
-    solves with A makes its own ``op.factorized()``.  With
-    log-sup steps s_k, the first rule met stops the loop and is named in
-    the result: ``quadratic`` (Newton only) when s_k < s_(k-1) and the next
-    step quadratic convergence predicts, s_k^3 / s_(k-1)^2, is at most the
-    step tolerance (Kelley, *Iterative Methods for Linear and Nonlinear
-    Equations*, 1995, ch. 5); ``step`` when s_k is; ``floor`` when the step
-    reports its residual at the rounding floor and s_k >= s_(k-1).  The
-    result records ``tol``, the solver's own tolerance.  An iterate outside
-    the positive cone raises :class:`NotMMatrixError`.
+    carrying its certificate; of the certificate only the witness
+    w = A^-1 1 is kept, for the start :func:`_newton_start` that both
+    methods share.  ``newton`` steps with the Jacobian shift p x^(p-1),
+    at most 100 times, to step tolerance ``tol``; ``fixed_point`` steps
+    with no shift, up to the contraction's worst-case count from its
+    invariant box, to step tolerance tol * (1 - |p|).  With log-sup steps
+    s_k, the first rule met stops the loop and is named in the result:
+    ``quadratic`` (Newton only) when s_k < s_(k-1) and the next step
+    quadratic convergence predicts, s_k^3 / s_(k-1)^2, is at most the step
+    tolerance (Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, 1995, ch. 5); ``step`` when s_k is; ``floor`` when the
+    residual before the step was at the rounding floor and s_k >= s_(k-1).
+    The result records ``tol``, the solver's own tolerance.  An iterate
+    outside the positive cone raises :class:`NotMMatrixError`.
     """
     op = as_operator(A)
-    x, cap, step_tol, step = plan(op, _certified_witness(op))
+    w = _certified_witness(op)
+    x = _newton_start(op, w, p)
+    if method == "newton":
+        shift, cap, step_tol = p, 100, tol
+    else:
+        m_box, M_box = _fixed_point_box(float(w.min()), float(w.max()), p)
+        shift, cap, step_tol = 0.0, _iteration_cap(m_box, M_box, p, tol) + 32, tol * (1.0 - abs(p))
+    rounding = np.finfo(float).eps * op.norm_inf()
     trace = []
     log_x = np.log(x)
     for _ in range(cap):
-        x_next, at_floor = step(x)
+        x_next, at_floor = _step(op, x, p, shift, tol, rounding)
         if not np.all(x_next > 0.0):
             raise NotMMatrixError("iteration left the positive cone; A is not an M-matrix")
         log_next = np.log(x_next)
@@ -239,31 +257,24 @@ def _iterate(A, p, method, plan, tol):
 def solve_hjb_fixed_point(A, p, tol=1e-10):
     """Solve A x = x^p by the contraction T x = A^-1 x^p, p in (-1, 1).
 
-    Starts from the lower corner of the invariant box (from A^-1 1 itself
-    when p = 0, which is then the solution) and stops when the log-sup step
-    is at most tol * (1 - |p|), which leaves the iterate within tol of the
-    fixed point in that metric.  For p outside (-1, 1) raises ValueError
-    advising :func:`solve_hjb_newton`; for A that is not a nonsingular
-    M-matrix, :class:`IllPosedError` carrying the certificate.
+    Steps x - A^-1 (A x - x^p) from Newton's start, which lies in the
+    invariant box (and is A^-1 1, the solution, when p = 0), until the
+    log-sup step is at most tol * (1 - |p|), leaving the iterate within tol
+    of the fixed point in that metric, or Newton's rounding-floor rule
+    holds.  For p outside (-1, 1) raises ValueError advising
+    :func:`solve_hjb_newton`; for A that is not a nonsingular M-matrix,
+    :class:`IllPosedError` carrying the certificate.
     """
     if not -1.0 < p < 1.0:
         raise ValueError(
             f"p = {p} outside (-1, 1): the iteration does not contract; use solve_hjb_newton"
         )
-
-    def plan(op, w):
-        solve = op.factorized()
-        m_box, M_box = _fixed_point_box(float(w.min()), float(w.max()), p)
-        start = w if p == 0.0 else np.full(op.n, m_box)
-        cap = _iteration_cap(m_box, M_box, p, tol) + 32
-        return start, cap, tol * (1.0 - abs(p)), lambda x: (solve(x**p), False)
-
-    return _iterate(A, p, "fixed_point", plan, tol)
+    return _iterate(A, p, "fixed_point", tol)
 
 
 def _newton_start(op, w, p):
-    """Newton's start for A x = x^p from the witness w = A^-1 1, on the safe
-    side of the root (see :func:`solve_hjb_newton`)."""
+    """Both methods' start for A x = x^p from the witness w = A^-1 1, on
+    Newton's safe side of the root (see :func:`solve_hjb_newton`)."""
     x0 = float(w.max()) ** (p / (1.0 - p)) * w
     if p <= 0.0:
         image = op.matvec(np.ones(op.n))
@@ -309,27 +320,14 @@ def solve_hjb_newton(A, p, tol=1e-10):
     """
     if not p < 1.0:
         raise ValueError(f"p = {p} must be < 1")
-
-    def plan(op, w):
-        rounding = np.finfo(float).eps * op.norm_inf()
-
-        def step(x):
-            rhs = x**p
-            fx = op.matvec(x) - rhs
-            at_floor = np.max(np.abs(fx)) <= tol * np.max(rhs) + rounding * np.max(x)
-            rhs *= p / x  # now the Jacobian's diagonal shift p x^(p-1)
-            return x - op.solve_shifted(rhs, fx), at_floor
-
-        return _newton_start(op, w, p), 100, tol, step
-
-    return _iterate(A, p, "newton", plan, tol)
+    return _iterate(A, p, "newton", tol)
 
 
 def solve_matrix_hjb(A, R, tol=1e-10):
     """Solve A x = x^(1 - 1/R) by :func:`solve_hjb_newton`, for every R.
 
     Its step count grows neither with the grid size nor as |p| -> 1, where
-    the contraction's does (239 steps at R = 10).  A that is not a
+    the contraction's does (217 steps at R = 10).  A that is not a
     nonsingular M-matrix raises :class:`IllPosedError` carrying the failed
     certificate.
     """
@@ -378,8 +376,8 @@ def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
         raise ValueError("boundary convention requires q_minus[0] = 0 and q_plus[-1] = 0")
     if np.any(q_minus < 0.0) or np.any(q_plus < 0.0):
         raise ValueError("jump rates must be nonnegative")
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R = {R} must be positive and finite")
 
     A = TridiagonalOperator(-q_minus[1:] / R, eta + (q_minus + q_plus) / R, -q_plus[:-1] / R)
     certificate = check_nonsingular_m_matrix(A)

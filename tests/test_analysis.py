@@ -60,6 +60,14 @@ def test_psi_accepts_array_profiles_with_note(mpr_model):
     cert = proportional_bounds(mpr_model, None, values, grid)
     assert "central differences" in cert.derivative_note
     assert cert.C2 == pytest.approx(26.0, rel=0.05)
+    with pytest.raises(ValueError, match=r"^g2 profile array must match the grid shape \(41,\)$"):
+        proportional_bounds(mpr_model, None, values[:-1], grid)
+    y = np.linspace(-1.0, 1.0, 21)
+    columns = {"r": 0.02 + 0 * y, "lambda": 0.3 * y, "sigma": 0.25 + 0 * y,
+               "delta": 0.1 + 0 * y, "a": -0.5 * y, "b": 0.4 + 0 * y}
+    tab = load_model({"family": "tabulated", "params": {"R": 2.0, "y": y, **columns}})
+    cert = proportional_bounds(tab, None, "eta", np.linspace(-0.9, 0.9, 19))
+    assert cert.derivative_note == "g2: eta derivatives from central differences on the table grid"
 
 
 def test_proportional_bounds_certificate_and_sandwich(mpr_model):

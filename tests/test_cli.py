@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -228,6 +229,15 @@ BOUNDS_GRID = ["--domain", "0,3", "--n", "9"]
         ),
         pytest.param(REGIME, ["wellposed", "--tol", "1e-8"], "--tol", id="wellposed-tol"),
         pytest.param(MPR, ["wellposed", *BS_GRID, "--tol", "1e-8"], "--tol", id="wellposed-tol-mpr"),
+        # Subcommands that discretize a factor refuse a regime model.
+        pytest.param(
+            REGIME, ["refine", "--domain", "-1,1", "--n", "8,16"], "refine needs a", id="regime-refine"
+        ),
+        pytest.param(REGIME, ["expand", "--m", "2,3", *EXPAND_RUN], "expand needs a", id="regime-expand"),
+        pytest.param(REGIME, ["bounds"], "bounds needs a", id="regime-bounds"),
+        pytest.param(REGIME, ["report"], "report needs a", id="regime-report"),
+        # Without profiles, bounds needs eta > 0 on the grid; vasicek's is not on [-5, 5].
+        pytest.param(VASICEK, ["bounds", "--domain", "-5,5", "--n", "10"], "--g1", id="bounds-eta"),
     ],
 )
 def test_usage_errors_exit_1(model_file, capsys, model, argv, flag):
@@ -292,6 +302,24 @@ def test_float_overflow_exits_1(model_file, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "R = 1e+300" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--domain", "0.01,0.2", "--n", "8", "--g2", "eta"], ["solve", *BS_GRID]],
+    ids=["bounds", "solve"],
+)
+def test_overflowing_lambda_is_refused_at_load(model_file, capsys, argv):
+    # lambda^2 overflows a float, and the frozen rate squares lambda.
+    huge = {**HESTON, "params": {**HESTON["params"], "lambda": 1e200}}
+    argv = [argv[0], "--model", model_file(huge), *argv[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == "" and caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lambda" in err
 
 
 def test_solve_regime_document(model_file, capsys):

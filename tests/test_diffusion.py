@@ -282,6 +282,19 @@ def test_expansion_study_decays_geometrically(mpr_model):
     assert 0.0 < study.fit < 0.5
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ((1.0, -1.0), r"^window must be increasing, got \(1\.0, -1\.0\)$"),
+        ((-2.5, 1.0), r"^window \[-2\.5, 1\.0\] not contained in the m = 2\.0 domain \[-2, 2\]$"),
+    ],
+    ids=["decreasing", "outside-domain"],
+)
+def test_expansion_study_refuses_an_unusable_window(mpr_model, window, message):
+    with pytest.raises(ValueError, match=message):
+        domain_expansion_study(mpr_model, [2.0, 3.0], 0.1, window)
+
+
 def test_expansion_study_notes_differences_at_the_floor(bs_model):
     study = domain_expansion_study(bs_model, [1.0, 2.0, 3.0], 0.1, (-0.5, 0.5))
     assert np.isnan(study.fit)
@@ -528,7 +541,7 @@ def test_newton_step_count_does_not_depend_on_the_grid():
     ids=["R_tilde_0.51", "R_10"],
 )
 def test_newton_is_fast_where_the_contraction_is_slow(overrides, domain, max_steps):
-    # |p| = 0.96 and 0.90: the fixed point takes 609 and 239 steps at N = 10^3.
+    # |p| = 0.96 and 0.90: the fixed point takes 474 and 217 steps at N = 10^3.
     model = mpr(**overrides)
     coarse, fine = (solve(model, *domain, n_steps) for n_steps in (1_000, 100_000))
     for sol in (coarse, fine):

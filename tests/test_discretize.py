@@ -185,6 +185,10 @@ def test_domain_validation(mpr_model, heston_model):
         assemble_discrete_hjb(mpr_model, -3.0, 3.0, 0)
     with pytest.raises(DiscretizationError, match="state interval"):
         assemble_discrete_hjb(heston_model, -1.0, 1.0, 10)
+    frozen = {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3, "b": 0.0}
+    frozen_factor = load_model({"family": "black_scholes", "params": frozen})
+    with pytest.raises(DiscretizationError, match=r"vanishes at interior node 1 \(y = -0\.8\)"):
+        assemble_discrete_hjb(frozen_factor, -1.0, 1.0, 10)
     # Square-root state space: strictly positive truncations work.
     _, grid = assemble_discrete_hjb(heston_model, 0.01, 0.2, 10)
     assert np.all(grid > 0.0)

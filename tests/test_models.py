@@ -271,12 +271,21 @@ _REGIME = {
         # p = 1 - 1/R rounds to 1 for R >= 2**54 and to -inf for R below 1/(largest float).
         (_MPR, "R", 1e300, r"^risk aversion R = 1e\+300 gives p = 1 - 1/R = 1\.0, "),
         (_REGIME, "R", 5e-324, r"^risk aversion R = 5e-324 gives p = 1 - 1/R = -inf, "),
+        (_REGIME, "r", [0.02, math.nan], "^r contains non-finite entries$"),
+        (_REGIME, "sigma", [0.25, 0.0], "^sigma must be positive in every state$"),
+        (_MPR, "rho", -1.5, r"^rho must lie in \[-1, 1\], got -1\.5$"),
+        # lambda^2 overflows a float; each family's frozen rate squares lambda.
+        (_BS, "lambda", 1e200, r"^lambda = 1e\+200 is too large: lambda\^2 overflows"),
+        (_HESTON, "lambda", -1e200, r"^lambda = -1e\+200 is too large: lambda\^2 overflows"),
+        (_VASICEK, "lambda", 1e155, r"^lambda = 1e\+155 is too large: lambda\^2 overflows"),
     ],
     ids=[
         "Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite",
         "column-ragged", "y-not-increasing", "column-nan", "tabulated-sigma-zero",
         "tabulated-b-zero", "bs-sigma-zero", "mpr-sigma-negative", "vasicek-sigma-zero",
         "mpr-nu-zero", "heston-nu-zero", "vasicek-nu-zero", "mpr-R-huge", "regime-R-subnormal",
+        "regime-r-nan", "regime-sigma-zero", "mpr-rho-outside", "bs-lambda-huge",
+        "heston-lambda-huge", "vasicek-lambda-huge",
     ],
 )
 def test_malformed_model_arrays_raise_model_error(base, field, value, message):

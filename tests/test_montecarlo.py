@@ -762,7 +762,7 @@ def test_zero_consumption_semantics(bs_model):
     assert math.isnan(est.se)
 
 
-def test_estimate_validation(bs_model):
+def test_estimate_validation(bs_model, regime2_model):
     with pytest.raises(ValueError, match="initial wealth"):
         estimate_value(bs_model, (0.6, 0.07), 0.0, 0.0, 10.0, 0.1, 10, seed=1)
     with pytest.raises(ValueError, match="0 < dt <= T"):
@@ -785,6 +785,10 @@ def test_estimate_validation(bs_model):
             simulate_wealth(bs_model, (0.6, 0.07), 1.0, 0.0, T, dt)
     with pytest.raises(ModelError):
         estimate_value(object(), (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 10, seed=1)
+    with pytest.raises(ValueError, match="^pi must be scalar or callable for diffusion models$"):
+        estimate_value(bs_model, ([0.6, 0.5], 0.07), 1.0, 0.0, 10.0, 0.1, 10, seed=1)
+    with pytest.raises(ValueError, match="^xi must be scalar or one value per state$"):
+        estimate_value(regime2_model, (0.5, [0.1, 0.1, 0.1]), 1.0, 0, 5.0, 0.05, 20, seed=1)
 
 
 @pytest.mark.parametrize("fixture, y0", [("regime2_model", 0), ("bs_model", 0.0), ("mpr_model", 0.5)])

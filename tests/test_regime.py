@@ -316,6 +316,12 @@ def test_nearest_neighbour_quick_formula_matches_full_certificate():
             assert np.cumprod(ratios) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+def test_nearest_neighbour_formula_refuses_unusable_R(R):
+    with pytest.raises(ValueError, match="R = "):
+        nearest_neighbour_wellposed([0.1, 0.1], [0.0, 1.0], [1.0, 0.0], R)
+
+
 def test_nearest_neighbour_single_state():
     # One state, no jumps: A = [eta], an M-matrix exactly when eta > 0.
     for eta, verdict in ((0.1, True), (0.0, False), (-0.1, False)):
