@@ -18,27 +18,23 @@ witness proves the M-matrix property of the stored entries; a matrix whose
 condition || |A| A^-1 1 ||_inf comes within about 100 of 1/eps may not be
 provable so and is then refused as numerically singular.
 
-Nothing is factored ahead of time or kept.  Every solve is one LAPACK call,
-LU with partial pivoting, that makes its factor and drops it on return:
-dgtsv for a tridiagonal operator, dgesv for a dense square matrix (which
+Nothing is factored ahead of time or kept.  Every solve is one LU with
+partial pivoting that drops its factor on return: LAPACK's dgtsv for a
+tridiagonal operator, numpy.linalg.solve for a dense square matrix (which
 enters through :func:`as_operator`).  The certificate's witness, a step of
 the fixed point and a Newton step's shifted system (A - diag(d)) x = rhs all
 take this route, the first two with d = 0.  The certificate solves the
 witness first, then computes the ratios.  Those of a tridiagonal depend on
 its off-diagonals only through the products sub_i sup_i >= 0, so they are
 the pivots of LAPACK's dpttrf on (main, sqrt(sub sup)).  A dense matrix's
-are U's diagonal divided by w from dgetrf on W A^T, W = diag(w): its k-th
-leading minor is w_1 ... w_k times A's, and it is strictly column
-diagonally dominant exactly when Aw > 0, so on a certified matrix partial
-pivoting exchanges no rows.  When rows are exchanged all the same,
-elimination without row exchanges gives them.
+are those of its leading half and of the half's Schur complement, down to
+blocks of at most 24 rows eliminated by rank-1 updates.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrf, dgtsv, dpttrf
 
 from .errors import NotZMatrixError, SingularMatrixError
 
@@ -51,6 +47,15 @@ __all__ = [
 # Ratios at or below this magnitude are treated as numerically singular
 # rather than as evidence either way.
 _SINGULAR_RATIO = 1e-300
+
+
+def _lapack():
+    # Imported at the first tridiagonal call, on purpose not at the top of the
+    # module: scipy.linalg costs about 0.35 s and 28 MB to import, and the
+    # dense operators of regime models never need it.
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 class TridiagonalOperator:
@@ -119,7 +124,7 @@ class TridiagonalOperator:
         """
         if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
             return _DenseOperator(self.main[:, None]).solve_shifted(d, rhs)
-        *_, x, info = dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
+        *_, x, info = _lapack().dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
         if info > 0:
             raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
         return x
@@ -129,9 +134,8 @@ class TridiagonalOperator:
         a copy of ``rhs``, so no factor outlives a call."""
         return lambda rhs: self.solve_shifted(0.0, np.array(rhs, dtype=float))
 
-    def pivot_ratios(self, w=None):
-        """The ratios by one dpttrf (module docstring), up to the first not
-        positive; the witness ``w`` of the dense surface is not needed."""
+    def pivot_ratios(self):
+        """The ratios by one dpttrf (module docstring), up to the first not positive."""
         if self.n == 1:  # the dpttrf wrapper rejects an empty off-diagonal
             return self.main.copy()
         # sqrt(sub_i sup_i) with both factors scaled by a power of two c near
@@ -142,7 +146,7 @@ class TridiagonalOperator:
         e *= self.sup / c
         np.sqrt(e, out=e)
         e *= c
-        d, _, info = dpttrf(self.main, e, overwrite_e=1)
+        d, _, info = _lapack().dpttrf(self.main, e, overwrite_e=1)
         return d[:info] if info > 0 else d
 
 
@@ -172,36 +176,40 @@ class _DenseOperator:
         return float(np.linalg.norm(self.dense, np.inf))
 
     def solve_shifted(self, d, rhs):
-        """Solve (A - diag(d)) x = rhs by one LAPACK dgesv call on a copy of A
-        whose diagonal is shifted in place; ``rhs`` may be overwritten with x."""
-        shifted = self.dense.copy(order="F")
+        """Solve (A - diag(d)) x = rhs by one numpy.linalg.solve call on a copy of A."""
+        shifted = self.dense.copy()
         shifted[np.diag_indices(self.n)] -= d
-        *_, x, info = dgesv(shifted, rhs, overwrite_a=1, overwrite_b=1)
-        if info > 0:
-            raise SingularMatrixError(f"singular system: zero pivot at {info - 1}")
-        return x
+        try:
+            return np.linalg.solve(shifted, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"singular system: {exc}") from None
 
     factorized = TridiagonalOperator.factorized
 
-    def pivot_ratios(self, w=None):
-        """diag(U) / w from dgetrf on W A^T (module docstring) when it exchanged no
-        rows (scipy's ipiv is 0-based), else elimination without row exchanges,
-        up to the first pivot not above 1e-300.  ``w`` is the witness when it
-        is finite and nonzero, else ones."""
-        if w is None or not np.all(np.isfinite(w) & (w != 0.0)):
-            w = np.ones(self.n)
-        lu, ipiv, _ = dgetrf(w[:, None] * self.dense.T, overwrite_a=1)
-        if np.array_equal(ipiv, np.arange(self.n)):
-            return np.diag(lu) / w
-        del lu
-        work = self.dense.copy()
-        ratios = []
-        for k in range(self.n):
-            ratios.append(work[k, k])
-            if not work[k, k] > _SINGULAR_RATIO:
-                break
-            work[k + 1 :, k + 1 :] -= np.outer(work[k + 1 :, k], work[k, k + 1 :]) / work[k, k]
-        return np.array(ratios)
+    def pivot_ratios(self):
+        """The ratios by elimination without row exchanges (module docstring)."""
+        return _elimination_pivots(self.dense.copy())
+
+
+def _elimination_pivots(a):
+    """Pivots of elimination without row exchanges on ``a`` (overwritten), up
+    to the first not above 1e-300.  Multipliers are divided by their pivot
+    before they multiply, so two large entries are never multiplied."""
+    n = a.shape[0]
+    if n > 24:
+        h = n // 2
+        head = _elimination_pivots(a[:h, :h].copy())
+        if not head[-1] > _SINGULAR_RATIO:
+            return head
+        a[h:, h:] -= a[h:, :h] @ np.linalg.solve(a[:h, :h], a[:h, h:])
+        return np.concatenate([head, _elimination_pivots(a[h:, h:])])
+    pivots = np.empty(n)
+    for k in range(n):
+        pivots[k] = a[k, k]
+        if not pivots[k] > _SINGULAR_RATIO:
+            return pivots[: k + 1]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / pivots[k], a[k, k + 1 :])
+    return pivots
 
 
 def as_operator(A):
@@ -217,7 +225,7 @@ class MCertificate:
     ``ratios`` are the elimination pivots, so the k-th leading minor is the
     product of the first k ratios; on a failed ratio they stop at the first
     one that is not positive.  ``witness`` = (w, Aw) with w = A^-1 1, solved
-    by the operator's one dgtsv or dgesv call and kept once every ratio is
+    by the operator's one solve call and kept once every ratio is
     positive; the verdict also requires w > 0 and Aw above its rounding
     bound.  An exact zero pivot of that solve behind positive ratios (rows
     were exchanged) leaves no witness and a false verdict.
@@ -252,9 +260,8 @@ def check_nonsingular_m_matrix(A):
     rounding bound of the product; ratios at or below 1e-300 yield a
     "numerically singular" note rather than a sign claim.
 
-    The witness is solved first, by one solve call that keeps no factor;
-    only then are the ratios computed (a dense operator's with w as its
-    scaling), so the two never hold memory at the same time.
+    The witness is solved first, by one solve call that keeps no factor; only
+    then are the ratios computed, so the two never hold memory at once.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
@@ -264,7 +271,7 @@ def check_nonsingular_m_matrix(A):
         w = op.factorized()(np.ones(op.n))
     except SingularMatrixError as exc:
         w, singular = None, f"numerically {exc}"
-    ratios = op.pivot_ratios(w)
+    ratios = op.pivot_ratios()
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
         i = int(failed[0])

@@ -154,6 +154,9 @@ class RegimeModel:
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{name} contains non-finite entries")
             vectors[name] = arr
+        big = float(np.abs(vectors["lambda"]).max())
+        if not math.isfinite(big * big):  # as the diffusion families' lambda
+            raise ModelError(f"|lambda| = {big!r} is too large: lambda^2 overflows a float")
         if np.any(vectors["sigma"] <= 0):
             raise ModelError("sigma must be positive in every state")
 

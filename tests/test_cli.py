@@ -322,6 +322,19 @@ def test_overflowing_lambda_is_refused_at_load(model_file, capsys, argv):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "wellposed"])
+def test_overflowing_regime_lambda_is_refused_at_load(model_file, capsys, command):
+    # lambda^2 overflows a float in state 0, and the frozen rate squares lambda.
+    huge = dict(REGIME, **{"lambda": [1e200, 0.1]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, [command, "--model", model_file(huge)])
+    assert rc == 1
+    assert out == "" and caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lambda" in err
+
+
 def test_solve_regime_document(model_file, capsys):
     rc, out, _ = run_cli(capsys, ["solve", "--model", model_file(REGIME)])
     assert rc == 0
@@ -741,6 +754,34 @@ def test_python_dash_m_invocation(model_file):
     )
     assert proc.returncode == 0
     assert "merton-factor" in proc.stdout
+
+
+_REGIME_WITHOUT_SCIPY = """
+import sys
+import merton_factor
+from merton_factor import check_wellposed, cli, estimate_value, load_model, solve_regime
+
+regime, mpr = sys.argv[1:]
+model = load_model(regime)
+assert check_wellposed(model).verdict
+solution = solve_regime(model)
+estimate_value(model, (solution.pi_hat, solution.u), 1.0, 0, 5.0, 0.05, 20, seed=1)
+assert cli.main(["solve", "--model", regime]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert cli.main(["solve", "--model", mpr, "--domain=-3,3", "--n", "50"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_regime_models_run_without_scipy(model_file):
+    # The dense route is numpy's; scipy loads at the first tridiagonal solve.
+    proc = subprocess.run(
+        [sys.executable, "-c", _REGIME_WITHOUT_SCIPY, model_file(REGIME), model_file(MPR, "mpr.json")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_worker_count_env(monkeypatch):

@@ -354,15 +354,10 @@ def _entered_faster_than_left(n):
     return np.diag(rng.uniform(0.05, 0.5, n)) - Q / 2.0
 
 
-def test_dense_ratios_skip_the_elimination_without_row_exchanges(monkeypatch):
-    # In linalg only the elimination without row exchanges calls np.outer.
-    # The ratios come from the LU of W A^T, W = diag(w), which is strictly
-    # column diagonally dominant when Aw > 0: no certified operator may reach
-    # the elimination, even one whose own LU exchanges rows.  A refusal whose
-    # scaled LU exchanges rows still needs it.
-    calls = []
-    outer = np.outer
-    monkeypatch.setattr(np, "outer", lambda *args: calls.append(1) or outer(*args))
+def test_dense_ratios_match_the_minors_whatever_rows_are_exchanged():
+    # The dense ratios come from elimination without row exchanges, so they
+    # are the minor ratios also on an M-matrix whose pivoting LU exchanges
+    # rows, and a refusal stops at its first ratio not positive.
     n = 50
     dominant = TridiagonalOperator(-np.ones(n - 1), np.full(n, 2.5), -np.ones(n - 1))
     assert check_nonsingular_m_matrix(dominant.to_dense()).verdict is True
@@ -376,10 +371,34 @@ def test_dense_ratios_skip_the_elimination_without_row_exchanges(monkeypatch):
     minors = oracles.leading_minors(generator)
     assert cert.verdict is True
     assert cert.ratios == pytest.approx(minors / np.concatenate([[1.0], minors[:-1]]), rel=1e-10)
-    assert calls == []
     cert = check_nonsingular_m_matrix(np.array([[0.01, -0.5], [-0.5, 0.01]]))
-    assert cert.verdict is False and calls
+    assert cert.verdict is False
     assert cert.ratios == pytest.approx([0.01, 0.01 - 25.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 10, 60, 200])
+def test_dense_ratios_match_the_minors_of_random_generators(n):
+    # n = 60 and 200 run the Schur-complement recursion.  Every other draw has
+    # eta of mixed sign, so refusals check the ratio prefix and its last entry.
+    rng = np.random.default_rng(n)
+    refused = 0
+    for trial in range(8):
+        Q = rng.exponential(1.0, (n, n)) / n
+        Q[rng.random((n, n)) < 0.3] = 0.0
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        R = float(rng.choice([0.5, 2.0, 5.0]))
+        eta = rng.uniform(0.01, 0.3, n) if trial % 2 == 0 else rng.normal(0.0, 0.2, n)
+        A = np.diag(eta) - Q / R
+        cert = check_nonsingular_m_matrix(A)
+        assert cert.verdict == oracles.is_m_matrix_by_minors(A)
+        k = len(cert.ratios)
+        minors = oracles.leading_minors(A)[:k]
+        assert cert.ratios == pytest.approx(minors / np.concatenate([[1.0], minors[:-1]]), rel=1e-10)
+        if not cert.verdict:
+            refused += 1
+            assert cert.failure_index == k - 1 and not cert.ratios[-1] > 0.0
+    assert refused >= 1
 
 
 @pytest.mark.filterwarnings("error")

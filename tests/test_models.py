@@ -278,6 +278,7 @@ _REGIME = {
         (_BS, "lambda", 1e200, r"^lambda = 1e\+200 is too large: lambda\^2 overflows"),
         (_HESTON, "lambda", -1e200, r"^lambda = -1e\+200 is too large: lambda\^2 overflows"),
         (_VASICEK, "lambda", 1e155, r"^lambda = 1e\+155 is too large: lambda\^2 overflows"),
+        (_REGIME, "lambda", [0.4, -1e200], r"^\|lambda\| = 1e\+200 is too large: lambda\^2"),
     ],
     ids=[
         "Q-string", "Q-ragged", "sigma-ragged", "y-object", "y-string", "y-infinite",
@@ -285,7 +286,7 @@ _REGIME = {
         "tabulated-b-zero", "bs-sigma-zero", "mpr-sigma-negative", "vasicek-sigma-zero",
         "mpr-nu-zero", "heston-nu-zero", "vasicek-nu-zero", "mpr-R-huge", "regime-R-subnormal",
         "regime-r-nan", "regime-sigma-zero", "mpr-rho-outside", "bs-lambda-huge",
-        "heston-lambda-huge", "vasicek-lambda-huge",
+        "heston-lambda-huge", "vasicek-lambda-huge", "regime-lambda-huge",
     ],
 )
 def test_malformed_model_arrays_raise_model_error(base, field, value, message):
