@@ -108,8 +108,11 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         raise ModelError("solve expects a DiffusionModel")
     work, phi = to_zero_correlation(model)
     A_h, grid = assemble_discrete_hjb(work, e_minus, e_plus, n_steps, scheme=scheme)
+    # With phi != 1 the residual is logged on u^(-R_tilde), the vector a CSV
+    # reader rebuilds from u.
+    check_power = None if phi == 1.0 else -work.R
     try:
-        core = solve_matrix_hjb(A_h, work.R, tol=tol)
+        core = solve_matrix_hjb(A_h, work.R, tol=tol, _check_power=check_power)
     except IllPosedError as exc:
         raise IllPosedError(
             "discretized problem is ill-posed (A_h is not a nonsingular M-matrix)",
@@ -117,9 +120,7 @@ def solve(model, e_minus, e_plus, n_steps, tol=1e-10, scheme="upwind"):
         ) from None
     u, f = core.u, core.f
     if phi != 1.0:
-        # The residual is logged on the vector a CSV reader rebuilds from u.
         f = u ** (-model.R)
-        core.residual, core.residual_scale = _hjb_residual(A_h.matvec, u ** (-work.R), core.p)
 
     du = np.gradient(u, float(grid[1] - grid[0]))
     du_over_u = du / u

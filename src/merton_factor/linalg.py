@@ -18,17 +18,23 @@ witness proves the M-matrix property of the stored entries; a matrix whose
 condition || |A| A^-1 1 ||_inf comes within about 100 of 1/eps may not be
 provable so and is then refused as numerically singular.
 
-Nothing is factored ahead of time or kept.  Every solve is one LU with
-partial pivoting that drops its factor on return: LAPACK's dgtsv for a
-tridiagonal operator, numpy.linalg.solve for a dense square matrix (which
-enters through :func:`as_operator`).  The certificate's witness, a step of
-the fixed point and a Newton step's shifted system (A - diag(d)) x = rhs all
-take this route, the first two with d = 0.  The certificate solves the
-witness first, then computes the ratios.  Those of a tridiagonal depend on
-its off-diagonals only through the products sub_i sup_i >= 0, so they are
-the pivots of LAPACK's dpttrf on (main, sqrt(sub sup)).  A dense matrix's
-are those of its leading half and of the half's Schur complement, down to
-blocks of at most 24 rows eliminated by rank-1 updates.
+Nothing is factored ahead of time or kept.  A step of the fixed point or a
+Newton step's shifted system (A - diag(d)) x = rhs is one LU with partial
+pivoting that drops its factor on return: LAPACK's dgtsv for a tridiagonal
+operator (on copies of the off-diagonals that a loop of steps reuses),
+numpy.linalg.solve for a dense square matrix (which enters through
+:func:`as_operator`).  The certificate computes the ratios first.
+Those of a tridiagonal depend on its off-diagonals only through the
+products sub_i sup_i >= 0, so they are the pivots of LAPACK's dpttrf on
+(main, sqrt(sub sup)).  Positive, they are also the pivots of A's LU
+without row exchanges, which is backward stable on an M-matrix (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9), so one
+dgttrs call on that LU solves the witness: one factorization serves both.
+A dense matrix's ratios are those of its leading half and of the half's
+Schur complement, down to blocks of at most 24 rows eliminated by rank-1
+updates; its witness is the pivoting solve.  A tridiagonal witness that
+fails the check gets a second try on the pivoting LU, as either one proves
+the property alone.
 """
 
 from dataclasses import dataclass
@@ -100,8 +106,9 @@ class TridiagonalOperator:
         x = np.asarray(x, dtype=float)
         out = self.main * x
         if self.n > 1:
-            out[:-1] += self.sup * x[1:]
-            out[1:] += self.sub * x[:-1]
+            product = self.sup * x[1:]  # one buffer for both off-diagonal products
+            out[:-1] += product
+            out[1:] += np.multiply(self.sub, x[:-1], out=product)
         return out
 
     def to_dense(self):
@@ -111,23 +118,40 @@ class TridiagonalOperator:
         return dense
 
     def norm_inf(self):
-        row = np.abs(self.main).copy()
+        row = np.abs(self.main)
         if self.n > 1:
-            row[:-1] += np.abs(self.sup)
-            row[1:] += np.abs(self.sub)
+            band = np.abs(self.sup)  # one buffer for both off-diagonals
+            row[:-1] += band
+            row[1:] += np.abs(self.sub, out=band)
         return float(row.max())
 
     def solve_shifted(self, d, rhs):
-        """Solve (A - diag(d)) x = rhs by one LAPACK dgtsv call on copies of
-        the bands; ``rhs`` may be overwritten with x.  A zero pivot raises
-        SingularMatrixError.
-        """
+        """Solve (A - diag(d)) x = rhs by one call of a :meth:`shifted_solver`
+        on a copy of d; ``rhs`` may be overwritten with x.  A zero pivot
+        raises SingularMatrixError."""
+        return self.shifted_solver()(np.array(np.broadcast_to(d, self.n), dtype=float), rhs)
+
+    def shifted_solver(self):
+        """A function that solves (A - diag(d)) x = rhs by one LAPACK dgtsv
+        call, overwriting d and rhs.  dgtsv overwrites the off-diagonals it
+        is given, so the function copies them into two buffers of its own,
+        made once for all of its calls: a loop of solves allocates no new
+        bands.  A zero pivot raises SingularMatrixError."""
         if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
-            return _DenseOperator(self.main[:, None]).solve_shifted(d, rhs)
-        *_, x, info = _lapack().dgtsv(self.sub, self.main - d, self.sup, rhs, overwrite_d=1, overwrite_b=1)
-        if info > 0:
-            raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
-        return x
+            return _DenseOperator(self.main[:, None]).solve_shifted
+        dgtsv, sub, sup = _lapack().dgtsv, np.empty(self.n - 1), np.empty(self.n - 1)
+
+        def solve(d, rhs):
+            np.copyto(sub, self.sub)
+            np.copyto(sup, self.sup)
+            main = np.subtract(self.main, d, out=d)
+            flags = {"overwrite_dl": 1, "overwrite_d": 1, "overwrite_du": 1, "overwrite_b": 1}
+            *_, x, info = dgtsv(sub, main, sup, rhs, **flags)
+            if info > 0:
+                raise SingularMatrixError(f"singular tridiagonal system: zero pivot at {info - 1}")
+            return x
+
+        return solve
 
     def factorized(self):
         """Solve closure for A x = rhs: :meth:`solve_shifted` with no shift, on
@@ -148,6 +172,17 @@ class TridiagonalOperator:
         e *= c
         d, _, info = _lapack().dpttrf(self.main, e, overwrite_e=1)
         return d[:info] if info > 0 else d
+
+    def solve_certified(self, ratios, rhs):
+        """Solve A x = rhs, overwriting ``rhs`` with x, by the LU without row
+        exchanges whose pivots are the positive ``ratios`` of
+        :meth:`pivot_ratios`: one dgttrs call with identity pivots, unit lower
+        band sub / ratios[:-1] and upper bands (ratios, sup)."""
+        if self.n < 3:  # the dgttrs wrapper rejects an empty second superdiagonal
+            return self.solve_shifted(0.0, rhs)
+        lower, second = self.sub / ratios[:-1], np.zeros(self.n - 2)
+        pivots = np.arange(1, self.n + 1, dtype=np.intc)
+        return _lapack().dgttrs(lower, ratios, self.sup, second, pivots, rhs, overwrite_b=1)[0]
 
 
 class _DenseOperator:
@@ -185,6 +220,14 @@ class _DenseOperator:
             raise SingularMatrixError(f"singular system: {exc}") from None
 
     factorized = TridiagonalOperator.factorized
+
+    def shifted_solver(self):
+        """:meth:`solve_shifted` itself: it overwrites neither argument."""
+        return self.solve_shifted
+
+    def solve_certified(self, ratios, rhs):
+        """Solve A x = rhs by :meth:`solve_shifted` with no shift; the ratios are not needed."""
+        return self.solve_shifted(0.0, rhs)
 
     def pivot_ratios(self):
         """The ratios by elimination without row exchanges (module docstring)."""
@@ -225,11 +268,12 @@ class MCertificate:
     ``ratios`` are the elimination pivots, so the k-th leading minor is the
     product of the first k ratios; on a failed ratio they stop at the first
     one that is not positive.  ``witness`` = (w, Aw) with w = A^-1 1, solved
-    by the operator's one solve call and kept once every ratio is
-    positive; the verdict also requires w > 0 and Aw above its rounding
-    bound.  An exact zero pivot of that solve behind positive ratios (rows
-    were exchanged) leaves no witness and a false verdict.
-    ``failure_index`` is the first index where positivity fails.
+    once every ratio is positive (a tridiagonal's on the LU whose pivots are
+    the ratios, and on the pivoting LU if that one fails); the verdict also
+    requires w > 0 and Aw above its rounding bound.  An exact zero pivot of
+    a pivoting solve behind positive ratios (rows were exchanged) leaves no
+    witness and a false verdict.  ``failure_index`` is the first index
+    where positivity fails.
     """
 
     verdict: bool
@@ -260,17 +304,16 @@ def check_nonsingular_m_matrix(A):
     rounding bound of the product; ratios at or below 1e-300 yield a
     "numerically singular" note rather than a sign claim.
 
-    The witness is solved first, by one solve call that keeps no factor; only
-    then are the ratios computed, so the two never hold memory at once.
+    The ratios come first.  A tridiagonal (n >= 3) then solves the witness
+    by :meth:`TridiagonalOperator.solve_certified` on the LU whose pivots
+    they are, so one dpttrf is its only factorization; a witness that fails
+    is solved once more by the pivoting LU of :meth:`factorized`.  A dense
+    matrix solves it by numpy.linalg.solve.  No factor is kept.
     """
     op = as_operator(A)
     where = op.positive_off_diagonal()
     if where is not None:
         raise NotZMatrixError(f"positive off-diagonal entry {where}; not a Z-matrix")
-    try:
-        w = op.factorized()(np.ones(op.n))
-    except SingularMatrixError as exc:
-        w, singular = None, f"numerically {exc}"
     ratios = op.pivot_ratios()
     failed = np.flatnonzero(~(ratios > _SINGULAR_RATIO))
     if failed.size:
@@ -281,14 +324,16 @@ def check_nonsingular_m_matrix(A):
         else:
             note = f"numerically singular: pivot ratio {r:.6g} at index {i}"
         return MCertificate(verdict=False, ratios=ratios[: i + 1], failure_index=i, note=note)
-    if w is None:  # positive ratios, yet an exact zero pivot in U
-        return MCertificate(verdict=False, ratios=ratios, note=singular)
-    image = op.matvec(w)
-    # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
-    # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.
-    # diag(A) w is formed first: 2 diag(A) alone can overflow.
-    rounding = op.row_terms * np.finfo(float).eps * (2.0 * (op.main * w) - image)
-    bad = np.flatnonzero(~((w > 0.0) & (image > rounding)))
+    try:
+        w = op.solve_certified(ratios, np.ones(op.n))
+        image, bad = _witness_failures(op, w)
+        if bad.size and isinstance(op, TridiagonalOperator):
+            # A second try on the pivoting LU (for n < 3 the first one was):
+            # either witness proves the M-matrix property alone.
+            w = op.factorized()(np.ones(op.n))
+            image, bad = _witness_failures(op, w)
+    except SingularMatrixError as exc:  # a pivoting LU met an exact zero behind positive ratios
+        return MCertificate(verdict=False, ratios=ratios, note=f"numerically {exc}")
     note = ""
     if bad.size:
         note = "witness w = A^-1 1 fails w > 0, Aw > 0 beyond rounding: not an M-matrix or singular"
@@ -299,3 +344,16 @@ def check_nonsingular_m_matrix(A):
         failure_index=int(bad[0]) if bad.size else None,
         note=note,
     )
+
+
+def _witness_failures(op, w):
+    """(Aw, the indices where w > 0 or Aw above its rounding bound fails)."""
+    image = op.matvec(w)
+    # Positive ratios give a Z-matrix a positive diagonal, so |A| w = 2 diag(A) w - Aw
+    # for w > 0; k eps |A| w is twice the rounding bound of a k-term row product.
+    # diag(A) w is formed first: 2 diag(A) alone can overflow.
+    rounding = op.main * w
+    rounding *= 2.0
+    rounding -= image
+    rounding *= op.row_terms * np.finfo(float).eps
+    return image, np.flatnonzero(~((w > 0.0) & (image > rounding)))

@@ -86,11 +86,26 @@ def _frozen_rate_at(y, delta, r, lam, R):
 
 
 def _constant(value):
-    return lambda y: np.full_like(y, value)
+    """``y -> value`` at every entry of y, as a read-only view with zero
+    strides: no memory per call, and no caller can change the constant."""
+    base = np.array(value, dtype=float)
+    base.setflags(write=False)
+    return lambda y: np.ndarray(y.shape, float, base, 0, (0,) * y.ndim)
 
 
 def _interpolant(grid, values):
     return lambda y: np.interp(y, grid, values)
+
+
+def _check_lambda(name, lam, R):
+    """ModelError unless lambda^2 and eta's term (1 - R) lambda^2 / (2 R^2) are floats."""
+    if not math.isfinite(lam * lam):
+        raise ModelError(f"{name} = {lam!r} is too large: lambda^2 overflows a float")
+    if not math.isfinite((1.0 - R) * (lam * lam / (2.0 * R)) / R):
+        raise ModelError(
+            f"{name} = {lam!r} and R = {R!r} overflow the frozen rate eta:"
+            " (1 - R) lambda^2 / (2 R^2) is not a finite float"
+        )
 
 
 def _check_risk_aversion(R):
@@ -154,9 +169,6 @@ class RegimeModel:
             if not np.all(np.isfinite(arr)):
                 raise ModelError(f"{name} contains non-finite entries")
             vectors[name] = arr
-        big = float(np.abs(vectors["lambda"]).max())
-        if not math.isfinite(big * big):  # as the diffusion families' lambda
-            raise ModelError(f"|lambda| = {big!r} is too large: lambda^2 overflows a float")
         if np.any(vectors["sigma"] <= 0):
             raise ModelError("sigma must be positive in every state")
 
@@ -166,6 +178,7 @@ class RegimeModel:
         self.sigma = vectors["sigma"]
         self.delta = vectors["delta"]
         self.R = _check_risk_aversion(R)
+        _check_lambda("|lambda|", float(np.abs(self.lam).max()), self.R)
         for arr in (self.Q, self.r, self.lam, self.sigma, self.delta):
             arr.setflags(write=False)
         states = np.arange(n)
@@ -250,8 +263,8 @@ class DiffusionModel:
             raise ModelError("sigma must be positive")
         if "nu" in p and p["nu"] == 0:
             raise ModelError("nu must be nonzero")
-        if "lambda" in p and not math.isfinite(p["lambda"] * p["lambda"]):  # as nu^2 below
-            raise ModelError(f"lambda = {p['lambda']!r} is too large: lambda^2 overflows a float")
+        if "lambda" in p:
+            _check_lambda("lambda", p["lambda"], R)
 
         # Each coefficient starts as the constant its parameter names; the
         # overrides below replace those that depend on the factor, which

@@ -162,7 +162,9 @@ def _hjb_residual(matvec, x, p):
     """(||A x - x^p||_inf, ||x^p||_inf) of an x > 0: the residual every
     solution logs and every CSV reader recomputes, so the two agree bitwise."""
     rhs = x**p
-    return float(np.max(np.abs(matvec(x) - rhs))), float(np.max(rhs))
+    image = matvec(x)
+    image -= rhs
+    return float(max(image.max(), -image.min())), float(rhs.max())
 
 
 def _fixed_point_box(c_min, c_max, p):
@@ -195,18 +197,21 @@ def _certified_witness(op):
     return certificate.witness[0]
 
 
-def _step(op, x, p, shift, tol, rounding):
+def _step(op, solve, x, p, shift, tol, rounding):
     """(x - (A - diag(d))^-1 (A x - x^p), whether ||A x - x^p|| <= tol ||x^p|| +
     rounding ||x||) with d = shift x^(p-1): Newton's step at shift = p, T x at
-    shift = 0.  A function of its own, so no temporary outlives the step."""
+    shift = 0, solved by ``solve``, the loop's ``op.shifted_solver()``.  A
+    function of its own, so no temporary outlives the step."""
     rhs = x**p
-    fx = op.matvec(x) - rhs
-    at_floor = np.max(np.abs(fx)) <= tol * np.max(rhs) + rounding * np.max(x)
+    fx = op.matvec(x)
+    fx -= rhs
+    at_floor = max(fx.max(), -fx.min()) <= tol * rhs.max() + rounding * x.max()
     rhs *= shift / x  # now the diagonal shift d
-    return x - op.solve_shifted(rhs, fx), at_floor
+    sol = solve(rhs, fx)
+    return np.subtract(x, sol, out=sol), at_floor
 
 
-def _iterate(A, p, method, tol):
+def _iterate(A, p, method, tol, check_power=None):
     """Certify A, then solve A x = x^p by :func:`_step`; the one loop behind both solvers.
 
     A that is not a nonsingular M-matrix raises :class:`IllPosedError`
@@ -222,34 +227,41 @@ def _iterate(A, p, method, tol):
     tolerance (Kelley, *Iterative Methods for Linear and Nonlinear
     Equations*, 1995, ch. 5); ``step`` when s_k is; ``floor`` when the
     residual before the step was at the rounding floor and s_k >= s_(k-1).
-    The result records ``tol``, the solver's own tolerance.  An iterate
-    outside the positive cone raises :class:`NotMMatrixError`.
+    The result records ``tol``, the solver's own tolerance, and the
+    residual of x, or of u^check_power with u = x^(p-1) when
+    ``check_power`` is given.  An iterate outside the positive cone raises
+    :class:`NotMMatrixError`.
     """
     op = as_operator(A)
     w = _certified_witness(op)
-    x = _newton_start(op, w, p)
     if method == "newton":
         shift, cap, step_tol = p, 100, tol
     else:
         m_box, M_box = _fixed_point_box(float(w.min()), float(w.max()), p)
         shift, cap, step_tol = 0.0, _iteration_cap(m_box, M_box, p, tol) + 32, tol * (1.0 - abs(p))
+    x = _newton_start(op, w, p)
+    del w  # x's buffer from here on
     rounding = np.finfo(float).eps * op.norm_inf()
     trace = []
     log_x = np.log(x)
+    solve = op.shifted_solver()
     for _ in range(cap):
-        x_next, at_floor = _step(op, x, p, shift, tol, rounding)
-        if not np.all(x_next > 0.0):
+        x, at_floor = _step(op, solve, x, p, shift, tol, rounding)
+        if not x.min() > 0.0:
             raise NotMMatrixError("iteration left the positive cone; A is not an M-matrix")
-        log_next = np.log(x_next)
-        trace.append(float(np.max(np.abs(log_next - log_x))))
-        x, log_x = x_next, log_next
+        log_next = np.log(x)
+        log_x -= log_next
+        trace.append(float(max(log_x.max(), -log_x.min())))
+        log_x = log_next
         s, last = trace[-1], trace[-2] if len(trace) > 1 else math.nan  # NaN fails every test
         quadratic = method == "newton" and s < last and s**3 <= step_tol * last**2
         if quadratic or s <= step_tol or (at_floor and s >= last):
+            del log_x, log_next, solve
             stop = "quadratic" if quadratic else "step" if s <= step_tol else "floor"
-            residual, scale = _hjb_residual(op.matvec, x, p)
-            trace = np.array(trace)
             u = x ** (p - 1.0)
+            check = x if check_power is None else u**check_power
+            residual, scale = _hjb_residual(op.matvec, check, p)
+            trace = np.array(trace)
             return HjbSolution(x, u, p, trace.size, trace, residual, scale, method, stop, float(tol))
     raise ConvergenceError(f"{method} not converged after {cap} iterations", last_iterate=x)
 
@@ -274,8 +286,10 @@ def solve_hjb_fixed_point(A, p, tol=1e-10):
 
 def _newton_start(op, w, p):
     """Both methods' start for A x = x^p from the witness w = A^-1 1, on
-    Newton's safe side of the root (see :func:`solve_hjb_newton`)."""
-    x0 = float(w.max()) ** (p / (1.0 - p)) * w
+    Newton's safe side of the root (see :func:`solve_hjb_newton`), formed in
+    w's buffer."""
+    x0 = w
+    x0 *= float(w.max()) ** (p / (1.0 - p))
     if p <= 0.0:
         image = op.matvec(np.ones(op.n))
         positive = image[image > 0.0]
@@ -284,7 +298,7 @@ def _newton_start(op, w, p):
     return x0
 
 
-def solve_hjb_newton(A, p, tol=1e-10):
+def solve_hjb_newton(A, p, tol=1e-10, *, _check_power=None):
     """Newton's method for A x = x^p, any p < 1: the route of every solve.
 
     It starts from the certificate's witness w = A^-1 1 scaled by
@@ -317,21 +331,22 @@ def solve_hjb_newton(A, p, tol=1e-10):
     certificate; an iterate leaving the positive cone raises
     :class:`NotMMatrixError`; no convergence within 100 steps raises
     :class:`ConvergenceError` with the last iterate attached.
+    ``_check_power`` is :func:`_iterate`'s ``check_power``.
     """
     if not p < 1.0:
         raise ValueError(f"p = {p} must be < 1")
-    return _iterate(A, p, "newton", tol)
+    return _iterate(A, p, "newton", tol, _check_power)
 
 
-def solve_matrix_hjb(A, R, tol=1e-10):
+def solve_matrix_hjb(A, R, tol=1e-10, *, _check_power=None):
     """Solve A x = x^(1 - 1/R) by :func:`solve_hjb_newton`, for every R.
 
     Its step count grows neither with the grid size nor as |p| -> 1, where
     the contraction's does (217 steps at R = 10).  A that is not a
     nonsingular M-matrix raises :class:`IllPosedError` carrying the failed
-    certificate.
+    certificate.  ``_check_power`` is :func:`_iterate`'s ``check_power``.
     """
-    return solve_hjb_newton(A, 1.0 - 1.0 / R, tol=tol)
+    return solve_hjb_newton(A, 1.0 - 1.0 / R, tol=tol, _check_power=_check_power)
 
 
 def cyclic_wellposed(eta, q, R):

@@ -20,6 +20,7 @@ from merton_factor import (
     check_nonsingular_m_matrix,
     solve_matrix_hjb,
 )
+from merton_factor import linalg
 from merton_factor.linalg import as_operator
 
 
@@ -200,6 +201,34 @@ def test_near_singular_verdicts_match_exact_pivots(sub, sup, main0, digits, thir
         assert verdict or not resolvable, "refused an M-matrix of condition below 0.01/eps"
 
 
+def _near_singular_draws(rng, count):
+    """(main, sub, sup) of 3x3 Z-tridiagonals drawn as in the test above."""
+    for _ in range(count):
+        sub, sup = -rng.uniform(0.1, 1.0, 2), -rng.uniform(0.1, 1.0, 2)
+        main0, digits, third = rng.uniform(0.5, 2.0), rng.uniform(6.0, 12.0), rng.uniform(-1.0, 1.0)
+        head = Fraction(sub[0]) * Fraction(sup[0]) / Fraction(main0)
+        main1 = float(head + Fraction(10.0**-digits))
+        main2 = float(Fraction(sub[1]) * Fraction(sup[1]) / (Fraction(main1) - head) + Fraction(third))
+        yield [main0, main1, main2], sub.tolist(), sup.tolist()
+
+
+def test_near_singular_sweep_certifies_no_fewer_and_no_non_m_matrix():
+    # 1,000 seeded draws with second pivot 1e-6..1e-12.  The witness taken from
+    # the ratios, with the pivoting LU's as a second try, must certify no
+    # fewer M-matrices than the pivoting LU's witness alone (its count on
+    # these draws: 131 of 498), and no matrix with a pivot that is not
+    # positive in rationals.
+    certified = exact_m = 0
+    for main, sub, sup in _near_singular_draws(np.random.default_rng(16), 1000):
+        pivots, w = _exact_pivots_and_witness(main, sub, sup)
+        verdict = check_nonsingular_m_matrix(TridiagonalOperator(sub, main, sup)).verdict
+        assert not (verdict and w is None), f"certified a matrix with exact pivots {pivots}"
+        exact_m += w is not None
+        certified += verdict
+    assert exact_m == 498
+    assert certified >= 131
+
+
 def test_positive_off_diagonal_is_rejected_not_judged():
     bad = np.array([[1.0, 0.2], [-0.1, 1.0]])
     with pytest.raises(NotZMatrixError, match=r"\(0, 1\)"):
@@ -340,6 +369,46 @@ def test_certificate_ratios_match_the_recursion_whatever_rows_are_exchanged():
             elif n >= 3 and _exchanges_rows(op):
                 exchanged += 1
     assert exchanged >= 10 and refused == 20
+
+
+def test_witness_from_the_ratios_passes_where_rows_are_exchanged():
+    # The certificate's witness comes from the LU without row exchanges whose
+    # pivots are its ratios, also where partial pivoting would exchange rows;
+    # it passes the rounding check, and the verdict is the rationals'.
+    rng = np.random.default_rng(67)
+    exchanged = 0
+    for n in (3, 4, 10, 40):
+        for _ in range(8):
+            op = _tridiagonal_from_ratios(rng, rng.uniform(0.5, 2.0, n))
+            if not _exchanges_rows(op):
+                continue
+            exchanged += 1
+            pivots, exact = _exact_pivots_and_witness(op.main, op.sub, op.sup)
+            cert = check_nonsingular_m_matrix(op)
+            assert exact is not None and cert.verdict is True
+            assert np.array_equal(cert.witness[0], op.solve_certified(cert.ratios, np.ones(n)))
+            assert cert.witness[0] == pytest.approx([float(v) for v in exact], rel=1e-12)
+    assert exchanged >= 20
+
+
+def test_tridiagonal_certificate_factors_once(monkeypatch):
+    # n >= 3: one dpttrf gives the ratios and, through dgttrs on its pivots,
+    # the witness; no pivoting LU (dgtsv) runs, with or without row exchanges.
+    lapack, calls = linalg._lapack(), []
+
+    class Counting:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lapack, name)
+
+    monkeypatch.setattr(linalg, "_lapack", Counting)
+    dominant = TridiagonalOperator(-np.ones(999), np.full(1000, 2.5), -np.ones(999))
+    swapping = TridiagonalOperator([-1.5, -1.5], [1.0, 2.0, 2.0], [-0.5, -0.5])
+    assert _exchanges_rows(swapping)
+    for op in (dominant, swapping):
+        calls.clear()
+        assert check_nonsingular_m_matrix(op).verdict is True
+        assert calls == ["dpttrf", "dgttrs"]
 
 
 def _entered_faster_than_left(n):

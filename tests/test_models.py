@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,45 @@ def test_malformed_model_arrays_raise_model_error(base, field, value, message):
     fields[field] = value
     with pytest.raises(ModelError, match=message):
         load_model(document)
+
+
+@pytest.mark.parametrize(
+    "document, name",
+    [
+        ({**_REGIME, "lambda": [1e154, 0.1], "R": 0.1}, r"\|lambda\| = 1e\+154"),
+        ({**_BS, "params": {**_BS["params"], "lambda": 1e154, "R": 0.1}}, r"lambda = 1e\+154"),
+    ],
+    ids=["regime", "black_scholes"],
+)
+def test_overflowing_frozen_rate_is_refused_at_load(document, name):
+    # lambda^2 = 1e308 is a float, but lambda^2 / (2R) = 5e308 is not: eta would
+    # be -inf.  The refusal names lambda and R, and nothing warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=rf"^{name} and R = 0\.1 overflow the frozen rate eta"):
+            load_model(document)
+    # lambda^2 / (2R) = 1e308 at R = 0.5 still loads, with a finite eta.
+    document = copy.deepcopy(document)
+    fields = document if document["family"] == "regime" else document["params"]
+    fields["R"] = 0.5
+    model = load_model(document)
+    eta = model.eta() if document["family"] == "regime" else model.eta(np.zeros(3))
+    assert np.all(np.isfinite(eta))
+
+
+def test_constant_coefficients_are_read_only_and_take_no_memory(mpr_model):
+    # A constant coefficient is one shared value: writing into what a call
+    # returned must raise, and must not reach the next call.
+    grid = np.linspace(-1.0, 1.0, 5)
+    sigma = mpr_model.sigma(grid)
+    assert sigma.tolist() == [0.2] * 5 and sigma.strides == (0,)
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sigma += 1.0
+    assert mpr_model.sigma(grid).tolist() == [0.2] * 5
+    assert mpr_model.sigma(0.5).shape == () and float(mpr_model.sigma(0.5)) == 0.2
+    assert mpr_model.b(np.zeros((2, 3))).shape == (2, 3)
 
 
 # Valid documents of every family; the fuzz below breaks one to three fields.
