@@ -21,11 +21,11 @@ variance.  black_scholes has no factor noise; its value is the realized J.
 A diffusion path is simulated in two stages.  A sampler draws the path's
 increments and from them the factor at the step starts by Euler (full
 truncation at the boundary of the state space; none for black_scholes).
-Then one wealth kernel turns those arrays into running log wealth, running
-discount and each step's utility flow.  It reads four step coefficients,
-drift * dt, vol, delta * dt and log xi: one row at ``y0`` for
-black_scholes, so its discount is one cumulative sum shared by every path;
-for other diffusions, values on the clipped factor.  Paths are
+Then one wealth kernel turns those arrays into each step's utility flow,
+from log wealth and the discount at the step's start.  It reads four step
+coefficients, drift * dt, vol, delta * dt and log xi: one row at ``y0``
+for black_scholes, so its discount is one cumulative sum shared by every
+path; for other diffusions, values on the clipped factor.  Paths are
 sampled in blocks of about 10^6 path-steps; the kernel runs on row slices
 of at most ``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
 A callable policy, and a tabulated model's coefficients, see each slice's
@@ -38,24 +38,20 @@ A regime chain is sampled exactly by uniformization and is independent of
 the asset noise, so a path's value is E[J | chain], from per-state tables
 built once per call: over a stretch of steps in one state it is a
 geometric sum in closed form, so the work per path is one term per chain
-event.  ``simulate_wealth`` is a realized path: it draws all the asset
-noise of its one path.
+event.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
-per path.  A regime path's stream holds, in order, its event count
-N ~ Poisson(Lambda T), N uniforms for the event times, N uniforms for the
-moves and (``simulate_wealth`` only) the asset normals; a diffusion path's
-holds its n_steps factor normals (the asset normals for black_scholes),
-then (``simulate_wealth`` only) its perpendicular normals.  The estimator
-reads only the first n_steps normals of a diffusion stream.
+per path.  A regime path reads from its stream, in order, its event count
+N ~ Poisson(Lambda T), N uniforms for the event times and N uniforms for
+the moves; a diffusion path reads its n_steps factor normals (the asset
+normals for black_scholes).
 Blocks are index-addressed and reduced in a fixed order, so results are
 bitwise identical for any worker count (``MERTON_FACTOR_THREADS``).
 """
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,27 +63,20 @@ __all__ = [
     "PathSample",
     "ValueEstimate",
     "sample_ctmc_path",
-    "simulate_wealth",
     "estimate_value",
 ]
 
 
 @dataclass
 class PathSample:
-    """One simulated path.
+    """One factor chain path of :func:`sample_ctmc_path`.
 
-    For bare factor paths (``sample_ctmc_path``), ``times`` holds the segment
-    start times plus the terminal time and ``states`` one state per segment;
-    wealth and the integrals are None.  For wealth simulations, all arrays
-    are aligned with the step grid ``times`` and the integrals are the
-    running discount exponent and utility accumulator.
+    ``times`` holds the segment start times plus the terminal time and
+    ``states`` one state per segment.
     """
 
     times: np.ndarray
     states: np.ndarray
-    wealth: Optional[np.ndarray] = None
-    discount_integral: Optional[np.ndarray] = None
-    utility_integral: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -134,8 +123,8 @@ def _path_streams(seed):
 
 def default_horizon(min_eta, cutoff=1e-4):
     """Horizon T with exp(-min_eta * T) < cutoff (discounted flow decays at eta)."""
-    if min_eta <= 0.0:
-        raise ValueError("default horizon needs a positive minimal eta")
+    if not 0.0 < min_eta < math.inf:
+        raise ValueError(f"default horizon needs a positive finite minimal eta, got {min_eta}")
     return math.log(1.0 / cutoff) / min_eta
 
 
@@ -198,12 +187,6 @@ def _grid_edges(times, n_steps, dt):
     return k
 
 
-def _on_grid(times, states, n_steps, dt):
-    """(paths, n_steps) state at each step start: ``states[:, e]`` up to ``times[:, e]``."""
-    counts = np.diff(_grid_edges(times, n_steps, dt), axis=1, prepend=0, append=n_steps)
-    return np.repeat(states.ravel(), counts.ravel()).reshape(-1, n_steps)
-
-
 def sample_ctmc_path(Q, y0, T, seed):
     """Sample the factor chain exactly on [0, T]: path 0 of the estimator's sampler.
 
@@ -252,12 +235,12 @@ def _clipper(model):
     return lambda y: y
 
 
-def _step_coefficients(model, policy, dt, y0, n_steps, realized=False):
+def _step_coefficients(model, policy, dt, y0, n_steps):
     """``lookup(factor)``: (drift * dt, vol, delta * dt, log xi) at a factor block.
 
     The kernel weights the sampled normals by vol = pi sigma c, c being the
-    share of the asset noise they carry: 1 for a ``realized`` path and for
-    black_scholes, rho for an Euler factor's normals, 0 for a regime chain.
+    share of the asset noise they carry: 1 for black_scholes, rho for an
+    Euler factor's normals, 0 for a regime chain.
     drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
     h = (1 - (1-R)(1 - c^2)) / 2 also holds the conditional mean of the
     noise integrated out; at c = 1, h is exactly 1/2.  A regime model's
@@ -277,10 +260,7 @@ def _step_coefficients(model, policy, dt, y0, n_steps, realized=False):
     regime = isinstance(model, RegimeModel)
     if not (regime or isinstance(model, DiffusionModel)):
         raise ModelError(f"cannot simulate model of type {type(model).__name__}")
-    if realized or (not regime and model.family == "black_scholes"):
-        share = 1.0
-    else:
-        share = 0.0 if regime else model.rho
+    share = 0.0 if regime else 1.0 if model.family == "black_scholes" else model.rho
     h = 0.5 * (1.0 - (1.0 - model.R) * (1.0 - share * share))
 
     def at(y, r, lam, sig, delta):
@@ -288,7 +268,8 @@ def _step_coefficients(model, policy, dt, y0, n_steps, realized=False):
         xi_s = xi(y) if callable(xi) else xi
         # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
         drift = (r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2) * dt
-        with np.errstate(divide="ignore"):
+        # log of xi < 0 is NaN, which the estimator refuses with the path.
+        with np.errstate(divide="ignore", invalid="ignore"):
             return drift, pi_s * sig * share, delta * dt, np.log(xi_s)
 
     if regime:
@@ -331,7 +312,8 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
     """(factor at the step starts, increments sqrt(dt) z) of a block of diffusion paths.
 
     Path ``idx`` draws the first ``n_steps`` normals z of its own Philox
-    stream: the factor normals of an Euler family, the asset normals of
+    stream: the factor normals of an Euler family, whose factor is the
+    full-truncation Euler path they drive, or the asset normals of
     black_scholes (whose factor is one column holding ``y0``).  With
     ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
     """
@@ -343,51 +325,43 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
     dw *= math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
     if model.family == "black_scholes":
         return np.full((indices.shape[0], 1), float(y0)), dw
-    return _euler_factor(model, y0, dt, dw), dw
-
-
-def _euler_factor(model, y0, dt, dw):
-    """Full-truncation Euler factor at the step starts, one row per row of increments ``dw``."""
     clip, a, b = _clipper(model), model.a, model.b
     factor = np.empty(dw.shape)
     y = np.full(dw.shape[0], float(y0))
-    for k in range(dw.shape[1]):
+    for k in range(n_steps):
         factor[:, k] = y
         yc = clip(y)
         y = y + a(yc) * dt + b(yc) * dw[:, k]
-    return factor
+    return factor, dw
 
 
 def _wealth_kernel(lookup, R, x0, dt, factor, dw):
-    """(log wealth, discount exponent, utility flow) of a block of paths.
+    """Utility flow of a block of paths, (paths, n_steps) like ``dw``.
 
     ``factor`` and the sampled increments ``dw`` come from
     :func:`_sample_block` and ``lookup`` from :func:`_step_coefficients`.
-    Column k of log wealth and discount is the value at t_k,
-    k = 0..n_steps (the discount may be one row shared by every path); flow
-    is (paths, n_steps) like ``dw``.
+    Column k of log wealth and of the discount exponent is the value at
+    t_k (the discount may be one row shared by every path).
     """
     drift, vol, delta_dt, log_xi = lookup(factor)
-    rows, n = dw.shape
     increments = vol * dw
     increments += drift
-    log_x = np.empty((rows, n + 1))
-    log_x[:, 0] = 0.0
-    np.cumsum(increments, axis=1, out=log_x[:, 1:])
+    log_x = np.zeros(dw.shape)
+    np.cumsum(increments[:, :-1], axis=1, out=log_x[:, 1:])
     log_x += math.log(x0)
-    disc = np.zeros((delta_dt.shape[0], n + 1))
-    np.cumsum(delta_dt, axis=1, out=disc[:, 1:])
+    disc = np.zeros((delta_dt.shape[0], dw.shape[1]))
+    np.cumsum(delta_dt[:, :-1], axis=1, out=disc[:, 1:])
     # Left-endpoint rule: step k reads wealth and discount at its start.  The
     # exponent is (1-R) log c - disc; at c = 0 it is -inf for R < 1 (flow 0)
     # and +inf for R > 1 (flow -inf).
-    log_c = log_xi + log_x[:, :-1]
+    log_c = np.add(log_xi, log_x, out=log_x)
     with np.errstate(over="ignore", invalid="ignore"):
         flow = np.multiply(log_c, 1.0 - R, out=log_c)
-        flow -= disc[:, :-1]
+        flow -= disc
         np.exp(flow, out=flow)
         flow /= 1.0 - R
     flow *= dt
-    return log_x, disc, flow
+    return flow
 
 
 def _stretch_sums(log_w, a, m, start):
@@ -410,8 +384,8 @@ def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
     the per-state tables of ``lookup`` at share c = 0, whose drift already
     holds the integrated asset variance.
     ``times`` and ``states`` come from :func:`_embedded_chains`.  The events
-    cut the grid into stretches (step counts from the edges of
-    :func:`_on_grid`), each summed in closed form.  An event that leaves
+    cut the grid into stretches (step counts from :func:`_grid_edges`),
+    each summed in closed form.  An event that leaves
     (a, log w) unchanged does not cut, so chains with equal coefficient
     paths give bitwise equal values; the sums run in sequence, where the
     zero terms of uncut events and padding add exactly nothing.
@@ -501,11 +475,16 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, indices, antithetic)
         for lo in range(0, stop - start, rows):
             part = slice(lo, lo + rows)
-            flow = _wealth_kernel(lookup, model.R, x0, dt, factor[part], dw_asset[part])[2]
+            flow = _wealth_kernel(lookup, model.R, x0, dt, factor[part], dw_asset[part])
             block_values[part] = flow.sum(axis=1)
             block_tails[part] = flow[:, k_tail:].sum(axis=1)
 
     map_ordered(run, ranges)
+    nan_paths = np.flatnonzero(np.isnan(values))
+    if nan_paths.size:
+        raise ValueError(
+            f"path {nan_paths[0]}'s value is NaN: the policy has xi < 0 or a NaN pi or xi on it"
+        )
 
     mean = float(np.mean(values))
     # Infinite path values (zero consumption with R > 1) make the standard
@@ -535,49 +514,4 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         tail_mean=tail_mean,
         tail_share=tail_share,
         antithetic=antithetic,
-    )
-
-
-def simulate_wealth(model, policy, x0, y0, T, dt, seed=0):
-    """Simulate one wealth path; returns the full :class:`PathSample`.
-
-    The path is a realized path 0 of :func:`estimate_value` with the same
-    seed: it shares path 0's factor path or chain, not its value, and draws
-    the asset noise that the estimator integrates out.  A diffusion's
-    perpendicular normals follow the factor normals in the stream, and a
-    chain's asset normals follow its event draws.  For black_scholes it is
-    the estimator's path 0, value included.
-
-    ``policy`` is as for :func:`estimate_value`: a diffusion's callables
-    act elementwise and may receive the path's factor values in any order.
-    ``states`` holds the factor at each step start, with the last one
-    repeated at T, for every model type.  A diffusion's Euler value at T is
-    not reported, and black_scholes reports ``y0`` throughout: its constant
-    coefficients need no Brownian factor, so none is simulated.
-    """
-    if not 0.0 < x0 < math.inf:
-        raise ValueError(f"initial wealth must be positive and finite, got {x0}")
-    n_steps = _step_count(T, dt)
-    lookup = _step_coefficients(model, policy, dt, y0, n_steps, realized=True)
-    if isinstance(model, RegimeModel):
-        rng = _path_streams(seed)(0)
-        factor = _on_grid(*_sample_chains(model.Q, y0, T, [rng]), n_steps, dt)
-        dw_asset = math.sqrt(dt) * rng.standard_normal((1, n_steps))
-    elif model.family == "black_scholes":
-        factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, np.arange(1), False)
-    else:
-        # The factor normals drive the estimator's path-0 factor; the
-        # perpendicular normals that follow them complete the asset's.
-        z_factor, z_perp = _path_streams(seed)(0).standard_normal((2, 1, n_steps))
-        root, rho = math.sqrt(dt), model.rho
-        factor = _euler_factor(model, y0, dt, z_factor * root)
-        dw_asset = (rho * z_factor + math.sqrt(1.0 - rho * rho) * z_perp) * root
-    log_x, disc, flow = _wealth_kernel(lookup, model.R, x0, dt, factor, dw_asset)
-    states = np.broadcast_to(factor[0], n_steps).astype(np.result_type(factor.dtype, np.int64))
-    return PathSample(
-        times=np.arange(n_steps + 1) * dt,
-        states=np.append(states, states[-1]),
-        wealth=np.exp(log_x[0]),
-        discount_integral=disc[0],
-        utility_integral=np.append(0.0, np.cumsum(flow[0])),
     )

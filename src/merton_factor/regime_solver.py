@@ -230,8 +230,11 @@ def _iterate(A, p, method, tol, check_power=None):
     The result records ``tol``, the solver's own tolerance, and the
     residual of x, or of u^check_power with u = x^(p-1) when
     ``check_power`` is given.  An iterate outside the positive cone raises
-    :class:`NotMMatrixError`.
+    :class:`NotMMatrixError`, and a tol that is not positive and finite
+    ``ValueError``.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need a positive finite tolerance, got tol = {tol}")
     op = as_operator(A)
     w = _certified_witness(op)
     if method == "newton":
@@ -385,6 +388,8 @@ def nearest_neighbour_wellposed(eta, q_minus, q_plus, R):
     q_minus = np.asarray(q_minus, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     n = eta.shape[0]
+    if n == 0:
+        raise ValueError("need at least one state")
     if q_minus.shape != (n,) or q_plus.shape != (n,):
         raise ValueError("eta, q_minus, q_plus must have equal length")
     if q_minus[0] != 0.0 or q_plus[-1] != 0.0:

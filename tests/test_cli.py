@@ -850,7 +850,7 @@ PUBLIC_SURFACE = set(
     expansion_domain grid_refinement_study hjb_residual load_model
     model_to_dict nearest_neighbour_wellposed
     proportional_bounds psi psi_eta_profile read_solution_csv recompute_csv_residual
-    sample_ctmc_path simulate_wealth solve solve_hjb_fixed_point solve_hjb_newton
+    sample_ctmc_path solve solve_hjb_fixed_point solve_hjb_newton
     solve_matrix_hjb solve_regime to_zero_correlation
     vasicek_supersolution_profile write_solution_csv
     """.split()
@@ -868,7 +868,7 @@ SUBMODULES = (
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_SURFACE) == 52
+    assert len(PUBLIC_SURFACE) == 51
     assert set(merton_factor.__all__) == PUBLIC_SURFACE
     owner = {}
     for name in SUBMODULES:

@@ -562,11 +562,12 @@ def test_newton_is_fast_where_the_contraction_is_slow(overrides, domain, max_ste
 
 @pytest.mark.parametrize(
     "family, tol, stop",
-    [("mpr", 1e-10, "quadratic"), ("black_scholes", 1e-10, "step"), ("mpr", 0.0, "floor")],
+    [("mpr", 1e-10, "quadratic"), ("black_scholes", 1e-10, "step"), ("mpr", 1e-300, "floor")],
 )
 def test_each_stop_rule_is_reported(bs_model, family, tol, stop):
     # A constant-coefficient start is already the root, so its first step
-    # meets tol; tol = 0 can only end at the rounding floor.
+    # meets tol; tol = 1e-300, far below any nonzero step, can only end at
+    # the rounding floor (tol = 0 is refused).
     model = mpr() if family == "mpr" else bs_model
     sol = solve(model, -0.5, 0.5, 100, tol=tol)
     assert sol.metadata["stop"] == stop

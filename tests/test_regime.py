@@ -18,6 +18,7 @@ from merton_factor import (
     cyclic_wellposed,
     load_model,
     nearest_neighbour_wellposed,
+    solve,
     solve_hjb_fixed_point,
     solve_hjb_newton,
     solve_matrix_hjb,
@@ -228,6 +229,19 @@ def test_solve_record_keeps_the_tolerance_it_was_solved_with(regime2_model):
     assert fixed_point.metadata["method"] == "fixed_point"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["fixed_point", "newton", "solve"])
+def test_solvers_refuse_a_tolerance_that_is_not_positive_and_finite(entry, tol, mpr_model):
+    A = np.array([[2.0, -0.5, 0.0], [-1.5, 3.0, -0.2], [0.0, -0.1, 0.3]])
+    calls = {
+        "fixed_point": lambda: solve_hjb_fixed_point(A, 0.5, tol=tol),
+        "newton": lambda: solve_hjb_newton(A, 0.5, tol=tol),
+        "solve": lambda: solve(mpr_model, -3.0, 3.0, 50, tol=tol),
+    }
+    with pytest.raises(ValueError, match=f"tol = {tol}$"):
+        calls[entry]()
+
+
 def test_check_wellposed_rejects_diffusion_models(mpr_model):
     with pytest.raises(TypeError, match="regime models"):
         check_wellposed(mpr_model)
@@ -327,6 +341,8 @@ def test_nearest_neighbour_single_state():
     for eta, verdict in ((0.1, True), (0.0, False), (-0.1, False)):
         got, ratios = nearest_neighbour_wellposed([eta], [0.0], [0.0], 2.0)
         assert got is verdict and ratios.tolist() == [eta]
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        nearest_neighbour_wellposed([], [], [], 2.0)
 
 
 def test_solver_handles_strong_coupling_scale():
