@@ -20,10 +20,11 @@ provable so and is then refused as numerically singular.
 
 Nothing is factored ahead of time or kept.  A step of the fixed point or a
 Newton step's shifted system (A - diag(d)) x = rhs is one LU with partial
-pivoting that drops its factor on return: LAPACK's dgtsv for a tridiagonal
-operator (on copies of the off-diagonals that a loop of steps reuses),
-numpy.linalg.solve for a dense square matrix (which enters through
-:func:`as_operator`).  The certificate computes the ratios first.
+pivoting that drops its factor on return, by the function an operator's
+``shifted_solver()`` returns (``factorized()`` is it at zero shift): LAPACK's
+dgtsv for a tridiagonal operator (on copies of the off-diagonals that a
+loop of steps reuses), numpy.linalg.solve for a dense square matrix (which
+enters through :func:`as_operator`).  The certificate computes the ratios first.
 Those of a tridiagonal depend on its off-diagonals only through the
 products sub_i sup_i >= 0, so they are the pivots of LAPACK's dpttrf on
 (main, sqrt(sub sup)).  Positive, they are also the pivots of A's LU
@@ -105,31 +106,22 @@ class TridiagonalOperator:
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         out = self.main * x
-        if self.n > 1:
-            product = self.sup * x[1:]  # one buffer for both off-diagonal products
-            out[:-1] += product
-            out[1:] += np.multiply(self.sub, x[:-1], out=product)
+        product = self.sup * x[1:]  # one buffer for both off-diagonal products
+        out[:-1] += product
+        out[1:] += np.multiply(self.sub, x[:-1], out=product)
         return out
 
     def to_dense(self):
         dense = np.diag(self.main)
-        if self.n > 1:
-            dense += np.diag(self.sub, -1) + np.diag(self.sup, 1)
+        dense += np.diag(self.sub, -1) + np.diag(self.sup, 1)
         return dense
 
     def norm_inf(self):
         row = np.abs(self.main)
-        if self.n > 1:
-            band = np.abs(self.sup)  # one buffer for both off-diagonals
-            row[:-1] += band
-            row[1:] += np.abs(self.sub, out=band)
+        band = np.abs(self.sup)  # one buffer for both off-diagonals
+        row[:-1] += band
+        row[1:] += np.abs(self.sub, out=band)
         return float(row.max())
-
-    def solve_shifted(self, d, rhs):
-        """Solve (A - diag(d)) x = rhs by one call of a :meth:`shifted_solver`
-        on a copy of d; ``rhs`` may be overwritten with x.  A zero pivot
-        raises SingularMatrixError."""
-        return self.shifted_solver()(np.array(np.broadcast_to(d, self.n), dtype=float), rhs)
 
     def shifted_solver(self):
         """A function that solves (A - diag(d)) x = rhs by one LAPACK dgtsv
@@ -138,7 +130,7 @@ class TridiagonalOperator:
         made once for all of its calls: a loop of solves allocates no new
         bands.  A zero pivot raises SingularMatrixError."""
         if self.n == 1:  # the dgtsv wrapper rejects empty off-diagonals
-            return _DenseOperator(self.main[:, None]).solve_shifted
+            return _DenseOperator(self.main[:, None]).shifted_solver()
         dgtsv, sub, sup = _lapack().dgtsv, np.empty(self.n - 1), np.empty(self.n - 1)
 
         def solve(d, rhs):
@@ -154,9 +146,9 @@ class TridiagonalOperator:
         return solve
 
     def factorized(self):
-        """Solve closure for A x = rhs: :meth:`solve_shifted` with no shift, on
-        a copy of ``rhs``, so no factor outlives a call."""
-        return lambda rhs: self.solve_shifted(0.0, np.array(rhs, dtype=float))
+        """Solve closure for A x = rhs: a :meth:`shifted_solver` built per call, with
+        no shift, on a copy of ``rhs``, so no factor outlives a call."""
+        return lambda rhs: self.shifted_solver()(np.zeros(self.n), np.array(rhs, dtype=float))
 
     def pivot_ratios(self):
         """The ratios by one dpttrf (module docstring), up to the first not positive."""
@@ -179,7 +171,7 @@ class TridiagonalOperator:
         :meth:`pivot_ratios`: one dgttrs call with identity pivots, unit lower
         band sub / ratios[:-1] and upper bands (ratios, sup)."""
         if self.n < 3:  # the dgttrs wrapper rejects an empty second superdiagonal
-            return self.solve_shifted(0.0, rhs)
+            return self.factorized()(rhs)
         lower, second = self.sub / ratios[:-1], np.zeros(self.n - 2)
         pivots = np.arange(1, self.n + 1, dtype=np.intc)
         return _lapack().dgttrs(lower, ratios, self.sup, second, pivots, rhs, overwrite_b=1)[0]
@@ -210,24 +202,25 @@ class _DenseOperator:
     def norm_inf(self):
         return float(np.linalg.norm(self.dense, np.inf))
 
-    def solve_shifted(self, d, rhs):
-        """Solve (A - diag(d)) x = rhs by one numpy.linalg.solve call on a copy of A."""
-        shifted = self.dense.copy()
-        shifted[np.diag_indices(self.n)] -= d
-        try:
-            return np.linalg.solve(shifted, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular system: {exc}") from None
+    def shifted_solver(self):
+        """A function that solves (A - diag(d)) x = rhs by one numpy.linalg.solve call
+        on a copy of A, overwriting neither; a singular one raises SingularMatrixError."""
+
+        def solve(d, rhs):
+            shifted = self.dense.copy()
+            shifted[np.diag_indices(self.n)] -= d
+            try:
+                return np.linalg.solve(shifted, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(f"singular system: {exc}") from None
+
+        return solve
 
     factorized = TridiagonalOperator.factorized
 
-    def shifted_solver(self):
-        """:meth:`solve_shifted` itself: it overwrites neither argument."""
-        return self.solve_shifted
-
     def solve_certified(self, ratios, rhs):
-        """Solve A x = rhs by :meth:`solve_shifted` with no shift; the ratios are not needed."""
-        return self.solve_shifted(0.0, rhs)
+        """Solve A x = rhs by :meth:`factorized`; the ratios are not needed."""
+        return self.factorized()(rhs)
 
     def pivot_ratios(self):
         """The ratios by elimination without row exchanges (module docstring)."""

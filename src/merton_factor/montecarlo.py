@@ -47,15 +47,17 @@ N ~ Poisson(Lambda T), N uniforms for the event times and N uniforms for
 the moves; a diffusion path reads its n_steps factor normals (the asset
 normals for black_scholes).
 Blocks are index-addressed and reduced in a fixed order, so results are
-bitwise identical for any worker count (``MERTON_FACTOR_THREADS``).
+bitwise identical for any worker count: ``MERTON_FACTOR_THREADS`` threads,
+serial when it is unset, empty or at most 1 (not an integer: ValueError).
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import ModelError
 from .model import DiffusionModel, RegimeModel, _checked_generator
 
@@ -121,11 +123,11 @@ def _path_streams(seed):
     return stream
 
 
-def default_horizon(min_eta, cutoff=1e-4):
-    """Horizon T with exp(-min_eta * T) < cutoff (discounted flow decays at eta)."""
+def default_horizon(min_eta):
+    """Horizon T with exp(-min_eta * T) = 1e-4 (discounted flow decays at eta)."""
     if not 0.0 < min_eta < math.inf:
         raise ValueError(f"default horizon needs a positive finite minimal eta, got {min_eta}")
-    return math.log(1.0 / cutoff) / min_eta
+    return math.log(1.0 / 1e-4) / min_eta
 
 
 def _uniformized(Q):
@@ -227,16 +229,8 @@ def _normalize_policy(model, policy):
 _SLICE_ELEMENTS = 16_384
 
 
-def _clipper(model):
-    """``clip(y)``: y clipped to the model's state interval; y itself where no end is finite."""
-    lo, hi = model.interval
-    if np.isfinite(lo) or np.isfinite(hi):
-        return lambda y: np.clip(y, lo, hi)
-    return lambda y: y
-
-
 def _step_coefficients(model, policy, dt, y0, n_steps):
-    """``lookup(factor)``: (drift * dt, vol, delta * dt, log xi) at a factor block.
+    """(drift * dt, vol, delta * dt, log xi): per-state rows, or ``lookup(factor)``.
 
     The kernel weights the sampled normals by vol = pi sigma c, c being the
     share of the asset noise they carry: 1 for black_scholes, rho for an
@@ -244,11 +238,11 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
     h = (1 - (1-R)(1 - c^2)) / 2 also holds the conditional mean of the
     noise integrated out; at c = 1, h is exactly 1/2.  A regime model's
-    four form a table with one row per state (the policy is called on
-    ``arange(n_states)``), gathered by state in one pass; black_scholes has
-    one row of ``n_steps`` at ``y0``, shared by every path; other diffusions
-    evaluate the coefficients and the policy on the clipped factor.  There,
-    when a policy is a callable or the model is tabulated, they see the
+    four are rows with one entry per state (the policy is called on
+    ``arange(n_states)``); black_scholes has one row of ``n_steps`` at
+    ``y0``, shared by every path; other diffusions are a lookup of the
+    factor block, which :func:`_sample_block` stores clipped.  There, when
+    a policy is a callable or the model is tabulated, they see the
     slice's values in sorted order (one argsort) and the four results are
     put back in path order: a search such as ``np.interp`` then finds each
     key next to the previous one, and as every callable is elementwise the
@@ -273,11 +267,8 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
             return drift, pi_s * sig * share, delta * dt, np.log(xi_s)
 
     if regime:
-        states = np.arange(model.n_states)
-        table = np.stack(
-            np.broadcast_arrays(*at(states, model.r, model.lam, model.sigma, model.delta)), axis=1
-        )
-        return lambda factor: np.moveaxis(table.take(factor, axis=0), -1, 0)
+        rows = at(np.arange(model.n_states), model.r, model.lam, model.sigma, model.delta)
+        return np.stack(np.broadcast_arrays(*rows))
     lo, hi = model.interval
     if not (math.isfinite(y0) and lo <= y0 <= hi):
         raise ValueError(f"initial factor {y0} is not a finite point of [{lo}, {hi}]")
@@ -288,12 +279,10 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     if model.family == "black_scholes":
         row = on_clipped(np.full((1, n_steps), float(y0)))
         return lambda factor: row
-    clip = _clipper(model)
     if not (callable(pi) or callable(xi) or model.family == "tabulated"):
-        return lambda factor: on_clipped(clip(factor))
+        return on_clipped
 
-    def in_sorted_order(factor):
-        y = clip(factor)
+    def in_sorted_order(y):
         order = np.argsort(y, axis=None)
 
         def in_path_order(values):
@@ -313,8 +302,9 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
 
     Path ``idx`` draws the first ``n_steps`` normals z of its own Philox
     stream: the factor normals of an Euler family, whose factor is the
-    full-truncation Euler path they drive, or the asset normals of
-    black_scholes (whose factor is one column holding ``y0``).  With
+    full-truncation Euler path they drive (stored clipped, as a step reads
+    it), or the asset normals of black_scholes (whose factor is one column
+    holding ``y0``).  With
     ``antithetic``, paths 2k and 2k+1 share stream k with flipped signs.
     """
     dw = np.empty((indices.shape[0], n_steps))
@@ -325,12 +315,13 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
     dw *= math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
     if model.family == "black_scholes":
         return np.full((indices.shape[0], 1), float(y0)), dw
-    clip, a, b = _clipper(model), model.a, model.b
+    (lo, hi), a, b = model.interval, model.a, model.b
+    clip = np.isfinite(lo) or np.isfinite(hi)
     factor = np.empty(dw.shape)
     y = np.full(dw.shape[0], float(y0))
     for k in range(n_steps):
-        factor[:, k] = y
-        yc = clip(y)
+        yc = np.clip(y, lo, hi) if clip else y
+        factor[:, k] = yc
         y = y + a(yc) * dt + b(yc) * dw[:, k]
     return factor, dw
 
@@ -375,14 +366,14 @@ def _stretch_sums(log_w, a, m, start):
         return np.where(m > 0, np.exp(log_w + start) * ratio, 0.0)
 
 
-def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
+def _conditional_values(model, coefficients, x0, dt, n_steps, k_tail, times, states):
     """(E[J | chain], its part from step ``k_tail`` on) for each embedded chain.
 
     Given the chain, each step's log-wealth increment is normal, so
     E[flow_k | chain] = dt / (1-R) exp(log w_{s_k} + sum_{j<k} a_{s_j}) with
     a = (1-R) drift dt - delta dt and log w = (1-R)(log xi + log x0), from
-    the per-state tables of ``lookup`` at share c = 0, whose drift already
-    holds the integrated asset variance.
+    the per-state rows ``coefficients`` of :func:`_step_coefficients` at
+    share c = 0, whose drift already holds the integrated asset variance.
     ``times`` and ``states`` come from :func:`_embedded_chains`.  The events
     cut the grid into stretches (step counts from :func:`_grid_edges`),
     each summed in closed form.  An event that leaves
@@ -391,7 +382,7 @@ def _conditional_values(model, lookup, x0, dt, n_steps, k_tail, times, states):
     zero terms of uncut events and padding add exactly nothing.
     """
     R = model.R
-    drift, _, delta_dt, log_xi = lookup(np.arange(model.n_states))
+    drift, _, delta_dt, log_xi = coefficients
     a = ((1.0 - R) * drift - delta_dt)[states]
     log_w = ((1.0 - R) * (log_xi + math.log(x0)))[states]
     cut = (a[:, 1:] != a[:, :-1]) | (log_w[:, 1:] != log_w[:, :-1])
@@ -416,6 +407,24 @@ def _step_count(T, dt):
     if not (0.0 < dt <= T and math.isfinite(T) and math.isfinite(T / dt)):
         raise ValueError(f"need 0 < dt <= T with finite T, dt and T / dt; got T = {T}, dt = {dt}")
     return int(round(T / dt))
+
+
+def _worker_count():
+    """Threads for the path blocks: ``MERTON_FACTOR_THREADS``, 1 when unset or empty."""
+    raw = os.environ.get("MERTON_FACTOR_THREADS", "").strip()
+    try:
+        return max(1, int(raw)) if raw else 1
+    except ValueError as exc:
+        raise ValueError(f"MERTON_FACTOR_THREADS must be an integer, got {raw!r}") from exc
+
+
+def _map_ordered(fn, items):
+    """``[fn(item) for item in items]``, across up to :func:`_worker_count` threads."""
+    workers = min(_worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False):
@@ -445,12 +454,14 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"initial wealth must be positive and finite, got {x0}")
     n_steps = _step_count(T, dt)
+    if not (float(n_paths).is_integer() and n_paths >= 2):
+        raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths}")
     n_paths = int(n_paths)
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+    if not (float(seed).is_integer() and 0 <= seed < 2**128):
+        raise ValueError(f"seed must be an integer in 0..2^128 - 1, got {seed}")
     if antithetic and (n_paths % 2 != 0 or n_paths < 4):
         raise ValueError("antithetic sampling needs an even path count of at least 4")
-    lookup = _step_coefficients(model, policy, dt, y0, n_steps)
+    coefficients = _step_coefficients(model, policy, dt, y0, n_steps)
     regime = isinstance(model, RegimeModel)
 
     values = np.empty(n_paths)
@@ -469,17 +480,17 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
             rngs = (stream(idx // 2 if antithetic else idx) for idx in indices)
             chains = _sample_chains(model.Q, y0, T, rngs)
             block_values[:], block_tails[:] = _conditional_values(
-                model, lookup, x0, dt, n_steps, k_tail, *chains
+                model, coefficients, x0, dt, n_steps, k_tail, *chains
             )
             return
         factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, indices, antithetic)
         for lo in range(0, stop - start, rows):
             part = slice(lo, lo + rows)
-            flow = _wealth_kernel(lookup, model.R, x0, dt, factor[part], dw_asset[part])
+            flow = _wealth_kernel(coefficients, model.R, x0, dt, factor[part], dw_asset[part])
             block_values[part] = flow.sum(axis=1)
             block_tails[part] = flow[:, k_tail:].sum(axis=1)
 
-    map_ordered(run, ranges)
+    _map_ordered(run, ranges)
     nan_paths = np.flatnonzero(np.isnan(values))
     if nan_paths.size:
         raise ValueError(

@@ -19,13 +19,13 @@ from merton_factor import (
     IllPosedError,
     cli,
     load_model,
+    montecarlo,
     psi_eta_profile,
     read_solution_csv,
     recompute_csv_residual,
     solve,
     solve_regime,
 )
-from merton_factor._parallel import map_ordered, worker_count
 from merton_factor.diffusion_solver import CSV_COLUMNS
 
 REGIME = {
@@ -785,13 +785,16 @@ def test_regime_models_run_without_scipy(model_file):
 
 
 def test_worker_count_env(monkeypatch):
+    worker_count = montecarlo._worker_count
     monkeypatch.setenv("MERTON_FACTOR_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("MERTON_FACTOR_THREADS", "0")
-    assert worker_count() == 1  # clamped to serial
-    monkeypatch.setenv("MERTON_FACTOR_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="MERTON_FACTOR_THREADS"):
-        worker_count()
+    for serial in ("0", "-2", "", " "):
+        monkeypatch.setenv("MERTON_FACTOR_THREADS", serial)
+        assert worker_count() == 1  # clamped to serial
+    for bad in ("not-a-number", "2.5"):
+        monkeypatch.setenv("MERTON_FACTOR_THREADS", bad)
+        with pytest.raises(ValueError, match="MERTON_FACTOR_THREADS"):
+            worker_count()
     monkeypatch.delenv("MERTON_FACTOR_THREADS")
     assert worker_count() == 1
 
@@ -800,7 +803,7 @@ def test_map_ordered_preserves_order(monkeypatch):
     items = list(range(25))
     for workers in ("1", "4"):
         monkeypatch.setenv("MERTON_FACTOR_THREADS", workers)
-        assert map_ordered(lambda k: k * k, items) == [k * k for k in items]
+        assert montecarlo._map_ordered(lambda k: k * k, items) == [k * k for k in items]
 
 
 def test_emit_writes_numpy_values_as_their_python_equivalents(tmp_path, capsys):

@@ -39,13 +39,16 @@ def random_tridiagonal(rng, n, dominant=True):
 
 
 def test_operator_dense_matvec_norm_consistency():
+    # n = 1 and 2 give empty and one-entry off-diagonal slices.
     rng = np.random.default_rng(5)
-    op = random_tridiagonal(rng, 9)
-    dense = op.to_dense()
-    v = rng.normal(size=9)
-    assert op.matvec(v) == pytest.approx(dense @ v, rel=0, abs=1e-14)
-    assert op.norm_inf() == pytest.approx(np.max(np.abs(dense).sum(axis=1)), rel=0, abs=0)
-    assert op.positive_off_diagonal() is None
+    one = TridiagonalOperator([], [-0.7], [])
+    for op in (random_tridiagonal(rng, 9), one, random_tridiagonal(rng, 2)):
+        dense = op.to_dense()
+        assert dense.shape == (op.n, op.n)
+        v = rng.normal(size=op.n)
+        assert op.matvec(v) == pytest.approx(dense @ v, rel=0, abs=1e-14)
+        assert op.norm_inf() == pytest.approx(np.max(np.abs(dense).sum(axis=1)), rel=0, abs=0)
+        assert op.positive_off_diagonal() is None
 
 
 def test_certificate_minors_match_determinant_oracle():
@@ -280,19 +283,23 @@ def test_tridiag_solve_matches_dense_and_meets_residual_bound():
 
 def test_solve_shifted_meets_residual_bound_and_keeps_no_factor():
     # No diagonal dominance, so partial pivoting exchanges rows; the bands
-    # must come back untouched.
+    # (and the dense matrix, whose solver overwrites neither argument) must
+    # come back untouched.
     rng = np.random.default_rng(29)
     for n in (1, 2, 3, 10, 50):
         op = TridiagonalOperator(rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1))
         bands = [band.copy() for band in (op.sub, op.main, op.sup)]
         d = rng.normal(size=n)
         rhs = rng.normal(size=n)
-        x = op.solve_shifted(d, rhs.copy())
         shifted = op.to_dense() - np.diag(d)
-        residual = np.max(np.abs(shifted @ x - rhs))
         norm = np.max(np.abs(shifted).sum(axis=1))
-        assert residual <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+        dense = as_operator(op.to_dense())
+        given = [a.copy() for a in (dense.dense, d, rhs)]
+        for x in (op.shifted_solver()(d.copy(), rhs.copy()), dense.shifted_solver()(d, rhs)):
+            residual = np.max(np.abs(shifted @ x - rhs))
+            assert residual <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         assert all(np.array_equal(a, b) for a, b in zip(bands, (op.sub, op.main, op.sup)))
+        assert all(np.array_equal(a, b) for a, b in zip(given, (dense.dense, d, rhs)))
 
 
 def test_factor_holds_one_band():
@@ -497,7 +504,7 @@ def test_one_node_operator(a, verdict):
         return
     for solve in (op.factorized(), as_operator(op.to_dense()).factorized()):
         assert solve(np.array([3.0])).tolist() == [3.0 / a]
-    assert op.solve_shifted(np.array([0.5]), np.array([3.0])).tolist() == [3.0 / (a - 0.5)]
+    assert op.shifted_solver()(np.array([0.5]), np.array([3.0])).tolist() == [3.0 / (a - 0.5)]
     for R in (0.5, 2.0, 10.0):
         if verdict:
             p = 1.0 - 1.0 / R
@@ -516,5 +523,5 @@ def test_tridiag_solve_raises_on_singular_system():
             with pytest.raises(SingularMatrixError):
                 kind.factorized()(np.ones(singular.n))
         with pytest.raises(SingularMatrixError):
-            singular.solve_shifted(np.zeros(singular.n), np.ones(singular.n))
+            singular.shifted_solver()(np.zeros(singular.n), np.ones(singular.n))
 

@@ -20,7 +20,6 @@ from merton_factor import (
     solve_regime,
 )
 from merton_factor import montecarlo
-from merton_factor._parallel import map_ordered
 from merton_factor.montecarlo import default_horizon
 
 
@@ -188,14 +187,13 @@ def _route_policy(fixture):
 def test_results_do_not_depend_on_worker_count(fixture, request, monkeypatch):
     # 1100 paths x 2000 steps make three blocks, so two workers really fan out.
     model = request.getfixturevalue("mpr_model" if fixture == "mpr_interp" else fixture)
-    fanned_out = []
+    fanned_out, map_ordered = [], montecarlo._map_ordered
 
     def spy(fn, items):
-        items = list(items)
         fanned_out.append(len(items))
         return map_ordered(fn, items)
 
-    monkeypatch.setattr(montecarlo, "map_ordered", spy)
+    monkeypatch.setattr(montecarlo, "_map_ordered", spy)
     results = []
     for workers in ("1", "2"):
         monkeypatch.setenv("MERTON_FACTOR_THREADS", workers)
@@ -253,6 +251,7 @@ def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model)
         factor = y0 + spread * rng.standard_normal((rows, n))
         # Repeated keys: ties in the sort must not matter.
         factor.ravel()[::3] = np.round(factor.ravel()[::3], 1)
+        factor = np.clip(factor, *model.interval)  # as the sampler stores it
         # The estimator's factor normals carry a share rho of the asset noise.
         lookup = montecarlo._step_coefficients(model, policy, 0.05, y0, n)
         expected = oracles.step_coefficients_in_path_order(model, policy, 0.05, factor, model.rho)
@@ -618,7 +617,7 @@ def test_euler_factor_paths_do_not_depend_on_the_asset_draws(model, antithetic, 
     model, y0 = (mpr_model, 0.0) if model == "mpr" else (_rough_heston(-0.84), 0.035)
     dt, n, seed, indices = 0.05, 300, 12, np.arange(6, 14)
     factor, dw = montecarlo._sample_block(model, y0, dt, n, seed, indices, antithetic)
-    lo = model.interval[0]
+    lo, truncated = model.interval[0], False
     for row, idx in enumerate(indices):
         stream = idx // 2 if antithetic else idx
         rng = np.random.Generator(np.random.Philox(key=seed, counter=int(stream) << 128))
@@ -627,8 +626,10 @@ def test_euler_factor_paths_do_not_depend_on_the_asset_draws(model, antithetic, 
         increments = sign * (math.sqrt(dt) * z_factor)
         assert np.array_equal(dw[row], increments)
         expected = oracles.euler_factor_path(model.a, model.b, y0, lo, dt, increments)
-        assert np.array_equal(factor[row], expected)
-    assert model is mpr_model or np.any(factor < 0.0)
+        # The sampler stores the factor as the Euler step reads it, clipped.
+        assert np.array_equal(factor[row], np.maximum(expected, lo))
+        truncated |= bool(np.any(expected < lo))
+    assert model is mpr_model or truncated
 
 
 def _path_zero_normals(seed, count):
@@ -705,8 +706,16 @@ def test_estimate_validation(bs_model, regime2_model):
         estimate_value(bs_model, (0.6, 0.07), 0.0, 0.0, 10.0, 0.1, 10, seed=1)
     with pytest.raises(ValueError, match="0 < dt <= T"):
         estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 20.0, 10, seed=1)
-    with pytest.raises(ValueError, match="at least 2"):
-        estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 1, seed=1)
+    for n_paths in (1, 4.9, math.nan):
+        message = f"^n_paths must be an integer of at least 2, got {n_paths}$"
+        with pytest.raises(ValueError, match=message):
+            estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, n_paths, seed=1)
+    for model, y0 in ((bs_model, 0.0), (regime2_model, 0)):
+        for seed in (1.7, -1, 2**128, math.inf):
+            message = rf"^seed must be an integer in 0..2\^128 - 1, got {seed}$"
+            with pytest.raises(ValueError, match=message):
+                estimate_value(model, (0.6, 0.07), 1.0, y0, 10.0, 0.1, 10, seed=seed)
+    assert estimate_value(bs_model, (0.6, 0.07), 1.0, 0.0, 10.0, 0.1, 4.0, seed=2.0).paths == 4
     for n_paths in (2, 5):  # SE over pair averages needs two pairs
         with pytest.raises(ValueError, match="antithetic"):
             estimate_value(
@@ -758,7 +767,6 @@ def test_heston_full_truncation_stays_finite(heston_model):
 
 def test_default_horizon_formula():
     assert default_horizon(0.1) == pytest.approx(math.log(1e4) / 0.1, rel=0, abs=1e-12)
-    assert default_horizon(0.1, cutoff=1e-3) == pytest.approx(math.log(1e3) / 0.1, rel=0)
     for min_eta in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"positive finite minimal eta, got {min_eta}$"):
             default_horizon(min_eta)
