@@ -79,9 +79,9 @@ class TridiagonalOperator:
         main = np.asarray(main, dtype=float)
         sub = np.asarray(sub, dtype=float)
         sup = np.asarray(sup, dtype=float)
-        n = main.shape[0]
-        if main.ndim != 1 or n < 1:
+        if main.ndim != 1 or main.size < 1:
             raise ValueError("main diagonal must be a nonempty 1-d array")
+        n = main.shape[0]
         if sub.shape != (n - 1,) or sup.shape != (n - 1,):
             raise ValueError(
                 f"off-diagonals must have length {n - 1}, got {sub.shape} and {sup.shape}"
@@ -186,6 +186,8 @@ class _DenseOperator:
         dense = np.asarray(dense, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+        if not np.all(np.isfinite(dense)):
+            raise ValueError("matrix entries must be finite")
         self.dense = dense
         self.main = np.diag(dense)
         self.n = self.row_terms = dense.shape[0]

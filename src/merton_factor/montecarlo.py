@@ -6,39 +6,38 @@ Wealth under a policy (pi, xi) follows, in log form,
 
 and the realized objective of one path is the discounted utility integral
 
-    J = int_0^T exp(-int_0^t delta ds) (xi_t X_t)^(1-R) / (1-R) dt,
-
-accumulated with the left-endpoint rule on the grid t_k = k dt.
+    J = int_0^T exp(-int_0^t delta ds) (xi_t X_t)^(1-R) / (1-R) dt.
 
 The factor never depends on wealth, and the asset noise is
 dW = rho dW~ + sqrt(1-rho^2) dW_perp with dW_perp independent of the
-factor's dW~.  Given the factor path each log-wealth step is normal, so an
-estimate draws no perpendicular noise: a path's value is E[J | factor
-path], the exact conditional expectation of the left-endpoint objective on
-the same grid (conditional Monte Carlo), with the mean of J and no more
-variance.  black_scholes has no factor noise; its value is the realized J.
+factor's dW~.  Given the factor path log wealth moves by normal steps, so
+an estimate draws no perpendicular noise: a path's value is E[J | factor
+path] (conditional Monte Carlo), with the mean of J and no more variance.
+Both routes read it as E[flow_t | factor path] =
+exp(start + int_0^t (rate + noise)) / (1-R), from three coefficients of
+:func:`_step_coefficients`.
 
-A diffusion path is simulated in two stages.  A sampler draws the path's
-increments and from them the factor at the step starts by Euler (full
-truncation at the boundary of the state space; none for black_scholes).
-Then one wealth kernel turns those arrays into each step's utility flow,
-from log wealth and the discount at the step's start.  It reads four step
-coefficients, drift * dt, vol, delta * dt and log xi: one row at ``y0``
-for black_scholes, so its discount is one cumulative sum shared by every
-path; for other diffusions, values on the clipped factor.  Paths are
-sampled in blocks of about 10^6 path-steps; the kernel runs on row slices
-of at most ``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
+A regime chain is sampled exactly by uniformization and is independent of
+the asset noise, so a path's value is E[J | chain] of the integral over
+[0, T] itself: the chain is constant between its events, and each stretch
+is integrated over its event times in closed form, one term per chain
+event and no time grid.  Chains are sampled in blocks of 256 paths.
+
+A diffusion path is simulated in two stages on the grid t_k = k dt.  A
+sampler draws the path's increments and from them the factor at the step
+starts by Euler (full truncation at the boundary of the state space; none
+for black_scholes).  Then one wealth kernel turns those arrays into each
+step's utility flow by the left-endpoint rule, from one cumulative sum of
+the exponent's steps rate dt + weight dW.  black_scholes has no factor
+noise; its value is the realized J on the grid, and its coefficients are
+one entry at ``y0`` shared by every path.  Paths are sampled in blocks of
+about 10^6 path-steps; the kernel runs on row slices of at most
+``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
 A callable policy, and a tabulated model's coefficients, see each slice's
 factor values in sorted order, so a search such as ``np.interp`` finds
 each key next to the last.  Policy and coefficient functions are applied
 elementwise: they may receive any permutation of the factor values, and
 the results do not depend on it.
-
-A regime chain is sampled exactly by uniformization and is independent of
-the asset noise, so a path's value is E[J | chain], from per-state tables
-built once per call: over a stretch of steps in one state it is a
-geometric sum in closed form, so the work per path is one term per chain
-event.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
@@ -179,16 +178,6 @@ def _sample_chains(Q, y0, T, rngs):
     return _embedded_chains([_chain_events(rng, rate, T) for rng in rngs], cdf, y0)
 
 
-def _grid_edges(times, n_steps, dt):
-    """Index of the first step whose start t_k = k dt is not before each event
-    (n_steps where none is): ceil(t / dt), moved by one step where rounding of
-    the quotient or of k dt put it off that step."""
-    k = np.ceil(np.minimum(times / dt, n_steps)).astype(np.intp)
-    k -= (k > 0) & ((k - 1) * dt >= times)
-    k += (k < n_steps) & (k * dt < times)
-    return k
-
-
 def sample_ctmc_path(Q, y0, T, seed):
     """Sample the factor chain exactly on [0, T]: path 0 of the estimator's sampler.
 
@@ -229,21 +218,23 @@ def _normalize_policy(model, policy):
 _SLICE_ELEMENTS = 16_384
 
 
-def _step_coefficients(model, policy, dt, y0, n_steps):
-    """(drift * dt, vol, delta * dt, log xi): per-state rows, or ``lookup(factor)``.
+def _step_coefficients(model, policy, x0, y0):
+    """(rate, weight, start) of the flow's exponent: per-state rows, or ``lookup(factor)``.
 
-    The kernel weights the sampled normals by vol = pi sigma c, c being the
-    share of the asset noise they carry: 1 for black_scholes, rho for an
-    Euler factor's normals, 0 for a regime chain.
+    Given the factor path, E[flow_t] = exp(start + int_0^t (rate dt + weight dW)) / (1-R)
+    with rate = (1-R) drift - delta per unit time, weight = (1-R) pi sigma c
+    on the sampled normals dW and start = (1-R)(log xi + log x0); c is the
+    share of the asset noise the normals carry: 1 for black_scholes, rho
+    for an Euler factor's normals, 0 for a regime chain.
     drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
     h = (1 - (1-R)(1 - c^2)) / 2 also holds the conditional mean of the
     noise integrated out; at c = 1, h is exactly 1/2.  A regime model's
-    four are rows with one entry per state (the policy is called on
-    ``arange(n_states)``); black_scholes has one row of ``n_steps`` at
-    ``y0``, shared by every path; other diffusions are a lookup of the
+    three are rows with one entry per state (the policy is called on
+    ``arange(n_states)``); black_scholes has one entry at ``y0``, shared by
+    every path and step; other diffusions are a lookup of the
     factor block, which :func:`_sample_block` stores clipped.  There, when
     a policy is a callable or the model is tabulated, they see the
-    slice's values in sorted order (one argsort) and the four results are
+    slice's values in sorted order (one argsort) and the three results are
     put back in path order: a search such as ``np.interp`` then finds each
     key next to the previous one, and as every callable is elementwise the
     results are the same bits.  A scalar policy stays a float and is never
@@ -255,16 +246,18 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
     if not (regime or isinstance(model, DiffusionModel)):
         raise ModelError(f"cannot simulate model of type {type(model).__name__}")
     share = 0.0 if regime else 1.0 if model.family == "black_scholes" else model.rho
-    h = 0.5 * (1.0 - (1.0 - model.R) * (1.0 - share * share))
+    gain, log_x0 = 1.0 - model.R, math.log(x0)
+    h = 0.5 * (1.0 - gain * (1.0 - share * share))
 
     def at(y, r, lam, sig, delta):
         pi_s = pi(y) if callable(pi) else pi
         xi_s = xi(y) if callable(xi) else xi
         # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
-        drift = (r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2) * dt
-        # log of xi < 0 is NaN, which the estimator refuses with the path.
+        drift = r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2
+        # log of xi < 0 is NaN, which the estimator refuses with the path;
+        # at xi = 0 the start is -inf for R < 1 (flow 0), +inf for R > 1 (flow -inf).
         with np.errstate(divide="ignore", invalid="ignore"):
-            return drift, pi_s * sig * share, delta * dt, np.log(xi_s)
+            return gain * drift - delta, gain * pi_s * sig * share, gain * (np.log(xi_s) + log_x0)
 
     if regime:
         rows = at(np.arange(model.n_states), model.r, model.lam, model.sigma, model.delta)
@@ -277,7 +270,7 @@ def _step_coefficients(model, policy, dt, y0, n_steps):
         return at(y, model.r(y), model.lam(y), model.sigma(y), model.delta(y))
 
     if model.family == "black_scholes":
-        row = on_clipped(np.full((1, n_steps), float(y0)))
+        row = on_clipped(np.full((1, 1), float(y0)))
         return lambda factor: row
     if not (callable(pi) or callable(xi) or model.family == "tabulated"):
         return on_clipped
@@ -326,78 +319,64 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
     return factor, dw
 
 
-def _wealth_kernel(lookup, R, x0, dt, factor, dw):
+def _wealth_kernel(lookup, R, dt, factor, dw):
     """Utility flow of a block of paths, (paths, n_steps) like ``dw``.
 
     ``factor`` and the sampled increments ``dw`` come from
     :func:`_sample_block` and ``lookup`` from :func:`_step_coefficients`.
-    Column k of log wealth and of the discount exponent is the value at
-    t_k (the discount may be one row shared by every path).
+    Left-endpoint rule: step k's flow is dt / (1-R) exp(start_k + the sum of
+    the steps rate dt + weight dw before k), one cumulative sum per path.
     """
-    drift, vol, delta_dt, log_xi = lookup(factor)
-    increments = vol * dw
-    increments += drift
-    log_x = np.zeros(dw.shape)
-    np.cumsum(increments[:, :-1], axis=1, out=log_x[:, 1:])
-    log_x += math.log(x0)
-    disc = np.zeros((delta_dt.shape[0], dw.shape[1]))
-    np.cumsum(delta_dt[:, :-1], axis=1, out=disc[:, 1:])
-    # Left-endpoint rule: step k reads wealth and discount at its start.  The
-    # exponent is (1-R) log c - disc; at c = 0 it is -inf for R < 1 (flow 0)
-    # and +inf for R > 1 (flow -inf).
-    log_c = np.add(log_xi, log_x, out=log_x)
+    rate, weight, start = lookup(factor)
+    steps = weight * dw
+    steps += rate * dt
+    flow = np.zeros(dw.shape)
+    np.cumsum(steps[:, :-1], axis=1, out=flow[:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = np.multiply(log_c, 1.0 - R, out=log_c)
-        flow -= disc
+        flow += start
         np.exp(flow, out=flow)
-        flow /= 1.0 - R
-    flow *= dt
+    flow *= dt / (1.0 - R)
     return flow
 
 
-def _stretch_sums(log_w, a, m, start):
-    """sum_{i<m} exp(log_w + start + i a) per stretch, exactly 0 where m = 0.
+def _stretch_integrals(rate, exponent, length):
+    """int_0^length exp(exponent + rate t) dt per stretch, exactly 0 where length <= 0.
 
-    That is exp(log_w + start) expm1(m a) / expm1(a), or m exp(log_w + start)
-    where a = 0.
+    That is exp(exponent) expm1(rate length) / rate, or length exp(exponent)
+    where rate = 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.divide(np.expm1(m * a), np.expm1(a), out=m.astype(float), where=a != 0.0)
-        return np.where(m > 0, np.exp(log_w + start) * ratio, 0.0)
+        ratio = np.divide(np.expm1(rate * length), rate, out=length.copy(), where=rate != 0.0)
+        return np.where(length > 0.0, np.exp(exponent) * ratio, 0.0)
 
 
-def _conditional_values(model, coefficients, x0, dt, n_steps, k_tail, times, states):
-    """(E[J | chain], its part from step ``k_tail`` on) for each embedded chain.
+def _conditional_values(coefficients, R, T, times, states):
+    """(E[J | chain], its part from 0.9 T on) for each embedded chain.
 
-    Given the chain, each step's log-wealth increment is normal, so
-    E[flow_k | chain] = dt / (1-R) exp(log w_{s_k} + sum_{j<k} a_{s_j}) with
-    a = (1-R) drift dt - delta dt and log w = (1-R)(log xi + log x0), from
-    the per-state rows ``coefficients`` of :func:`_step_coefficients` at
-    share c = 0, whose drift already holds the integrated asset variance.
-    ``times`` and ``states`` come from :func:`_embedded_chains`.  The events
-    cut the grid into stretches (step counts from :func:`_grid_edges`),
-    each summed in closed form.  An event that leaves
-    (a, log w) unchanged does not cut, so chains with equal coefficient
+    Given the chain, log wealth moves by normal steps, so
+    E[flow_t | chain] = exp(start_{s_t} + int_0^t rate_{s_u} du) / (1-R),
+    from the per-state rows ``coefficients`` of :func:`_step_coefficients`
+    at share c = 0, whose drift already holds the integrated asset
+    variance.  ``times`` and ``states`` come from :func:`_embedded_chains`.
+    The events cut [0, T] into stretches of one (rate, start), each
+    integrated over its event times in closed form.  An event that leaves
+    (rate, start) unchanged does not cut, so chains with equal coefficient
     paths give bitwise equal values; the sums run in sequence, where the
     zero terms of uncut events and padding add exactly nothing.
     """
-    R = model.R
-    drift, _, delta_dt, log_xi = coefficients
-    a = ((1.0 - R) * drift - delta_dt)[states]
-    log_w = ((1.0 - R) * (log_xi + math.log(x0)))[states]
-    cut = (a[:, 1:] != a[:, :-1]) | (log_w[:, 1:] != log_w[:, :-1])
-    starts = np.zeros(states.shape, np.intp)
-    edges = np.where(cut, _grid_edges(times, n_steps, dt), 0)
-    np.maximum.accumulate(edges, axis=1, out=starts[:, 1:])
-    counts = np.diff(starts, axis=1, append=n_steps)
-    exponent = np.zeros(a.shape)
-    np.cumsum(counts[:, :-1] * a[:, :-1], axis=1, out=exponent[:, 1:])
-    tail_starts = np.maximum(starts, k_tail)
-    tail_counts = np.maximum(starts + counts - tail_starts, 0)
-    tail_exponent = exponent + (tail_starts - starts) * a
+    rate, _, start = coefficients
+    rate, start = rate[states], start[states]
+    cut = (rate[:, 1:] != rate[:, :-1]) | (start[:, 1:] != start[:, :-1])
+    begins = np.zeros(rate.shape)
+    np.maximum.accumulate(np.where(cut, np.minimum(times, T), 0.0), axis=1, out=begins[:, 1:])
+    ends = np.append(begins[:, 1:], np.full((len(begins), 1), T), axis=1)
+    exponent = np.zeros(rate.shape)
+    np.cumsum((rate * (ends - begins))[:, :-1], axis=1, out=exponent[:, 1:])
+    exponent += start
     return tuple(
-        np.cumsum(_stretch_sums(log_w, a, m, e), axis=1)[:, -1] / (1.0 - R) * dt
-        for m, e in ((counts, exponent), (tail_counts, tail_exponent))
+        np.cumsum(_stretch_integrals(rate, exponent + rate * (s - begins), ends - s), axis=1)[:, -1]
+        / (1.0 - R)
+        for s in (begins, np.maximum(begins, 0.9 * T))
     )
 
 
@@ -441,10 +420,12 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     paths share one noise stream with flipped signs and the standard error
     is computed over pair averages.
 
-    A path's value is E[J | factor path] on the same grid: the mean of the
-    realized objective J with no more variance, the asset noise
-    perpendicular to the factor integrated out, not drawn.  A diffusion
-    path reads only the first ``n_steps`` normals of its stream; for
+    A path's value is E[J | factor path]: the mean of the realized
+    objective J with no more variance, the asset noise perpendicular to
+    the factor integrated out, not drawn.  A regime path's value is
+    E[J | chain] of the integral over [0, T], so it does not read ``dt``.
+    A diffusion path keeps the left-endpoint rule on the grid of step
+    ``dt`` and reads only the first ``n_steps`` normals of its stream; for
     black_scholes these are the asset normals and its value is its realized
     J.  An antithetic pair shares its chain, so antithetic buys nothing for
     a regime model.  When every path value is equal (say, a policy that
@@ -461,13 +442,14 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
         raise ValueError(f"seed must be an integer in 0..2^128 - 1, got {seed}")
     if antithetic and (n_paths % 2 != 0 or n_paths < 4):
         raise ValueError("antithetic sampling needs an even path count of at least 4")
-    coefficients = _step_coefficients(model, policy, dt, y0, n_steps)
+    coefficients = _step_coefficients(model, policy, x0, y0)
     regime = isinstance(model, RegimeModel)
 
     values = np.empty(n_paths)
     tails = np.empty(n_paths)
     k_tail = int(round(0.9 * n_steps))
-    block = max(16, min(n_paths, 1_000_000 // max(n_steps, 1) + 1))
+    # A chain block's size does not depend on dt, which the chain route never reads.
+    block = 256 if regime else max(16, min(n_paths, 1_000_000 // n_steps + 1))
     ranges = [(start, min(start + block, n_paths)) for start in range(0, n_paths, block)]
     rows = max(1, _SLICE_ELEMENTS // n_steps)
 
@@ -479,14 +461,12 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
             stream = _path_streams(seed)
             rngs = (stream(idx // 2 if antithetic else idx) for idx in indices)
             chains = _sample_chains(model.Q, y0, T, rngs)
-            block_values[:], block_tails[:] = _conditional_values(
-                model, coefficients, x0, dt, n_steps, k_tail, *chains
-            )
+            block_values[:], block_tails[:] = _conditional_values(coefficients, model.R, T, *chains)
             return
         factor, dw_asset = _sample_block(model, y0, dt, n_steps, seed, indices, antithetic)
         for lo in range(0, stop - start, rows):
             part = slice(lo, lo + rows)
-            flow = _wealth_kernel(coefficients, model.R, x0, dt, factor[part], dw_asset[part])
+            flow = _wealth_kernel(coefficients, model.R, dt, factor[part], dw_asset[part])
             block_values[part] = flow.sum(axis=1)
             block_tails[part] = flow[:, k_tail:].sum(axis=1)
 

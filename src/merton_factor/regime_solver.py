@@ -336,8 +336,8 @@ def solve_hjb_newton(A, p, tol=1e-10, *, _check_power=None):
     :class:`ConvergenceError` with the last iterate attached.
     ``_check_power`` is :func:`_iterate`'s ``check_power``.
     """
-    if not p < 1.0:
-        raise ValueError(f"p = {p} must be < 1")
+    if not -math.inf < p < 1.0:
+        raise ValueError(f"p = {p} must be a finite number below 1")
     return _iterate(A, p, "newton", tol, _check_power)
 
 
@@ -347,8 +347,11 @@ def solve_matrix_hjb(A, R, tol=1e-10, *, _check_power=None):
     Its step count grows neither with the grid size nor as |p| -> 1, where
     the contraction's does (217 steps at R = 10).  A that is not a
     nonsingular M-matrix raises :class:`IllPosedError` carrying the failed
-    certificate.  ``_check_power`` is :func:`_iterate`'s ``check_power``.
+    certificate, an R that is not positive and finite ``ValueError``.
+    ``_check_power`` is :func:`_iterate`'s ``check_power``.
     """
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R = {R} must be positive and finite")
     return solve_hjb_newton(A, 1.0 - 1.0 / R, tol=tol, _check_power=_check_power)
 
 

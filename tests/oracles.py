@@ -7,10 +7,11 @@ tridiagonal in plain floats, inverse-nonnegativity M-matrix checks, a
 log-space damped Newton root-finder, the constant Newton start that the
 witness start replaced and plain dense Newton iterates, closed-form value
 formulas for constant-coefficient markets, scalar per-step loops of the
-Monte Carlo objective, the step coefficients evaluated on a factor slice in
-its path order, exact regime policy values (a matrix-power recursion
-on the estimator's grid and a Feynman-Kac linear solve), a binary search
-for the step grid's event edges, and numpy's own row-by-row text writer for
+Monte Carlo objective and segment-by-segment chain integrals, the step
+coefficients evaluated on a factor slice in its path order, exact regime
+policy values (a matrix-power recursion on a time grid, a matrix
+exponential over [0, T] and a Feynman-Kac linear solve), a binary search
+for a step grid's event edges, and numpy's own row-by-row text writer for
 solution tables.
 """
 
@@ -212,6 +213,18 @@ def deterministic_policy_value(x0, R, delta, r, xi, T, dt):
     return gbm_policy_expected_value(x0, R, delta, r, 0.0, 1.0, 0.0, xi, T, dt)
 
 
+def gbm_policy_integral(x0, R, delta, r, lam, sigma, pi, xi, T):
+    """Exact expectation of the continuous-time objective over [0, T].
+
+    With the C and gamma of :func:`gbm_policy_expected_value`, the mean
+    flow at t is C exp(-gamma t), whose integral is C expm1(-gamma T) / -gamma.
+    """
+    drift = r + pi * lam * sigma - xi - 0.5 * pi * pi * sigma * sigma
+    gamma = delta - (1.0 - R) * drift - 0.5 * (1.0 - R) ** 2 * pi * pi * sigma * sigma
+    C = xi ** (1.0 - R) * x0 ** (1.0 - R) / (1.0 - R)
+    return C * (math.expm1(-gamma * T) / -gamma if gamma != 0.0 else T)
+
+
 def euler_factor_path(a, b, y0, lo, dt, dw_factor):
     """Full-truncation Euler factor at the step starts, one scalar step at a time.
 
@@ -252,40 +265,39 @@ def wealth_path_by_loop(coef, R, pi, xi, x0, dt, factor, dw_asset):
     return np.array(wealth), np.array(discs), np.array(utils)
 
 
-def step_coefficients_in_path_order(model, policy, dt, factor, share):
-    """(drift * dt, vol, delta * dt, log xi) on a diffusion factor slice as given.
+def step_coefficients_in_path_order(model, policy, x0, factor, share):
+    """(rate, weight, start) on a diffusion factor slice as given.
 
     The factor is clipped to the model's state interval and every
     coefficient and policy function sees the slice in its own (path)
     order; scalar policy entries are broadcast.  ``share`` is the part c of
-    the asset noise that the sampled normals carry: vol = pi sigma c and
-    drift = r + pi lambda sigma - xi - h pi^2 sigma^2 with
-    h = (1 - (1-R)(1 - c^2)) / 2, grouped as h (pi pi) (sigma sigma) so
-    that it rounds like the package.
+    the asset noise that the sampled normals carry: rate = (1-R) drift - delta,
+    weight = (1-R) pi sigma c and start = (1-R)(log xi + log x0), with
+    drift = r + pi lambda sigma - xi - h pi^2 sigma^2 and
+    h = (1 - (1-R)(1 - c^2)) / 2, grouped as h (pi pi) (sigma sigma) and
+    with log x0 from ``math.log`` so that it rounds like the package.
     """
     lo, hi = model.interval
     y = np.clip(np.asarray(factor, dtype=float), lo, hi)
     p, c = (f(y) if callable(f) else np.full(y.shape, float(f)) for f in policy)
     r, lam, sigma, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
-    h = 0.5 * (1.0 - (1.0 - model.R) * (1.0 - share * share))
-    drift = (r + p * lam * sigma - c - h * (p * p) * (sigma * sigma)) * dt
+    gain = 1.0 - model.R
+    h = 0.5 * (1.0 - gain * (1.0 - share * share))
+    drift = r + p * lam * sigma - c - h * (p * p) * (sigma * sigma)
     with np.errstate(divide="ignore"):
-        return drift, p * sigma * share, delta * dt, np.log(c)
+        return gain * drift - delta, gain * p * sigma * share, gain * (np.log(c) + math.log(x0))
 
 
-def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor, rho=0.0, dw_factor=None):
+def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor, rho, dw_factor):
     """E[J | factor path] of the left-endpoint objective, one step at a time.
 
     Given the step-start factor values and the factor's Brownian increments
-    ``dw_factor`` (none for a regime chain, which is independent of the
-    asset noise), step k's log-wealth increment is normal with mean
+    ``dw_factor``, step k's log-wealth increment is normal with mean
     mu_k dt + rho pi sigma dw_k and variance (1 - rho^2)(pi sigma)^2 dt, so
     E[exp((1-R) log X_k - disc_k)] multiplies by
     exp((1-R)(mu dt + rho pi sigma dw) + (1-R)^2 (1-rho^2) (pi sigma)^2 dt / 2 - delta dt)
     per step, and step k adds dt (xi x0)^(1-R) / (1-R) times that mean.
     """
-    if dw_factor is None:
-        dw_factor = np.zeros(len(factor))
     log_mean, total = 0.0, 0.0
     for y, dw in zip(factor, dw_factor):
         r, lam, sigma, delta = coef(y)
@@ -295,6 +307,29 @@ def conditional_value_by_loop(coef, R, pi, xi, x0, dt, factor, rho=0.0, dw_facto
         variance = (1.0 - rho * rho) * p * p * sigma * sigma
         log_mean += ((1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * variance - delta) * dt
         log_mean += (1.0 - R) * rho * p * sigma * dw
+    return total
+
+
+def conditional_chain_value_by_loop(coef, R, pi, xi, x0, y0, times, states, t_end):
+    """E[int_0^t_end flow dt | chain] of the continuous-time objective, one segment at a time.
+
+    The chain starts in ``y0`` and enters ``states[i]`` at ``times[i]``.
+    On a segment in state s the mean flow is exp(log_mean) (xi x0)^(1-R) / (1-R)
+    times exp(k t) with k = (1-R) mu + (1-R)^2 (pi sigma)^2 / 2 - delta, so
+    the segment adds that weight times expm1(k l) / k over its length l
+    (clipped at ``t_end``), and log_mean grows by k l.
+    """
+    clocks = [min(t, t_end) for t in (0.0, *times, t_end)]
+    log_mean, total = 0.0, 0.0
+    for s, begin, end in zip((y0, *states), clocks[:-1], clocks[1:]):
+        r, lam, sigma, delta = coef(s)
+        p, c = pi(s), xi(s)
+        mu = r + p * lam * sigma - c - 0.5 * p * p * sigma * sigma
+        k = (1.0 - R) * mu + 0.5 * (1.0 - R) ** 2 * p * p * sigma * sigma - delta
+        length = end - begin
+        weight = math.exp(log_mean + (1.0 - R) * math.log(c * x0)) / (1.0 - R)
+        total += weight * (math.expm1(k * length) / k if k != 0.0 else length)
+        log_mean += k * length
     return total
 
 
@@ -323,6 +358,21 @@ def regime_grid_value(model, policy, x0, y0, T, dt):
     for _ in range(int(round(T / dt)) - 1):
         total = w + DP @ total
     return float(total[int(y0)])
+
+
+def regime_continuous_value(model, policy, x0, y0, T):
+    """Exact mean of a per-state policy's continuous-time objective over [0, T].
+
+    Feynman-Kac: the mean is (int_0^T exp((Q + diag(k)) t) dt w)[y0] with
+    w = (xi x0)^(1-R) / (1-R), the top-right block of
+    expm([[Q + diag(k), w], [0, 0]] T) (Van Loan).
+    """
+    k, xi = _regime_policy_rates(model, policy)
+    n = k.shape[0]
+    block = np.zeros((n + 1, n + 1))
+    block[:n, :n] = np.asarray(model.Q) + np.diag(k)
+    block[:n, n] = (xi * x0) ** (1.0 - model.R) / (1.0 - model.R)
+    return float(scipy.linalg.expm(block * T)[int(y0), n])
 
 
 def regime_policy_value(model, policy):

@@ -108,6 +108,27 @@ def test_one_sided_certificate(mpr_model):
     assert cert.C1 is None
     assert cert.lower() is None
     assert cert.upper() is not None
+    cert = proportional_bounds(mpr_model, 0.04, None, grid)
+    assert cert.C2 is None
+    assert cert.upper() is None
+    assert cert.lower() is not None
+
+
+def test_diagnostics_refuse_malformed_arguments(mpr_model):
+    grid = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="^profile is specific to the vasicek family$"):
+        vasicek_supersolution_profile(mpr_model)
+    with pytest.raises(ValueError, match="^unknown profile spec 'psi'; expected 'eta'$"):
+        proportional_bounds(mpr_model, None, "psi", grid)
+    shape = "^grid and u must be matching 1-d arrays with at least 3 nodes$"
+    with pytest.raises(ValueError, match=shape):
+        hjb_residual(mpr_model, grid, np.ones(4))
+    with pytest.raises(ValueError, match=shape):
+        hjb_residual(mpr_model, grid[:2], np.ones(2))
+    with pytest.raises(DomainError, match="^u must be positive$"):
+        hjb_residual(mpr_model, grid, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="^grid must be uniform$"):
+        hjb_residual(mpr_model, grid**3, np.ones(5))
 
 
 def test_vasicek_supersolution_profile_derivatives(vasicek_model):

@@ -352,8 +352,11 @@ def test_csv_round_trip_is_bitwise(tmp_path, mpr_model):
     assert meta["solve"]["N"] == 300
     recomputed, stored = recompute_csv_residual(path)
     assert recomputed == stored
-    # A file cut before its column header is refused by name.
+    # Blank lines before the column header are skipped.
     lines = path.read_text().splitlines()
+    path.write_text("\n".join(["", lines[0], "", *lines[1:]]) + "\n")
+    assert read_solution_csv(path)[0] == meta
+    # A file cut before its column header is refused by name.
     header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     path.write_text("\n".join(lines[:header_at]) + "\n")
     with pytest.raises(ValueError, match="no column header"):

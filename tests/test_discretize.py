@@ -178,7 +178,9 @@ def test_grid_geometry(mpr_model):
     assert np.diff(grid) == pytest.approx(np.full(12, 0.5), rel=0, abs=1e-15)
 
 
-def test_domain_validation(mpr_model, heston_model):
+def test_domain_validation(mpr_model, heston_model, regime2_model):
+    with pytest.raises(DiscretizationError, match="^assemble_discrete_hjb expects a DiffusionModel$"):
+        assemble_discrete_hjb(regime2_model, -3.0, 3.0, 10)
     with pytest.raises(DiscretizationError, match="e_minus < e_plus"):
         assemble_discrete_hjb(mpr_model, 3.0, -3.0, 10)
     with pytest.raises(DiscretizationError, match="grid nodes"):

@@ -1,6 +1,7 @@
 """Tridiagonal kernels and M-matrix certification against dense oracles."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -239,6 +240,30 @@ def test_positive_off_diagonal_is_rejected_not_judged():
     op = TridiagonalOperator(np.array([0.3]), np.array([1.0, 1.0]), np.array([-0.2]))
     with pytest.raises(NotZMatrixError, match=r"\(1, 0\)"):
         check_nonsingular_m_matrix(op)
+    op = TridiagonalOperator(np.array([-0.3]), np.array([1.0, 1.0]), np.array([0.2]))
+    with pytest.raises(NotZMatrixError, match=r"\(0, 1\)"):
+        check_nonsingular_m_matrix(op)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TridiagonalOperator([], 5.0, []), "main diagonal must be a nonempty 1-d array"),
+        (lambda: TridiagonalOperator([], [], []), "main diagonal must be a nonempty 1-d array"),
+        (lambda: TridiagonalOperator([-1.0], [1.0, 1.0], []), r"off-diagonals must have length 1"),
+        (lambda: TridiagonalOperator([math.nan], [1.0, 1.0], [-1.0]), "bands must be finite"),
+        (lambda: TridiagonalOperator([-1.0], [1.0, math.inf], [-1.0]), "bands must be finite"),
+        (lambda: check_nonsingular_m_matrix(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+        (lambda: check_nonsingular_m_matrix(np.array([[math.nan]])), "entries must be finite"),
+        (lambda: check_nonsingular_m_matrix([[1.0, -math.inf], [0.0, 1.0]]), "entries must be finite"),
+    ],
+    ids=["scalar-main", "empty-main", "short-sup", "nan-sub", "inf-main", "dense-not-square",
+         "dense-nan", "dense-minus-inf"],
+)
+def test_operators_refuse_malformed_or_non_finite_entries(build, message):
+    # Refused before any arithmetic: this suite makes a RuntimeWarning an error.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_singular_and_numerically_singular_verdicts():

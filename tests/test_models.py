@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from merton_factor import (
+    DiffusionModel,
     DomainError,
     ModelError,
+    RegimeModel,
     distortion_power,
     hjb_residual,
     load_model,
@@ -96,6 +98,10 @@ def test_model_dict_round_trip(mpr_model, regime2_model):
     for model in (mpr_model, regime2_model):
         clone = load_model(json.loads(json.dumps(model_to_dict(model))))
         assert model_to_dict(clone) == model_to_dict(model)
+    with pytest.raises(ModelError, match="^unsupported model type object$"):
+        model_to_dict(object())
+    with pytest.raises(ModelError, match="^to_zero_correlation applies to diffusion models$"):
+        to_zero_correlation(regime2_model)
 
 
 def test_load_model_rejects_bad_inputs():
@@ -110,6 +116,18 @@ def test_load_model_rejects_bad_inputs():
                 "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3, "spread": 1.0},
             }
         )
+    with pytest.raises(ModelError, match="^unknown field 'spread' in black_scholes model$"):
+        load_model(
+            {
+                "family": "black_scholes",
+                "params": {"R": 2.0, "delta": 0.1, "r": 0.02, "lambda": 0.3},
+                "spread": 1.0,
+            }
+        )
+    with pytest.raises(ModelError, match="^unknown model family 'sabr'; expected one of "):
+        DiffusionModel("sabr", {"R": 2.0})
+    with pytest.raises(ModelError, match="^Q must have at least one state$"):
+        RegimeModel(np.empty((0, 0)), [], [], [], [], 2.0)
     with pytest.raises(ModelError, match="R must be positive"):
         load_model(
             {

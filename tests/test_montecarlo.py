@@ -57,7 +57,7 @@ def _grid_chains(model, y0, T, dt, n_steps, seed, n_paths):
     """The estimator's chains of paths 0..n_paths-1 at the step starts."""
     stream = montecarlo._path_streams(seed)
     times, states = montecarlo._sample_chains(model.Q, y0, T, (stream(i) for i in range(n_paths)))
-    edges = montecarlo._grid_edges(times, n_steps, dt)
+    edges = oracles.grid_edges_by_search(times, n_steps, dt)
     counts = np.diff(edges, axis=1, prepend=0, append=n_steps)
     return np.repeat(states.ravel(), counts.ravel()).reshape(-1, n_steps)
 
@@ -81,9 +81,11 @@ def test_zero_investment_policy_is_deterministic_on_all_routes(bs_model, mpr_mod
         assert est.mean == pytest.approx(expected, rel=1e-10)
         assert est.se == 0.0, n_paths
 
+    # Regime route: a chain's value is the integral over [0, T], not the grid sum.
     reg = flat_regime()
     est = estimate_value(reg, (0.0, xi), 1.0, 0, T, dt, 16, seed=3)
-    assert est.mean == pytest.approx(expected, rel=1e-10)
+    exact = oracles.gbm_policy_integral(1.0, 2.0, 0.1, 0.02, 0.4, 0.25, 0.0, xi, T)
+    assert est.mean == pytest.approx(exact, rel=1e-12)
     assert est.se == 0.0
 
     # Diffusion route: the factor path moves but cannot influence wealth
@@ -125,8 +127,9 @@ def test_regime_estimator_agrees_with_solver(regime2_model):
         regime2_model, (sol.pi_hat, sol.u), 1.0, 0, T, 0.05, 2000, seed=11
     )
     solver_value = sol.value(1.0, 0)
-    # Allow a left-endpoint quadrature bias of order dt on top of 4 SE.
-    slack = 4.0 * est.se + 0.02 * abs(solver_value)
+    # The estimate targets the integral over [0, T]; the default horizon
+    # leaves out about 1e-4 of the value, within 1e-3 on top of 4 SE.
+    slack = 4.0 * est.se + 1e-3 * abs(solver_value)
     assert abs(est.mean - solver_value) <= slack
 
 
@@ -230,7 +233,7 @@ def _tabulated_model():
 @pytest.mark.parametrize("case", ["mpr", "heston", "tabulated", "tabulated_scalar"])
 def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model):
     # The Euler-factor lookup evaluates its callables on each slice in
-    # sorted order; put back in path order, all four coefficients must be
+    # sorted order; put back in path order, all three coefficients must be
     # the bits of the same formula evaluated on the slice as given.
     rng = np.random.default_rng(21)
     grid = np.linspace(0.0, 0.2, 301)
@@ -253,8 +256,8 @@ def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model)
         factor.ravel()[::3] = np.round(factor.ravel()[::3], 1)
         factor = np.clip(factor, *model.interval)  # as the sampler stores it
         # The estimator's factor normals carry a share rho of the asset noise.
-        lookup = montecarlo._step_coefficients(model, policy, 0.05, y0, n)
-        expected = oracles.step_coefficients_in_path_order(model, policy, 0.05, factor, model.rho)
+        lookup = montecarlo._step_coefficients(model, policy, 1.5, y0)
+        expected = oracles.step_coefficients_in_path_order(model, policy, 1.5, factor, model.rho)
         for got, want in zip(lookup(factor), expected, strict=True):
             assert np.array_equal(_bits(got, factor.shape), _bits(want, factor.shape))
 
@@ -389,9 +392,7 @@ def test_single_state_chain_is_constant():
         est = estimate_value(one, (0.6, 0.07125), 1.0, 0, 20.0, 0.05, 200, seed=4)
     assert np.array_equal(path.times, [0.0, 5.0]) and np.array_equal(path.states, [0])
     assert np.all(factor == 0)
-    exact = oracles.gbm_policy_expected_value(
-        1.0, 2.0, 0.1, 0.02, 0.3, 0.25, 0.6, 0.07125, 20.0, 0.05
-    )
+    exact = oracles.gbm_policy_integral(1.0, 2.0, 0.1, 0.02, 0.3, 0.25, 0.6, 0.07125, 20.0)
     assert est.mean == pytest.approx(exact, rel=1e-12)
     assert est.se == 0.0
 
@@ -429,38 +430,16 @@ def test_an_event_time_rounded_up_to_T_is_dropped():
     assert times.tolist() == [0.5, 1.0] and moves.tolist() == [0.1, 0.2]
 
 
-def test_grid_edges_match_a_binary_search():
-    # 300 random grids; the event times include grid points, their
-    # neighbours one ulp away, the end of the horizon and +inf pads.
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        n_steps, dt = int(rng.integers(1, 5000)), float(rng.uniform(1e-3, 2.0))
-        on_grid = np.arange(n_steps)[rng.integers(0, n_steps, 64)] * dt
-        times = np.concatenate(
-            [
-                rng.uniform(0.0, 1.05 * n_steps * dt, 256),
-                on_grid,
-                np.nextafter(on_grid, np.inf),
-                np.nextafter(on_grid, -np.inf).clip(0.0),
-                [0.0, n_steps * dt, np.inf],
-            ]
-        ).reshape(11, -1)
-        expected = oracles.grid_edges_by_search(times, n_steps, dt)
-        assert np.array_equal(montecarlo._grid_edges(times, n_steps, dt), expected)
-
-
 def test_regime_path_zero_follows_its_stream_by_loop():
     # Path 0 draws its event count, the time uniforms, then the move
-    # uniforms; its value is E[J | chain] on the grid.  sample_ctmc_path is
-    # the same chain without its self-events.
+    # uniforms; its value is E[J | chain] of the integral over [0, T].
+    # sample_ctmc_path is the same chain without its self-events.
     model = three_state_regime()
     T, dt, seed, x0 = 2.0, 0.05, 17, 1.5
-    n = int(round(T / dt))
     rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
     times, states = oracles.uniformized_chain_by_loop(model.Q, 0, T, rng)
     chain = np.concatenate(([0], states))
     assert np.any(chain[1:] == chain[:-1])  # self-events occur
-    on_grid = [chain[np.sum(times <= k * dt)] for k in range(n)]
     # A callable reads states as signed integers: s - 1 must not wrap at s = 0.
     policy = (lambda s: 0.5 + 0.1 * (s - 1), np.array([0.1, 0.12, 0.08]))
     est = estimate_value(model, policy, x0, 0, T, dt, 2, seed=seed)
@@ -468,8 +447,8 @@ def test_regime_path_zero_follows_its_stream_by_loop():
     def coef(s):
         return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
 
-    value = oracles.conditional_value_by_loop(
-        coef, model.R, policy[0], lambda s: policy[1][s], x0, dt, on_grid
+    value = oracles.conditional_chain_value_by_loop(
+        coef, model.R, policy[0], lambda s: policy[1][s], x0, 0, times, states, T
     )
     assert _is_a_path_value(est, value)
 
@@ -502,8 +481,9 @@ def test_regime_initial_state_must_be_a_state_index(entry, y0, regime2_model):
         [[-1.0, 2.0], [1.0, -1.0]],
         [[-1.0, 1.0]],
         [[-1.0, 1.0], [math.nan, 0.0]],
+        np.empty((0, 0)),
     ],
-    ids=["negative-off-diagonal", "row-sum", "not-square", "not-finite"],
+    ids=["negative-off-diagonal", "row-sum", "not-square", "not-finite", "no-state"],
 )
 def test_sample_ctmc_path_refuses_non_generators(Q):
     with pytest.raises(ModelError):
@@ -525,10 +505,11 @@ def test_path_values_are_the_conditional_loop_values(fixture, request):
     # With two paths the estimate is mean = (J0 + J1) / 2, se = |J0 - J1| / 2.
     values = sorted(est.mean + s * est.se for s in (-1.0, 1.0))
     assert est.se > 0.0
-    # Each path value is E[J | factor path]: the per-step loop on the chains
-    # or the Euler factor paths of paths 0 and 1 (black_scholes: on its
-    # asset normals, which carry all of the noise).  The tail is the part
-    # from step round(0.9 n) on.
+    # Each path value is E[J | factor path]: the segment loop on the chains
+    # of paths 0 and 1 (the integral up to t = k dt), or the per-step loop
+    # on their Euler factor paths (black_scholes: on its asset normals,
+    # which carry all of the noise).  The tail is the part from
+    # t = 0.9 T = k_tail dt on.
     n, k_tail, dt = 200, 180, 0.05
     pi, xi = (f if callable(f) else (lambda y, f=f: f) for f in policy)
     expected, tails = [], []
@@ -536,12 +517,14 @@ def test_path_values_are_the_conditional_loop_values(fixture, request):
         rng = np.random.Generator(np.random.Philox(key=9, counter=index << 128))
         if fixture == "regime2_model":
             times, states = oracles.uniformized_chain_by_loop(model.Q, 0, 10.0, rng)
-            chain = np.concatenate(([0], states))
-            factor = [chain[np.sum(times <= k * dt)] for k in range(n)]
-            steps, rho, dw = factor, 0.0, np.zeros(n)
 
             def coef(s):
                 return model.r[s], model.lam[s], model.sigma[s], model.delta[s]
+
+            def by_loop(k):
+                return oracles.conditional_chain_value_by_loop(
+                    coef, model.R, pi, xi, 1.5, 0, times, states, k * dt
+                )
 
         else:
             # A diffusion stream starts with the factor normals.
@@ -556,10 +539,10 @@ def test_path_values_are_the_conditional_loop_values(fixture, request):
             def coef(y):
                 return model.r(y), model.lam(y), model.sigma(y), model.delta(y)
 
-        def by_loop(k):
-            return oracles.conditional_value_by_loop(
-                coef, model.R, pi, xi, 1.5, dt, steps[:k], rho, dw[:k]
-            )
+            def by_loop(k):
+                return oracles.conditional_value_by_loop(
+                    coef, model.R, pi, xi, 1.5, dt, steps[:k], rho, dw[:k]
+                )
 
         expected.append(by_loop(n))
         tails.append(expected[-1] - by_loop(k_tail))
@@ -681,7 +664,7 @@ def test_zero_consumption_semantics(bs_model):
     # the path value -inf for R > 1.
     policy = ([0.7, 0.3], [0.0, 0.05])
     est = estimate_value(flat_regime(R=0.6), policy, 1.0, 1, 20.0, 0.05, 400, seed=2)
-    exact = oracles.regime_grid_value(flat_regime(R=0.6), policy, 1.0, 1, 20.0, 0.05)
+    exact = oracles.regime_continuous_value(flat_regime(R=0.6), policy, 1.0, 1, 20.0)
     assert 0.0 < exact and abs(est.mean - exact) <= 4.0 * est.se
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -831,8 +814,8 @@ def _ac10_cases(model):
 @pytest.mark.parametrize(
     "case", range(7), ids=["optimum", "pi+", "pi-", "xi*1.2", "xi*0.8", "three_state", "flat"]
 )
-def test_regime_estimates_lie_within_4_se_of_the_grid_value(case, regime2_model):
-    # Two-sided: the estimator's exact mean on its grid is known.
+def test_regime_estimates_lie_within_4_se_of_the_continuous_value(case, regime2_model):
+    # Two-sided: the estimator's exact mean, the integral over [0, T], is known.
     if case < 5:
         model, y0 = regime2_model, 0
         policy, T, dt, n_paths, seed = _ac10_cases(regime2_model)[1][case]
@@ -843,7 +826,7 @@ def test_regime_estimates_lie_within_4_se_of_the_grid_value(case, regime2_model)
     else:
         model, y0 = flat_regime(), 1
         policy, T, dt, n_paths, seed = ([0.7, 0.3], 0.06), 30.0, 0.05, 4000, 32
-    exact = oracles.regime_grid_value(model, policy, 1.0, y0, T, dt)
+    exact = oracles.regime_continuous_value(model, policy, 1.0, y0, T)
     est = estimate_value(model, policy, 1.0, y0, T, dt, n_paths, seed=seed)
     assert est.se > 0.0
     assert abs(est.mean - exact) <= 4.0 * est.se, (est.mean - exact) / est.se
@@ -862,13 +845,25 @@ def test_grid_value_approaches_the_policy_value(regime2_model):
 
 
 def test_absorbed_regime_estimate_is_exact():
-    # From the absorbing state every path has one coefficient stretch.
+    # From the absorbing state every path has one coefficient stretch, whose
+    # value is state 2's constant-coefficient integral.
     model = three_state_regime()
     policy = ([0.5, 0.4, 0.3], [0.1, 0.12, 0.08])
     est = estimate_value(model, policy, 1.0, 2, 20.0, 0.05, 300, seed=5)
     assert est.se == 0.0
-    exact = oracles.regime_grid_value(model, policy, 1.0, 2, 20.0, 0.05)
+    exact = oracles.gbm_policy_integral(1.0, 2.0, 0.2, 0.03, 0.2, 0.3, 0.3, 0.08, 20.0)
     assert est.mean == pytest.approx(exact, rel=1e-12)
+
+
+def test_regime_estimates_do_not_depend_on_dt(regime2_model):
+    # A chain's value is the integral over [0, T] given its event times, so
+    # the step dt changes no bit.
+    results = set()
+    for dt in (0.02, 0.05, 0.5):
+        est = estimate_value(regime2_model, (0.5, 0.1), 1.0, 0, 40.0, dt, 3000, seed=3)
+        assert est.se > 0.0
+        results.add((est.mean, est.se, est.tail_mean))
+    assert len(results) == 1
 
 
 def test_regime_antithetic_pairs_share_their_value(regime2_model):

@@ -245,6 +245,30 @@ def test_solvers_refuse_a_tolerance_that_is_not_positive_and_finite(entry, tol, 
 def test_check_wellposed_rejects_diffusion_models(mpr_model):
     with pytest.raises(TypeError, match="regime models"):
         check_wellposed(mpr_model)
+    with pytest.raises(TypeError, match="^assemble_A expects a RegimeModel$"):
+        assemble_A(mpr_model)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("solve", 0.0), ("solve", -2.0), ("solve", math.inf), ("solve", math.nan),
+        ("newton", 1.0), ("newton", math.inf), ("newton", -math.inf), ("newton", math.nan),
+        ("fixed_point", 1.0), ("fixed_point", -1.0), ("fixed_point", math.nan),
+    ],
+)
+def test_solvers_refuse_an_R_or_p_they_cannot_use(entry, value):
+    # solve_matrix_hjb names R (at R = inf, p = 1 would name p); the
+    # solvers of A x = x^p name p.
+    A = np.array([[2.0, -0.5], [-1.5, 3.0]])
+    calls = {
+        "solve": (solve_matrix_hjb, f"^R = {value} must be positive and finite$"),
+        "newton": (solve_hjb_newton, f"^p = {value} must be a finite number below 1$"),
+        "fixed_point": (solve_hjb_fixed_point, rf"^p = {value} outside \(-1, 1\)"),
+    }
+    solver, message = calls[entry]
+    with pytest.raises(ValueError, match=message):
+        solver(A, value)
 
 
 def test_mixed_sign_eta_can_still_be_well_posed():
@@ -307,6 +331,22 @@ def test_cyclic_formula_refuses_non_finite_input(eta, q, R):
         cyclic_wellposed(eta, q, R)
 
 
+@pytest.mark.parametrize(
+    "eta, q, R, message",
+    [
+        ([0.1, 0.1], [1.0], 2.0, "^eta and q must be 1-d arrays of equal length$"),
+        ([[0.1]], [[1.0]], 2.0, "^eta and q must be 1-d arrays of equal length$"),
+        ([0.1, 0.1], [1.0, 0.0], 2.0, "^cycle rates q must be positive$"),
+        ([0.1, 0.1], [1.0, 1.0], 0.0, "^R must be positive$"),
+        ([0.1, 0.1], [1.0, 1.0], -1.0, "^R must be positive$"),
+    ],
+    ids=["unequal-lengths", "two-d", "q-zero", "R-zero", "R-negative"],
+)
+def test_cyclic_formula_refuses_malformed_input(eta, q, R, message):
+    with pytest.raises(ValueError, match=message):
+        cyclic_wellposed(eta, q, R)
+
+
 def test_nearest_neighbour_quick_formula_matches_full_certificate():
     rng = np.random.default_rng(78)
     for _ in range(60):
@@ -334,6 +374,21 @@ def test_nearest_neighbour_quick_formula_matches_full_certificate():
 def test_nearest_neighbour_formula_refuses_unusable_R(R):
     with pytest.raises(ValueError, match="R = "):
         nearest_neighbour_wellposed([0.1, 0.1], [0.0, 1.0], [1.0, 0.0], R)
+
+
+@pytest.mark.parametrize(
+    "q_minus, q_plus, message",
+    [
+        ([0.0, 1.0], [1.0, 0.0, 0.0], "^eta, q_minus, q_plus must have equal length$"),
+        ([0.5, 1.0, 1.0], [1.0, 1.0, 0.0], r"^boundary convention requires q_minus\[0\] = 0"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0, 0.5], r"^boundary convention requires .* q_plus\[-1\] = 0$"),
+        ([0.0, -1.0, 1.0], [1.0, 1.0, 0.0], "^jump rates must be nonnegative$"),
+    ],
+    ids=["unequal-lengths", "q-minus-boundary", "q-plus-boundary", "negative-rate"],
+)
+def test_nearest_neighbour_formula_refuses_malformed_chains(q_minus, q_plus, message):
+    with pytest.raises(ValueError, match=message):
+        nearest_neighbour_wellposed([0.1, 0.1, 0.1], q_minus, q_plus, 2.0)
 
 
 def test_nearest_neighbour_single_state():
