@@ -31,13 +31,16 @@ step's utility flow by the left-endpoint rule, from one cumulative sum of
 the exponent's steps rate dt + weight dW.  black_scholes has no factor
 noise; its value is the realized J on the grid, and its coefficients are
 one entry at ``y0`` shared by every path.  Paths are sampled in blocks of
-about 10^6 path-steps; the kernel runs on row slices of at most
-``_SLICE_ELEMENTS`` path-steps, so its temporaries stay small.
+about 10^6 path-steps; the Euler loop steps a block in time-major chunks,
+and the kernel runs on row slices, each of at most ``_SLICE_ELEMENTS``
+path-steps, so their temporaries stay small.
 A callable policy, and a tabulated model's coefficients, see each slice's
-factor values in sorted order, so a search such as ``np.interp`` finds
-each key next to the last.  Policy and coefficient functions are applied
-elementwise: they may receive any permutation of the factor values, and
-the results do not depend on it.
+factor values in bucket order: sorted by the 16-bit key
+uint16((y - min) 65535 / (max - min)) of the slice's range, so a search
+such as ``np.interp`` finds each key next to the last (a slice that is
+constant or holds a non-finite value keeps path order).  Policy and
+coefficient functions are applied elementwise: they may receive any
+permutation of the factor values, and the results do not depend on it.
 
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
@@ -234,11 +237,12 @@ def _step_coefficients(model, policy, x0, y0):
     every path and step; other diffusions are a lookup of the
     factor block, which :func:`_sample_block` stores clipped.  There, when
     a policy is a callable or the model is tabulated, they see the
-    slice's values in sorted order (one argsort) and the three results are
-    put back in path order: a search such as ``np.interp`` then finds each
-    key next to the previous one, and as every callable is elementwise the
-    results are the same bits.  A scalar policy stays a float and is never
-    called.  A diffusion's ``y0`` must be a finite point of the closed
+    slice's values in bucket order (a stable radix argsort of 16-bit keys
+    over the slice's range; path order for a constant slice or one whose
+    min or max is not finite) and the three results are put back in path
+    order: a search such as ``np.interp`` then finds each key next to the
+    previous one, and as every callable is elementwise the results are the
+    same bits.  A scalar policy stays a float and is never called.  A diffusion's ``y0`` must be a finite point of the closed
     state interval.
     """
     pi, xi = _normalize_policy(model, policy)
@@ -252,11 +256,12 @@ def _step_coefficients(model, policy, x0, y0):
     def at(y, r, lam, sig, delta):
         pi_s = pi(y) if callable(pi) else pi
         xi_s = xi(y) if callable(xi) else xi
-        # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
-        drift = r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2
-        # log of xi < 0 is NaN, which the estimator refuses with the path;
-        # at xi = 0 the start is -inf for R < 1 (flow 0), +inf for R > 1 (flow -inf).
+        # log of xi < 0 and inf - inf at an infinite factor value are NaN,
+        # which the estimator refuses with the path; at xi = 0 the start is
+        # -inf for R < 1 (flow 0), +inf for R > 1 (flow -inf).
         with np.errstate(divide="ignore", invalid="ignore"):
+            # pi_s * pi_s, not pi_s**2: a float's ** is libm pow, an array's is x * x.
+            drift = r + pi_s * lam * sig - xi_s - h * (pi_s * pi_s) * sig**2
             return gain * drift - delta, gain * pi_s * sig * share, gain * (np.log(xi_s) + log_x0)
 
     if regime:
@@ -275,8 +280,17 @@ def _step_coefficients(model, policy, x0, y0):
     if not (callable(pi) or callable(xi) or model.family == "tabulated"):
         return on_clipped
 
-    def in_sorted_order(y):
-        order = np.argsort(y, axis=None)
+    def in_bucket_order(y):
+        flat = y.reshape(-1)
+        lo, hi = float(flat.min()), float(flat.max())
+        span = hi - lo
+        scale = 65535.0 / span if 0.0 < span < math.inf else math.inf
+        if scale == math.inf:  # constant, not finite or too narrow: path order
+            return on_clipped(y)
+        keys = flat - lo
+        keys *= scale
+        # A stable sort of 16-bit keys is a radix sort.
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
 
         def in_path_order(values):
             if np.ndim(values) == 0:
@@ -285,9 +299,9 @@ def _step_coefficients(model, policy, x0, y0):
             out.reshape(-1)[order] = values
             return out
 
-        return tuple(map(in_path_order, on_clipped(y.reshape(-1)[order])))
+        return tuple(map(in_path_order, on_clipped(flat[order])))
 
-    return in_sorted_order
+    return in_bucket_order
 
 
 def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
@@ -308,14 +322,27 @@ def _sample_block(model, y0, dt, n_steps, seed, indices, antithetic):
     dw *= math.sqrt(dt) * (np.where(indices % 2 == 1, -1.0, 1.0)[:, None] if antithetic else 1.0)
     if model.family == "black_scholes":
         return np.full((indices.shape[0], 1), float(y0)), dw
-    (lo, hi), a, b = model.interval, model.a, model.b
+    # The coefficient closures themselves: each step reads a value clipped
+    # into the closed interval, which the public methods' check never refuses.
+    (lo, hi), a, b = model.interval, model._a, model._b
     clip = np.isfinite(lo) or np.isfinite(hi)
     factor = np.empty(dw.shape)
     y = np.full(dw.shape[0], float(y0))
-    for k in range(n_steps):
-        yc = np.clip(y, lo, hi) if clip else y
-        factor[:, k] = yc
-        y = y + a(yc) * dt + b(yc) * dw[:, k]
+    # Time-major chunks of about _SLICE_ELEMENTS path-steps: each step reads
+    # and writes one contiguous row, not a strided column of the block.
+    chunk = max(1, _SLICE_ELEMENTS // dw.shape[0])
+    factor_rows, dw_rows = np.empty((2, min(chunk, n_steps), dw.shape[0]))
+    for k in range(0, n_steps, chunk):
+        part = slice(k, min(k + chunk, n_steps))
+        rows = part.stop - k
+        dw_rows[:rows] = dw[:, part].T
+        for yc, w in zip(factor_rows[:rows], dw_rows):
+            if clip:
+                np.clip(y, lo, hi, out=yc)
+            else:
+                yc[:] = y
+            y = y + a(yc) * dt + b(yc) * w
+        factor[:, part] = factor_rows[:rows].T
     return factor, dw
 
 
@@ -412,8 +439,8 @@ def estimate_value(model, policy, x0, y0, T, dt, n_paths, seed, antithetic=False
     ``policy`` is a (pi, xi) pair: scalars, per-state arrays (regime) or
     callables of the factor value.  A diffusion's callable must act
     elementwise: it is called on arrays of factor values of any shape, and
-    on the Euler route on each slice's values in sorted order, so it may
-    receive any permutation of them.  A regime model calls it once on
+    on the Euler route on each slice's values in bucket order (sorted by a
+    16-bit key), so it may receive any permutation of them.  A regime model calls it once on
     ``arange(n_states)``, where a scalar result holds in every state.  A
     scalar is used as it is and never called.  With
     ``antithetic=True`` (an even count of at least 4 paths) consecutive

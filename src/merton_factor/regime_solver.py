@@ -347,11 +347,14 @@ def solve_matrix_hjb(A, R, tol=1e-10, *, _check_power=None):
     Its step count grows neither with the grid size nor as |p| -> 1, where
     the contraction's does (217 steps at R = 10).  A that is not a
     nonsingular M-matrix raises :class:`IllPosedError` carrying the failed
-    certificate, an R that is not positive and finite ``ValueError``.
-    ``_check_power`` is :func:`_iterate`'s ``check_power``.
+    certificate, an R that is not positive and finite, or so small that
+    1/R overflows, ``ValueError``.  ``_check_power`` is :func:`_iterate`'s
+    ``check_power``.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"R = {R} must be positive and finite")
+    if 1.0 / float(R) == math.inf:
+        raise ValueError(f"R = {R} is too small: 1/R overflows, so p = 1 - 1/R is not finite")
     return solve_hjb_newton(A, 1.0 - 1.0 / R, tol=tol, _check_power=_check_power)
 
 

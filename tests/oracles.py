@@ -225,16 +225,16 @@ def gbm_policy_integral(x0, R, delta, r, lam, sigma, pi, xi, T):
     return C * (math.expm1(-gamma * T) / -gamma if gamma != 0.0 else T)
 
 
-def euler_factor_path(a, b, y0, lo, dt, dw_factor):
+def euler_factor_path(a, b, y0, lo, dt, dw_factor, hi=math.inf):
     """Full-truncation Euler factor at the step starts, one scalar step at a time.
 
-    The drift ``a`` and volatility ``b`` are evaluated at max(y, lo).
+    The drift ``a`` and volatility ``b`` are evaluated at min(max(y, lo), hi).
     """
     y = float(y0)
     path = []
     for dw in dw_factor:
         path.append(y)
-        yc = max(y, lo)
+        yc = min(max(y, lo), hi)
         y = y + a(yc) * dt + b(yc) * dw
     return np.array(path)
 
@@ -283,8 +283,8 @@ def step_coefficients_in_path_order(model, policy, x0, factor, share):
     r, lam, sigma, delta = model.r(y), model.lam(y), model.sigma(y), model.delta(y)
     gain = 1.0 - model.R
     h = 0.5 * (1.0 - gain * (1.0 - share * share))
-    drift = r + p * lam * sigma - c - h * (p * p) * (sigma * sigma)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = r + p * lam * sigma - c - h * (p * p) * (sigma * sigma)
         return gain * drift - delta, gain * p * sigma * share, gain * (np.log(c) + math.log(x0))
 
 

@@ -249,25 +249,41 @@ def test_sorted_lookup_matches_path_order_bitwise(case, mpr_model, heston_model)
         "tabulated_scalar": (_tabulated_model(), (0.4, 0.06), 0.1, 1.5),
     }
     model, policy, y0, spread = models[case]
+    slices = []
     for _ in range(40):
         rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 300))
         factor = y0 + spread * rng.standard_normal((rows, n))
         # Repeated keys: ties in the sort must not matter.
         factor.ravel()[::3] = np.round(factor.ravel()[::3], 1)
+        slices.append(factor)
+    # A constant slice, and one whose min and max are not finite, have no
+    # bucket key; they must warn no more than any other slice.
+    slices.append(np.full((3, 50), y0))
+    factor = y0 + spread * rng.standard_normal((4, 60))
+    factor[0, 5], factor[1, 7], factor[2, 11], factor[3, 13] = np.inf, -np.inf, np.nan, np.nan
+    slices.append(factor)
+    # The estimator's factor normals carry a share rho of the asset noise.
+    lookup = montecarlo._step_coefficients(model, policy, 1.5, y0)
+    for factor in slices:
         factor = np.clip(factor, *model.interval)  # as the sampler stores it
-        # The estimator's factor normals carry a share rho of the asset noise.
-        lookup = montecarlo._step_coefficients(model, policy, 1.5, y0)
-        expected = oracles.step_coefficients_in_path_order(model, policy, 1.5, factor, model.rho)
-        for got, want in zip(lookup(factor), expected, strict=True):
-            assert np.array_equal(_bits(got, factor.shape), _bits(want, factor.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = lookup(factor)
+            expected = oracles.step_coefficients_in_path_order(model, policy, 1.5, factor, model.rho)
+        for got_one, want in zip(got, expected, strict=True):
+            assert np.array_equal(_bits(got_one, factor.shape), _bits(want, factor.shape))
 
 
-def test_callable_policies_see_each_slice_in_sorted_order(mpr_model):
+def test_callable_policies_see_each_slice_in_bucket_order(mpr_model):
+    # Each call's keys are non-decreasing in their 16-bit bucket index
+    # uint16((y - min) 65535 / (max - min)) over the slice it receives.
     calls = []
 
     def recording(fn):
         def policy(y):
-            calls.append(bool(y.ndim == 1 and np.all(np.diff(y) >= 0.0)))
+            lo, hi = float(y.min()), float(y.max())
+            buckets = ((y - lo) * (65535.0 / (hi - lo))).astype(np.uint16)
+            calls.append(bool(y.ndim == 1 and np.all(np.diff(buckets.astype(np.int64)) >= 0)))
             return fn(y)
 
         return policy
@@ -591,27 +607,38 @@ def test_fully_correlated_path_value_is_the_realized_objective(family, rho):
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("model", ["mpr", "heston"])
+@pytest.mark.parametrize("model", ["mpr", "heston", "tabulated"])
 def test_euler_factor_paths_do_not_depend_on_the_asset_draws(model, antithetic, mpr_model):
     # The estimator draws only the factor normals of each stream.  Its Euler
     # paths are bitwise those driven by the first half of the stream's
     # 2 n_steps draws, the factor normals of a sampler that also draws the
-    # perpendicular ones.
-    model, y0 = (mpr_model, 0.0) if model == "mpr" else (_rough_heston(-0.84), 0.035)
-    dt, n, seed, indices = 0.05, 300, 12, np.arange(6, 14)
-    factor, dw = montecarlo._sample_block(model, y0, dt, n, seed, indices, antithetic)
-    lo, truncated = model.interval[0], False
-    for row, idx in enumerate(indices):
-        stream = idx // 2 if antithetic else idx
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=int(stream) << 128))
-        z_factor, _ = rng.standard_normal((2, n))
-        sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
-        increments = sign * (math.sqrt(dt) * z_factor)
-        assert np.array_equal(dw[row], increments)
-        expected = oracles.euler_factor_path(model.a, model.b, y0, lo, dt, increments)
-        # The sampler stores the factor as the Euler step reads it, clipped.
-        assert np.array_equal(factor[row], np.maximum(expected, lo))
-        truncated |= bool(np.any(expected < lo))
+    # perpendicular ones.  The tabulated path starts at its upper end.
+    model, y0 = {
+        "mpr": (mpr_model, 0.0),
+        "heston": (_rough_heston(-0.84), 0.035),
+        "tabulated": (_tabulated_model(), 3.0),
+    }[model]
+    dt, seed, indices = 0.05, 12, np.arange(6, 134)
+    (lo, hi), truncated = model.interval, False
+    # The sampler steps in time-major chunks of _SLICE_ELEMENTS // paths
+    # steps (128 here): one step, and one step short of and past a chunk
+    # boundary.  Every row takes the same vector steps, so 8 pairs of paths
+    # are checked.
+    chunk = montecarlo._SLICE_ELEMENTS // indices.size
+    for n in (1, chunk - 1, chunk + 1, 300):
+        factor, dw = montecarlo._sample_block(model, y0, dt, n, seed, indices, antithetic)
+        for row in np.arange(0, indices.size, 16).repeat(2) + np.tile([0, 1], 8):
+            idx = indices[row]
+            stream = idx // 2 if antithetic else idx
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=int(stream) << 128))
+            z_factor, _ = rng.standard_normal((2, n))
+            sign = -1.0 if antithetic and idx % 2 == 1 else 1.0
+            increments = sign * (math.sqrt(dt) * z_factor)
+            assert np.array_equal(dw[row], increments)
+            expected = oracles.euler_factor_path(model.a, model.b, y0, lo, dt, increments, hi)
+            # The sampler stores the factor as the Euler step reads it, clipped.
+            assert np.array_equal(factor[row], np.clip(expected, lo, hi))
+            truncated |= bool(np.any((expected < lo) | (expected > hi)))
     assert model is mpr_model or truncated
 
 

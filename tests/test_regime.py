@@ -271,6 +271,15 @@ def test_solvers_refuse_an_R_or_p_they_cannot_use(entry, value):
         solver(A, value)
 
 
+@pytest.mark.parametrize("R", [1e-320, 5e-324])
+def test_solve_matrix_hjb_names_an_R_whose_reciprocal_overflows(R):
+    # A positive finite R whose 1/R overflows is refused naming R, before
+    # p = 1 - 1/R = -inf reaches the Newton solver's check on p.
+    A = np.array([[2.0, -0.5], [-1.5, 3.0]])
+    with pytest.raises(ValueError, match=rf"^R = {R} is too small: 1/R overflows, so p = 1 - 1/R"):
+        solve_matrix_hjb(A, R)
+
+
 def test_mixed_sign_eta_can_still_be_well_posed():
     # One bad state is rescued by fast switching into a good one.
     model = make_regime(
