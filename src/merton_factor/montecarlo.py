@@ -21,7 +21,9 @@ A regime chain is sampled exactly by uniformization and is independent of
 the asset noise, so a path's value is E[J | chain] of the integral over
 [0, T] itself: the chain is constant between its events, and each stretch
 is integrated over its event times in closed form, one term per chain
-event and no time grid.  Chains are sampled in blocks of 256 paths.
+event and no time grid.  Chains are sampled in blocks of 256 paths: each
+path makes one count draw and one draw of 2N uniforms, and the block
+scales, sorts, drops and pads its rows at once.
 
 A diffusion path is simulated in two stages on the grid t_k = k dt.  A
 sampler draws the path's increments and from them the factor at the step
@@ -45,9 +47,9 @@ permutation of the factor values, and the results do not depend on it.
 Reproducibility: path i draws from the 2^128 counter block i of one Philox
 key (the seed); a block of paths keeps one Philox and resets its counter
 per path.  A regime path reads from its stream, in order, its event count
-N ~ Poisson(Lambda T), N uniforms for the event times and N uniforms for
-the moves; a diffusion path reads its n_steps factor normals (the asset
-normals for black_scholes).
+N ~ Poisson(Lambda T) and then 2N uniforms in one draw: N for the event
+times, then N for the moves; a diffusion path reads its n_steps factor
+normals (the asset normals for black_scholes).
 Blocks are index-addressed and reduced in a fixed order, so results are
 bitwise identical for any worker count: ``MERTON_FACTOR_THREADS`` threads,
 serial when it is unset, empty or at most 1 (not an integer: ValueError).
@@ -115,7 +117,9 @@ def _path_streams(seed):
     """
     bits = np.random.Philox(key=int(seed))
     rng, state = np.random.Generator(bits), bits.state
-    counter = state["state"]["counter"]
+    # Python ints: the state setter reads them faster than numpy scalars.
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"], counter = state["buffer"].tolist(), state["state"]["counter"]
 
     def stream(index):
         counter[2], counter[3] = int(index) & 0xFFFF_FFFF_FFFF_FFFF, int(index) >> 64
@@ -143,32 +147,31 @@ def _uniformized(Q):
     return rate, np.cumsum(P, axis=1)[:, :-1]
 
 
-def _chain_events(rng, rate, T):
-    """Event times in [0, T) of a rate-``rate`` Poisson process, one uniform each.
-
-    Draws the count N ~ Poisson(rate T), then N uniforms that, scaled by T
-    and sorted, are the event times (given N, the times of a Poisson process
-    are N sorted uniforms), then N uniforms for the moves.  A time that
-    rounds up to T is dropped with the last move.
-    """
-    times = np.sort(T * rng.random(rng.poisson(rate * T)))
-    count = times.searchsorted(T)
-    return times[:count], rng.random(times.size)[:count]
-
-
-def _embedded_chains(events, cdf, y0):
+def _embedded_chains(draws, T, cdf, y0):
     """(event times padded with +inf, y0 and the state after each event), a row per path.
 
-    One step per event index, vectorized over the paths; a pad's uniform 0
-    is a valid draw whose state no step reads.  ``y0`` must be a state index.
+    A path's ``draws`` are its 2N uniforms: N that, scaled by T and sorted,
+    are its event times (given N, the times of a Poisson process are N
+    sorted uniforms), then N for the moves.  The whole block is built at
+    once: times sorted by row, then a time that rounds up to T is dropped
+    with the last move.  One step per event index, vectorized over the
+    paths; a pad's uniform 0 is a valid draw whose state no step reads.
+    ``y0`` must be a state index.
     """
     if not (float(y0).is_integer() and 0 <= y0 < len(cdf)):
         raise ValueError(f"initial state {y0} is not an integer in 0..{len(cdf) - 1}")
-    width = max(t.size for t, _ in events)
-    times, uniforms = np.full((len(events), width), np.inf), np.zeros((len(events), width))
-    for row, (t, u) in enumerate(events):
-        times[row, : t.size], uniforms[row, : u.size] = t, u
-    states = np.empty((len(events), width + 1), np.min_scalar_type(len(cdf)))
+    counts = np.array([d.size for d in draws]) // 2
+    event = np.arange(counts.max()) < counts[:, None]
+    draws = np.concatenate(draws)
+    is_time = np.repeat(np.arange(2 * len(counts)) % 2 == 0, np.repeat(counts, 2))
+    times, uniforms = np.full(event.shape, np.inf), np.zeros(event.shape)
+    times[event], uniforms[event] = T * draws[is_time], draws[~is_time]
+    times.sort(axis=1)
+    kept = times < T
+    times[~kept], uniforms[~kept] = np.inf, 0.0
+    width = int(kept.any(axis=0).sum())
+    times, uniforms = times[:, :width], uniforms[:, :width]
+    states = np.empty((len(counts), width + 1), np.min_scalar_type(len(cdf)))
     states[:, 0] = y0
     for j in range(width):
         states[:, j + 1] = (cdf[states[:, j]] <= uniforms[:, j, None]).sum(axis=1)
@@ -176,9 +179,13 @@ def _embedded_chains(events, cdf, y0):
 
 
 def _sample_chains(Q, y0, T, rngs):
-    """:func:`_embedded_chains` of one path per generator, each drawing its events only."""
+    """:func:`_embedded_chains` of one path per generator.
+
+    Each generator makes one count draw N ~ Poisson(Lambda T) and one draw
+    of 2N uniforms, the N time uniforms and then the N move uniforms.
+    """
     rate, cdf = _uniformized(Q)
-    return _embedded_chains([_chain_events(rng, rate, T) for rng in rngs], cdf, y0)
+    return _embedded_chains([rng.random(2 * rng.poisson(rate * T)) for rng in rngs], T, cdf, y0)
 
 
 def sample_ctmc_path(Q, y0, T, seed):
@@ -400,11 +407,15 @@ def _conditional_values(coefficients, R, T, times, states):
     exponent = np.zeros(rate.shape)
     np.cumsum((rate * (ends - begins))[:, :-1], axis=1, out=exponent[:, 1:])
     exponent += start
-    return tuple(
-        np.cumsum(_stretch_integrals(rate, exponent + rate * (s - begins), ends - s), axis=1)[:, -1]
-        / (1.0 - R)
-        for s in (begins, np.maximum(begins, 0.9 * T))
-    )
+
+    def integral(k, s):  # the stretches of columns k on, each from s
+        r, b = rate[:, k:], begins[:, k:]
+        terms = _stretch_integrals(r, exponent[:, k:] + r * (s - b), ends[:, k:] - s)
+        return np.cumsum(terms, axis=1)[:, -1] / (1.0 - R)
+
+    # Columns whose stretches all end by 0.9 T add exactly +0.0 to the tail.
+    k = int(np.argmax(ends.max(axis=0) > 0.9 * T))
+    return integral(0, begins), integral(k, np.maximum(begins[:, k:], 0.9 * T))
 
 
 def _step_count(T, dt):

@@ -432,18 +432,53 @@ def test_chain_event_counts_follow_the_poisson_law(regime2_model):
 
 def test_an_event_time_rounded_up_to_T_is_dropped():
     # T u can round up to T for a uniform u < 1 (with a subnormal T); a stub
-    # stream stands in for such a draw.  Its event and the last move go.
+    # stream stands in for such a draw.  It serves the path's one draw of
+    # 2N = 6 uniforms, the time uniforms and then the move uniforms.  The
+    # time 2.0 * 1.0 = T and the last move go.
     class Stream:
-        draws = [np.array([0.5, 1.0, 0.25]), np.array([0.1, 0.2, 0.3])]
+        calls = 0
 
         def poisson(self, mean):
             return 3
 
         def random(self, size):
-            return self.draws.pop(0)[:size].copy()
+            self.calls += 1
+            assert self.calls == 1 and size == 6
+            return np.array([0.5, 1.0, 0.25, 0.1, 0.2, 0.3])
 
-    times, moves = montecarlo._chain_events(Stream(), 1.0, 2.0)
-    assert times.tolist() == [0.5, 1.0] and moves.tolist() == [0.1, 0.2]
+    # Lambda = 1, and the state after a move shows its uniform: from state 0,
+    # 0.1 leads to 1 and 0.3 to 3; from state 1, 0.1, 0.2 and 0.3 lead to 0, 1
+    # and 2.  So moves [0.1, 0.2] give states [0, 1, 1], and keeping the
+    # moves [0.1, 0.3] or [0.3, 0.1] would give [0, 1, 2] or [0, 3, 3].
+    Q = np.array([[-1.0, 0.15, 0.1, 0.75], [0.15, -0.9, 0.1, 0.65], [0.0] * 4, [0.0] * 4])
+    times, states = montecarlo._sample_chains(Q, 0, 2.0, [Stream()])
+    assert times.tolist() == [[0.5, 1.0]] and states.tolist() == [[0, 1, 1]]
+
+
+def test_block_sampler_matches_the_loop_oracle_path_by_path():
+    # Three blocks of 256 paths, as the estimator draws them.  At
+    # Lambda T = 1.5 about 22% of the paths have no event, so rows of unequal
+    # event counts are padded; the chain has self-events and state 2 absorbs.
+    model = three_state_regime()
+    T, seed, n_paths = 0.5, 23, 600
+    stream = montecarlo._path_streams(seed)
+    rows = []
+    for lo in range(0, n_paths, 256):
+        rngs = (stream(i) for i in range(lo, min(lo + 256, n_paths)))
+        rows += zip(*montecarlo._sample_chains(model.Q, 0, T, rngs))
+    counts, self_events, absorbed = [], 0, 0
+    for index, (times, states) in enumerate(rows):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
+        expected_times, expected_states = oracles.uniformized_chain_by_loop(model.Q, 0, T, rng)
+        count = expected_times.size
+        assert times[:count].tobytes() == expected_times.astype(float).tobytes()
+        assert np.all(times[count:] == np.inf)
+        assert states[0] == 0 and np.array_equal(states[1 : count + 1], expected_states)
+        counts.append(count)
+        self_events += np.count_nonzero(states[1 : count + 1] == states[:count])
+        absorbed += states[count] == 2
+    assert len(rows) == n_paths and self_events > 0 and absorbed > 0
+    assert 0.15 < counts.count(0) / n_paths < 0.3 and len(set(counts)) > 3
 
 
 def test_regime_path_zero_follows_its_stream_by_loop():
